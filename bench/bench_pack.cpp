@@ -1,9 +1,16 @@
-// bench_pack: the columnar snapshot's two contract numbers, measured.
+// bench_pack: the columnar snapshot's contract numbers, measured.
 //
 // For both calibrated Tsubame presets:
 //   1. speed   — loading a packed .tsnap (mmap + zero-copy index
-//                adoption) must beat re-parsing the equivalent CSV by
-//                >= 20x (median of repeated runs);
+//                adoption) must beat rebuilding the same log and index
+//                from records already in memory (copy + FailureLog::create
+//                + LogIndex build) by >= kMinRebuildRatio (median of
+//                repeated runs).  The rebuild is what loading any text
+//                format still costs once parsing is free, so the gate
+//                fails when the snapshot load path regresses and is
+//                blind to the CSV reader's speed.  Parsing the same log
+//                from CSV (plus the index build) is timed and reported
+//                beside it, not gated;
 //   2. fidelity — the full study report rendered from the loaded
 //                snapshot must be byte-identical to the one rendered
 //                from the parsed CSV, and unpacking the snapshot must
@@ -33,25 +40,44 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The speed gate: snapshot load vs in-memory rebuild.  On a 4-vCPU AVX2
+/// host the ratio measured 1.40-1.72x in Release and 1.23-1.55x in
+/// RelWithDebInfo (the low end with a compiler running beside it), over
+/// both presets; a load that rebuilt the index instead of adopting the
+/// packed one measured 0.84-0.94x.
+constexpr double kMinRebuildRatio = 1.1;
+
+/// The window slack read_log_csv grants, so the rebuild validates alike.
+constexpr double kSlackHours = 24.0 * 14;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Median wall time of `reps` runs of `body` (each run's result is
-/// consumed via a volatile sink so the work cannot be elided).
+/// Wall time of one run of `body` (its result is consumed via a volatile
+/// sink so the work cannot be elided).
+template <typename Body>
+double seconds_of(Body&& body) {
+  const auto start = Clock::now();
+  const std::size_t observed = body();
+  const double elapsed = seconds_since(start);
+  volatile std::size_t sink = observed;
+  (void)sink;
+  return elapsed;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Median wall time of `reps` runs of `body`.
 template <typename Body>
 double median_seconds(int reps, Body&& body) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const auto start = Clock::now();
-    const std::size_t observed = body();
-    times.push_back(seconds_since(start));
-    volatile std::size_t sink = observed;
-    (void)sink;
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  for (int i = 0; i < reps; ++i) times.push_back(seconds_of(body));
+  return median(std::move(times));
 }
 
 std::string slurp(const std::string& path) {
@@ -66,7 +92,7 @@ std::string slurp(const std::string& path) {
 int main() {
   using namespace tsufail;
 
-  bench::print_banner("pack", "columnar snapshot load vs CSV parse (PR 7 acceptance gate)");
+  bench::print_banner("pack", "columnar snapshot load vs in-memory rebuild and CSV parse");
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "tsufail_bench_pack";
@@ -103,14 +129,34 @@ int main() {
     });
 
     // Load path: .tsnap file -> mmap -> materialized records + adopted
-    // index (what the same command does for a snapshot input).
-    const double load_s = median_seconds(60, [&] {
+    // index (what the same command does for a snapshot input).  Rebuild
+    // path: the same log and index from the records in memory (sorted, as
+    // a CSV written by write_log_csv holds them).  The two alternate, so
+    // drift in the host's speed hits both alike, and the gate takes the
+    // median of the per-pair ratios.
+    const auto load = [&] {
       auto snap = data::ColumnarSnapshot::open(snap_path);
       if (!snap.ok()) return std::size_t{0};
       auto mounted = data::LogSnapshot::from_columnar(std::move(snap).value());
       if (!mounted.ok()) return std::size_t{0};
       return mounted.value()->index().size();
-    });
+    };
+    const auto rebuild = [&] {
+      std::vector<data::FailureRecord> records(log.records().begin(), log.records().end());
+      auto rebuilt = data::FailureLog::create(log.spec(), std::move(records), kSlackHours);
+      if (!rebuilt.ok()) return std::size_t{0};
+      const data::LogIndex idx(rebuilt.value());
+      return idx.size();
+    };
+    std::vector<double> loads, rebuilds, ratios;
+    for (int i = 0; i < 61; ++i) {
+      loads.push_back(seconds_of(load));
+      rebuilds.push_back(seconds_of(rebuild));
+      ratios.push_back(rebuilds.back() / loads.back());
+    }
+    const double load_s = median(loads);
+    const double rebuild_s = median(rebuilds);
+    const double rebuild_ratio = median(ratios);
     const double speedup = load_s > 0.0 ? parse_s / load_s : 0.0;
 
     // Fidelity gate 1: analyze-from-snapshot is byte-identical to
@@ -131,13 +177,16 @@ int main() {
     // Fidelity gate 2: unpack reproduces the canonical CSV exactly.
     const bool csv_identical = data::write_log_csv(from_snap) == csv;
 
-    const bool fast_enough = speedup >= 20.0;
+    const bool fast_enough = rebuild_ratio >= kMinRebuildRatio;
     ok = ok && reports_identical && csv_identical && fast_enough;
 
     std::printf("%s: %zu records, csv %zu B, tsnap %zu B (%s load)\n", tag.c_str(), log.size(),
                 csv.size(), packed.size(), loaded.value()->mapped() ? "mmap" : "stream");
-    std::printf("  parse %.3f ms  load %.3f ms  speedup %.1fx  [gate >= 20x: %s]\n",
-                parse_s * 1e3, load_s * 1e3, speedup, fast_enough ? "ok" : "FAIL");
+    std::printf("  load %.3f ms  rebuild %.3f ms  ratio %.2fx  [gate >= %.1fx: %s]\n",
+                load_s * 1e3, rebuild_s * 1e3, rebuild_ratio, kMinRebuildRatio,
+                fast_enough ? "ok" : "FAIL");
+    std::printf("  csv parse + index %.3f ms  = %.1fx the load (reported, not gated)\n",
+                parse_s * 1e3, speedup);
     std::printf("  study report byte-identical: %s; unpack byte-identical: %s\n",
                 reports_identical ? "ok" : "FAIL", csv_identical ? "ok" : "FAIL");
 
@@ -147,13 +196,15 @@ int main() {
     perf.set(tag + "_parse_s", parse_s);
     perf.set(tag + "_load_s", load_s);
     perf.set(tag + "_speedup", speedup);
+    perf.set(tag + "_rebuild_s", rebuild_s);
+    perf.set(tag + "_rebuild_ratio", rebuild_ratio);
     perf.set(tag + "_report_identical", reports_identical ? std::int64_t{1} : std::int64_t{0});
 
     std::remove(csv_path.c_str());
     std::remove(snap_path.c_str());
   }
 
-  perf.set("gate_speedup_min", 20.0);
+  perf.set("gate_rebuild_ratio_min", kMinRebuildRatio);
   perf.set("gate_ok", ok ? std::int64_t{1} : std::int64_t{0});
   perf.write();
 

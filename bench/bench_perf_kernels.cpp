@@ -125,10 +125,10 @@ void BM_XoshiroFillLevel(benchmark::State& state) {
     buffers[lane].resize(kCount);
     outs[lane] = buffers[lane].data();
   }
-  std::uint64_t st[4][stats::simd::XoshiroLanes::kLanes];
+  stats::simd::XoshiroState st;
   for (std::size_t lane = 0; lane < stats::simd::XoshiroLanes::kLanes; ++lane) {
     const auto words = lanes.lane_state(lane);
-    for (std::size_t word = 0; word < 4; ++word) st[word][lane] = words[word];
+    for (std::size_t word = 0; word < 4; ++word) st.words[word][lane] = words[word];
   }
   for (auto _ : state) {
     kernels.xoshiro_fill(st, 897, (~std::uint64_t{897} + 1) % 897, kCount, outs);

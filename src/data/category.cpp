@@ -1,8 +1,9 @@
 #include "data/category.h"
 
 #include <array>
-#include <cctype>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace tsufail::data {
@@ -57,15 +58,44 @@ const CategoryInfo& info(Category category) noexcept {
   return kCategoryTable.back();  // unreachable for valid enum values
 }
 
-/// Normalizes a name for matching: lowercase alphanumerics only.
+/// Normalizes a name for matching: ASCII letters lowercased and digits
+/// kept, every other byte dropped.
 std::string normalize(std::string_view name) {
   std::string out;
   out.reserve(name.size());
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)))
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (const char c : name) {
+    if (c >= 'A' && c <= 'Z') {
+      out += static_cast<char>(c - 'A' + 'a');
+    } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+      out += c;
+    }
   }
   return out;
+}
+
+/// Alternative spellings seen in raw logs and in the paper's prose,
+/// already normalized.
+constexpr std::pair<std::string_view, Category> kAliases[] = {
+    {"infiniband", Category::kInfiniband},
+    {"powersupplyunit", Category::kPsu},
+    {"portablebatchsystem", Category::kPbs},
+    {"virtualmachine", Category::kVm},
+    {"ip", Category::kIpMotherboard},
+    {"cyclicredundancycheck", Category::kCrc},
+    {"gpudriverrelated", Category::kGpuDriver},
+    {"driver", Category::kGpuDriver},
+};
+
+/// Every accepted normalized name: the table's canonical spellings plus
+/// the aliases.  Built once.
+const std::unordered_map<std::string, Category>& category_names() {
+  static const auto names = [] {
+    std::unordered_map<std::string, Category> out;
+    for (const auto& row : kCategoryTable) out.emplace(normalize(row.name), row.category);
+    for (const auto& [alias, category] : kAliases) out.emplace(alias, category);
+    return out;
+  }();
+  return names;
 }
 
 }  // namespace
@@ -111,24 +141,8 @@ Result<Category> parse_category(std::string_view name) {
   const std::string key = normalize(name);
   if (key.empty())
     return Error(ErrorKind::kParse, "empty category name");
-  for (const auto& row : kCategoryTable) {
-    if (normalize(row.name) == key) return row.category;
-  }
-  // Aliases seen in raw logs and in the paper's prose.
-  if (key == "infiniband") return Category::kInfiniband;
-  if (key == "fan") return Category::kFan;
-  if (key == "powersupplyunit") return Category::kPsu;
-  if (key == "portablebatchsystem") return Category::kPbs;
-  if (key == "virtualmachine") return Category::kVm;
-  if (key == "systemboard") return Category::kSystemBoard;
-  if (key == "omnipath") return Category::kOmniPath;
-  if (key == "powerboard") return Category::kPowerBoard;
-  if (key == "sxm2cable") return Category::kSxm2Cable;
-  if (key == "sxm2board") return Category::kSxm2Board;
-  if (key == "ipmotherboard" || key == "ip") return Category::kIpMotherboard;
-  if (key == "ledfrontpanel") return Category::kLedFrontPanel;
-  if (key == "cyclicredundancycheck") return Category::kCrc;
-  if (key == "gpudriverrelated" || key == "driver") return Category::kGpuDriver;
+  const auto& names = category_names();
+  if (const auto it = names.find(key); it != names.end()) return it->second;
   return Error(ErrorKind::kNotFound, "unknown failure category: '" + std::string(name) + "'");
 }
 

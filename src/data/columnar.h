@@ -8,9 +8,10 @@
 // re-sort (the columns are stored in the log's canonical time order) —
 // and, when the index sections are present, LogIndex adoption is
 // zero-copy: its hours/TTR/arena spans point straight into the mapped
-// bytes.  bench_pack gates the >= 20x load-vs-parse bar on the Tsubame
-// presets; the differential oracle's snapshot_roundtrip check and the
-// golden byte gates pin pack -> load -> analyze == parse -> analyze.
+// bytes.  bench_pack gates that a load beats rebuilding the log and index
+// from in-memory records on the Tsubame presets; the differential
+// oracle's snapshot_roundtrip check and the golden byte gates pin
+// pack -> load -> analyze == parse -> analyze.
 //
 // Layout (version 1, all integers in host byte order — see below):
 //

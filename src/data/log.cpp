@@ -3,11 +3,23 @@
 #include <algorithm>
 
 namespace tsufail::data {
+namespace {
+
+bool earlier(const FailureRecord& a, const FailureRecord& b) noexcept { return a.time < b.time; }
+
+/// Stable-sorts `records` by time.  Input already in order (CSV written
+/// by write_log_csv, sealed stream epochs) is left as it is: a stable sort
+/// of sorted input changes nothing, so checking first only saves work.
+void sort_by_time(std::vector<FailureRecord>& records) {
+  if (!std::is_sorted(records.begin(), records.end(), earlier))
+    std::stable_sort(records.begin(), records.end(), earlier);
+}
+
+}  // namespace
 
 Result<FailureLog> FailureLog::create(MachineSpec spec, std::vector<FailureRecord> records,
                                       double slack_hours) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const FailureRecord& a, const FailureRecord& b) { return a.time < b.time; });
+  sort_by_time(records);
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (auto valid = validate_record(records[i], spec, slack_hours); !valid.ok())
       return valid.error().with_context("record " + std::to_string(i));
@@ -16,17 +28,14 @@ Result<FailureLog> FailureLog::create(MachineSpec spec, std::vector<FailureRecor
 }
 
 FailureLog FailureLog::from_sorted(MachineSpec spec, std::vector<FailureRecord> records) {
-  TSUFAIL_REQUIRE(
-      std::is_sorted(records.begin(), records.end(),
-                     [](const FailureRecord& a, const FailureRecord& b) { return a.time < b.time; }),
-      "FailureLog::from_sorted: records must be ascending by time");
+  TSUFAIL_REQUIRE(std::is_sorted(records.begin(), records.end(), earlier),
+                  "FailureLog::from_sorted: records must be ascending by time");
   return FailureLog(std::move(spec), std::move(records));
 }
 
 Result<FailureLog> FailureLog::append(const FailureLog& base, std::vector<FailureRecord> suffix,
                                       double slack_hours) {
-  std::stable_sort(suffix.begin(), suffix.end(),
-                   [](const FailureRecord& a, const FailureRecord& b) { return a.time < b.time; });
+  sort_by_time(suffix);
   if (!base.empty() && !suffix.empty() && suffix.front().time < base.records_.back().time)
     return Error(ErrorKind::kValidation,
                  "append: suffix record predates the base log's last record");

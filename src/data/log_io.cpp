@@ -1,110 +1,101 @@
 #include "data/log_io.h"
 
-#include <charconv>
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "util/csv.h"
+#include "util/simd.h"
 #include "util/strings.h"
 
 namespace tsufail::data {
 namespace {
 
-constexpr const char* kColumns[] = {"machine",   "timestamp", "node",      "category",
-                                    "ttr_hours", "gpu_slots", "root_locus"};
+/// The canonical columns, in the order write_log_csv emits them.
+enum Column : std::size_t {
+  kMachine, kTimestamp, kNode, kCategory, kTtrHours, kGpuSlots, kRootLocus, kColumnCount
+};
+constexpr std::array<std::string_view, kColumnCount> kColumns = {
+    "machine", "timestamp", "node", "category", "ttr_hours", "gpu_slots", "root_locus"};
 
-/// Parses the seven canonical field strings into a record (shared by the
-/// header-driven document reader and the headerless single-row parser).
-/// `get(column)` resolves one canonical column name to its text.
-template <typename FieldFn>
-Result<std::pair<Machine, FailureRecord>> parse_record_from_fields(const FieldFn& get) {
-  auto machine_text = get("machine");
-  if (!machine_text.ok()) return machine_text.error();
-  auto machine = parse_machine(machine_text.value());
+/// Where each canonical column sits within a row.
+using ColumnMap = std::array<std::size_t, kColumnCount>;
+
+/// The headerless canonical row: every column at its own position.
+constexpr ColumnMap kCanonicalColumns = {0, 1, 2, 3, 4, 5, 6};
+
+/// Parses one record's fields in place, in column order, stopping at the
+/// first field that is missing or malformed.  The one field parser behind
+/// both the header-driven document reader and the headerless single-row
+/// parser; it also reports the machine declared on the row so the caller
+/// can enforce uniformity.
+Result<std::pair<Machine, FailureRecord>> parse_record_fields(const CsvRecordView& row,
+                                                              const ColumnMap& columns) {
+  // Column `c`'s text, or nullptr when the row is too short to hold it.
+  const auto field = [&](Column c) -> const std::string_view* {
+    return columns[c] < row.fields.size() ? &row.fields[columns[c]] : nullptr;
+  };
+  const auto missing = [&](Column c) { return row.field(columns[c], kColumns[c]).error(); };
+
+  const std::string_view* machine_text = field(kMachine);
+  if (machine_text == nullptr) return missing(kMachine);
+  auto machine = parse_machine(*machine_text);
   if (!machine.ok()) return machine.error();
 
   FailureRecord record;
 
-  auto time_text = get("timestamp");
-  if (!time_text.ok()) return time_text.error();
-  auto time = parse_time(trim(time_text.value()));
+  const std::string_view* time_text = field(kTimestamp);
+  if (time_text == nullptr) return missing(kTimestamp);
+  auto time = parse_time(trim(*time_text));
   if (!time.ok()) return time.error();
   record.time = time.value();
 
-  auto node_text = get("node");
-  if (!node_text.ok()) return node_text.error();
-  auto node = parse_int(trim(node_text.value()));
+  const std::string_view* node_text = field(kNode);
+  if (node_text == nullptr) return missing(kNode);
+  auto node = parse_int(trim(*node_text));
   if (!node.ok()) return node.error().with_context("node");
   record.node = static_cast<int>(node.value());
 
-  auto category_text = get("category");
-  if (!category_text.ok()) return category_text.error();
-  auto category = parse_category(category_text.value());
+  const std::string_view* category_text = field(kCategory);
+  if (category_text == nullptr) return missing(kCategory);
+  auto category = parse_category(*category_text);
   if (!category.ok()) return category.error();
   record.category = category.value();
 
-  auto ttr_text = get("ttr_hours");
-  if (!ttr_text.ok()) return ttr_text.error();
-  auto ttr = parse_double(trim(ttr_text.value()));
+  const std::string_view* ttr_text = field(kTtrHours);
+  if (ttr_text == nullptr) return missing(kTtrHours);
+  auto ttr = parse_double(trim(*ttr_text));
   if (!ttr.ok()) return ttr.error().with_context("ttr_hours");
   record.ttr_hours = ttr.value();
 
-  auto slots_text = get("gpu_slots");
-  if (!slots_text.ok()) return slots_text.error();
-  auto slots = parse_gpu_slots(slots_text.value());
+  const std::string_view* slots_text = field(kGpuSlots);
+  if (slots_text == nullptr) return missing(kGpuSlots);
+  auto slots = parse_gpu_slots(*slots_text);
   if (!slots.ok()) return slots.error();
   record.gpu_slots = std::move(slots.value());
 
-  auto locus = get("root_locus");
-  if (!locus.ok()) return locus.error();
-  record.root_locus = std::string(trim(locus.value()));
+  const std::string_view* locus = field(kRootLocus);
+  if (locus == nullptr) return missing(kRootLocus);
+  record.root_locus = std::string(trim(*locus));
 
   return std::pair<Machine, FailureRecord>(machine.value(), std::move(record));
 }
 
-/// Parses one CSV record into a FailureRecord; also reports the machine
-/// declared on the row so the caller can enforce uniformity.
-Result<std::pair<Machine, FailureRecord>> parse_row(const CsvDocument& doc,
-                                                    const CsvRecord& row) {
-  return parse_record_from_fields(
-      [&](const char* column) -> Result<std::string> { return doc.field(row, column); });
-}
-
-/// Splits one line into RFC-4180 fields (quoted fields may hold commas
-/// and doubled quotes; embedded newlines cannot occur in a single line).
-Result<std::vector<std::string>> split_row_fields(std::string_view row) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    const char c = row[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < row.size() && row[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"') {
-      if (!field.empty())
-        return Error(ErrorKind::kParse, "stray quote in unquoted field");
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
+/// `error`, unless the text after the tokenizer's position is not
+/// well-formed CSV: a file that is not CSV fails as such, whatever header
+/// or row error comes before the structural fault.
+Error outranked_by_structure(CsvTokenizer& tokenizer, Error error) {
+  while (!tokenizer.at_end()) {
+    auto record = tokenizer.next_record();
+    if (!record.ok()) return record.error();
   }
-  if (quoted) return Error(ErrorKind::kParse, "unterminated quote");
-  fields.push_back(std::move(field));
-  return fields;
+  return error;
 }
 
 std::string format_ttr(double ttr_hours) {
@@ -116,20 +107,16 @@ std::string format_ttr(double ttr_hours) {
 }  // namespace
 
 Result<std::pair<Machine, FailureRecord>> parse_record_row(std::string_view row) {
-  if (!row.empty() && row.back() == '\r') row.remove_suffix(1);
-  auto fields = split_row_fields(row);
-  if (!fields.ok()) return fields.error();
-  constexpr std::size_t kColumnCount = std::size(kColumns);
-  if (fields.value().size() != kColumnCount)
+  CsvTokenizer tokenizer(row);
+  auto record = tokenizer.next_record();
+  if (!record.ok()) return record.error();
+  if (!tokenizer.at_end())
+    return Error(ErrorKind::kParse, "line break outside quotes inside one row");
+  if (record.value().fields.size() != kColumnCount)
     return Error(ErrorKind::kParse, "expected " + std::to_string(kColumnCount) +
                                         " fields, got " +
-                                        std::to_string(fields.value().size()));
-  return parse_record_from_fields([&](const char* column) -> Result<std::string> {
-    for (std::size_t i = 0; i < kColumnCount; ++i) {
-      if (std::string_view(kColumns[i]) == column) return fields.value()[i];
-    }
-    return Error(ErrorKind::kNotFound, "unknown column '" + std::string(column) + "'");
-  });
+                                        std::to_string(record.value().fields.size()));
+  return parse_record_fields(record.value(), kCanonicalColumns);
 }
 
 std::string format_gpu_slots(const std::vector<int>& slots) {
@@ -145,78 +132,97 @@ Result<std::vector<int>> parse_gpu_slots(std::string_view text) {
   std::vector<int> slots;
   text = trim(text);
   if (text.empty()) return slots;
-  for (std::string_view part : split(text, '|')) {
-    auto value = parse_int(trim(part));
+  slots.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '|')) + 1);
+  for (std::size_t start = 0;;) {
+    const std::size_t bar = text.find('|', start);
+    auto value = parse_int(trim(text.substr(start, bar - start)));
     if (!value.ok()) return value.error().with_context("gpu_slots");
     slots.push_back(static_cast<int>(value.value()));
+    if (bar == std::string_view::npos) return slots;
+    start = bar + 1;
   }
-  return slots;
 }
 
 Result<ReadReport> read_log_csv(std::string_view text, ReadPolicy policy) {
-  auto doc = CsvDocument::parse(text);
-  if (!doc.ok()) return doc.error();
+  OBS_SPAN("csv.read");
+  static obs::Counter rows_read = obs::counter("csv.rows");
+  static obs::Counter rows_rejected = obs::counter("csv.rows_rejected");
 
-  for (const char* column : kColumns) {
-    if (auto idx = doc.value().column(column); !idx.ok())
-      return Error(ErrorKind::kValidation,
-                   "log CSV is missing required column '" + std::string(column) + "'");
-  }
-
+  CsvTokenizer tokenizer(text);
+  ColumnMap columns{};
+  bool have_header = false;
   std::vector<FailureRecord> records;
+  // At most one row per line break: the header's ends the first line.
+  records.reserve(simd::count_byte(text, '\n'));
   std::vector<RowError> row_errors;
   std::optional<Machine> machine;
+  std::size_t rows = 0;
 
-  for (const auto& row : doc.value().records()) {
-    auto parsed = parse_row(doc.value(), row);
-    if (!parsed.ok()) {
-      if (policy == ReadPolicy::kStrict)
-        return parsed.error().with_context("line " + std::to_string(row.line_number));
-      row_errors.push_back({row.line_number, parsed.error().to_string()});
-      continue;
-    }
-    const auto& [row_machine, record] = parsed.value();
+  const auto load_row = [&](const CsvRecordView& row) -> Result<void> {
+    auto parsed = parse_record_fields(row, columns);
+    if (!parsed.ok()) return parsed.error();
+    auto& [row_machine, record] = parsed.value();
     if (!machine.has_value()) {
       machine = row_machine;
     } else if (*machine != row_machine) {
-      const Error mixed(ErrorKind::kValidation, "mixed machines in one log file");
-      if (policy == ReadPolicy::kStrict)
-        return mixed.with_context("line " + std::to_string(row.line_number));
-      row_errors.push_back({row.line_number, mixed.to_string()});
-      continue;
+      return Error(ErrorKind::kValidation, "mixed machines in one log file");
     }
     // Semantic validation per row, so one bad record is skippable under
     // the lenient policy instead of poisoning the whole load.
     if (auto valid = validate_record(record, spec_for(row_machine), /*slack_hours=*/24.0 * 14);
-        !valid.ok()) {
-      if (policy == ReadPolicy::kStrict)
-        return valid.error().with_context("line " + std::to_string(row.line_number));
-      row_errors.push_back({row.line_number, valid.error().to_string()});
+        !valid.ok())
+      return valid.error();
+    records.push_back(std::move(record));
+    return {};
+  };
+
+  while (!tokenizer.at_end()) {
+    auto next = tokenizer.next_record();
+    if (!next.ok()) return next.error();
+    const CsvRecordView& row = next.value();
+    if (row.blank()) continue;  // blank lines anywhere
+    if (!have_header) {
+      for (std::size_t c = 0; c < kColumnCount; ++c) {
+        auto index = find_column(row.fields, kColumns[c]);
+        if (!index.ok())
+          return outranked_by_structure(
+              tokenizer, Error(ErrorKind::kValidation, "log CSV is missing required column '" +
+                                                           std::string(kColumns[c]) + "'"));
+        columns[c] = index.value();
+      }
+      have_header = true;
       continue;
     }
-    records.push_back(record);
+    ++rows;
+    auto loaded = load_row(row);
+    if (loaded.ok()) continue;
+    if (policy == ReadPolicy::kStrict)
+      return outranked_by_structure(
+          tokenizer, loaded.error().with_context("line " + std::to_string(row.line_number)));
+    row_errors.push_back({row.line_number, loaded.error().to_string()});
   }
+  rows_read.add(rows);
+  rows_rejected.add(row_errors.size());
 
+  if (!have_header) return Error(ErrorKind::kParse, "CSV document is empty (no header row)");
   if (!machine.has_value())
     return Error(ErrorKind::kValidation, "log CSV contains no parsable data rows");
 
   // Generated/operator logs can record repairs finishing past the window;
-  // allow two weeks of slack on the window check.
-  auto log = FailureLog::create(spec_for(*machine), std::move(records), /*slack_hours=*/24.0 * 14);
-  if (!log.ok()) {
-    if (policy == ReadPolicy::kStrict) return log.error();
-    return log.error();  // structural validation failures are never skippable
-  }
+  // allow two weeks of slack on the window check.  Structural validation
+  // failures here are never skippable.
+  auto log = [&] {
+    OBS_SPAN("csv.to_log");
+    return FailureLog::create(spec_for(*machine), std::move(records), /*slack_hours=*/24.0 * 14);
+  }();
+  if (!log.ok()) return log.error();
   return ReadReport{std::move(log.value()), std::move(row_errors)};
 }
 
 Result<ReadReport> read_log_file(const std::string& path, ReadPolicy policy) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return Error(ErrorKind::kIo, "cannot open log file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto report = read_log_csv(buffer.str(), policy);
+  auto text = read_text_file(path, "log file");
+  if (!text.ok()) return text.error();
+  auto report = read_log_csv(text.value(), policy);
   if (!report.ok()) return report.error().with_context(path);
   return report;
 }

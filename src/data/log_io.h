@@ -55,8 +55,10 @@ Result<void> write_log_file(const std::string& path, const FailureLog& log);
 /// Parses one headerless data row in the canonical column order
 /// (machine,timestamp,node,category,ttr_hours,gpu_slots,root_locus) —
 /// the shape write_log_csv emits row-for-row and the serve ingest
-/// protocol accepts one event at a time.  RFC-4180 quoting is honored;
-/// embedded newlines are not (a row is one line by definition here).
+/// protocol accepts one event at a time.  The row goes through the same
+/// tokenizer and field parser as read_log_csv, so it parses to the record
+/// the batch reader would make of it.  It is one record: a trailing line
+/// break is allowed, a second line is an error.
 Result<std::pair<Machine, FailureRecord>> parse_record_row(std::string_view row);
 
 /// Formats a slot list as the on-disk "0|2" form.

@@ -72,9 +72,8 @@ double scalar_max_abs_cdf_gap(const std::uint32_t* ca, const std::uint32_t* cb, 
   return worst;
 }
 
-void scalar_xoshiro_fill(std::uint64_t state[4][XoshiroLanes::kLanes], std::uint64_t n,
-                         std::uint64_t threshold, std::size_t count,
-                         std::uint32_t* const* outs) noexcept {
+void scalar_xoshiro_fill(XoshiroState& state, std::uint64_t n, std::uint64_t threshold,
+                         std::size_t count, std::uint32_t* const* outs) noexcept {
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t lane = 0; lane < XoshiroLanes::kLanes; ++lane) {
       const std::uint64_t x = detail::xoshiro_step_lane(state, lane);

@@ -80,6 +80,17 @@ void quantile_indices(std::span<const double> qs, std::size_t n,
 /// Returns 0.0 if either sample is empty.
 double ks_distance_sorted(std::span<const double> a, std::span<const double> b);
 
+/// The state of four xoshiro256** streams, word-major and lane-minor:
+/// words[word][lane], so each state word of the four streams is one
+/// contiguous 32-byte row that a single vector load picks up.  The AVX2
+/// kernel's aligned loads need that row alignment, and it is part of the
+/// type: any holder of a state (XoshiroLanes, a test, a bench) gets it,
+/// and a plain uint64_t array cannot be passed by mistake.
+struct alignas(32) XoshiroState {
+  static constexpr std::size_t kLanes = 4;
+  std::uint64_t words[4][kLanes];
+};
+
 /// Four xoshiro256** streams advanced in lockstep — one per 64-bit lane
 /// of an AVX2 register at that level, scalar column loops otherwise.
 ///
@@ -92,12 +103,12 @@ double ks_distance_sorted(std::span<const double> a, std::span<const double> b);
 /// quadruples.
 class XoshiroLanes {
  public:
-  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kLanes = XoshiroState::kLanes;
 
   XoshiroLanes(const Rng& parent, std::uint64_t first_stream) noexcept {
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       const auto words = parent.fork(first_stream + lane).state_words();
-      for (std::size_t word = 0; word < 4; ++word) state_[word][lane] = words[word];
+      for (std::size_t word = 0; word < 4; ++word) state_.words[word][lane] = words[word];
     }
   }
 
@@ -110,13 +121,12 @@ class XoshiroLanes {
   /// The current state words of one lane (for tests pinning lane
   /// evolution against a scalar Rng).
   std::array<std::uint64_t, 4> lane_state(std::size_t lane) const noexcept {
-    return {state_[0][lane], state_[1][lane], state_[2][lane], state_[3][lane]};
+    return {state_.words[0][lane], state_.words[1][lane], state_.words[2][lane],
+            state_.words[3][lane]};
   }
 
  private:
-  // Word-major, lane-minor: state_[word][lane], so each state word of the
-  // four streams is one contiguous 32-byte row a vector load picks up.
-  alignas(32) std::uint64_t state_[4][kLanes];
+  XoshiroState state_;
 };
 
 // --- Internal: per-level kernel table ----------------------------------
@@ -141,9 +151,8 @@ struct NumericKernels {
                             double dn, double dm) noexcept;
   /// Advances 4 xoshiro lanes `count` steps each, writing Lemire-bounded
   /// indices; `threshold` = (2^64 - n) % n precomputed by the wrapper.
-  void (*xoshiro_fill)(std::uint64_t state[4][XoshiroLanes::kLanes], std::uint64_t n,
-                       std::uint64_t threshold, std::size_t count,
-                       std::uint32_t* const* outs) noexcept;
+  void (*xoshiro_fill)(XoshiroState& state, std::uint64_t n, std::uint64_t threshold,
+                       std::size_t count, std::uint32_t* const* outs) noexcept;
 };
 
 /// The numeric kernel table for `level` (clamped to supported_level()).

@@ -168,17 +168,16 @@ double avx2_max_abs_cdf_gap(const std::uint32_t* ca, const std::uint32_t* cb, st
   return worst;
 }
 
-void avx2_xoshiro_fill(std::uint64_t state[4][XoshiroLanes::kLanes], std::uint64_t n,
-                       std::uint64_t threshold, std::size_t count,
-                       std::uint32_t* const* outs) noexcept {
+void avx2_xoshiro_fill(XoshiroState& state, std::uint64_t n, std::uint64_t threshold,
+                       std::size_t count, std::uint32_t* const* outs) noexcept {
   // All four streams advance in lockstep in registers; the rare Lemire
   // rejection flushes state to memory, redraws the rejecting lane(s) with
   // the shared scalar step (so redraw sequences match the scalar engine
   // exactly), and reloads.
-  __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[0]));
-  __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[1]));
-  __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[2]));
-  __m256i s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[3]));
+  __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[0]));
+  __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[1]));
+  __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[2]));
+  __m256i s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[3]));
   alignas(32) std::uint64_t draws[XoshiroLanes::kLanes];
   for (std::size_t i = 0; i < count; ++i) {
     // result = rotl(s1 * 5, 7) * 9 — the multiplies strength-reduce to
@@ -206,22 +205,22 @@ void avx2_xoshiro_fill(std::uint64_t state[4][XoshiroLanes::kLanes], std::uint64
       outs[lane][i] = static_cast<std::uint32_t>(mul >> 64);
     }
     if (rejected) [[unlikely]] {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(state[0]), s0);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(state[1]), s1);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(state[2]), s2);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(state[3]), s3);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[0]), s0);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[1]), s1);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[2]), s2);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[3]), s3);
       for (std::size_t lane = 0; lane < XoshiroLanes::kLanes; ++lane)
         outs[lane][i] = detail::lemire_finish_lane(state, lane, draws[lane], n, threshold);
-      s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[0]));
-      s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[1]));
-      s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[2]));
-      s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state[3]));
+      s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[0]));
+      s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[1]));
+      s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[2]));
+      s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(state.words[3]));
     }
   }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(state[0]), s0);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(state[1]), s1);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(state[2]), s2);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(state[3]), s3);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[0]), s0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[1]), s1);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[2]), s2);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(state.words[3]), s3);
 }
 
 constexpr NumericKernels kAvx2NumericKernels{

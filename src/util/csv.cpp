@@ -1,8 +1,10 @@
 #include "util/csv.h"
 
+#include <algorithm>
+#include <bit>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "util/simd.h"
 #include "util/strings.h"
@@ -10,122 +12,145 @@
 namespace tsufail {
 namespace {
 
-/// Incremental RFC-4180 tokenizer over the whole document.
-///
-/// Structural characters (delimiter, CR, LF, quote) are located with the
-/// SIMD block scanner (util/simd.h: 16/32 bytes per probe), and the
-/// ordinary bytes between them are bulk-appended — the state machine only
-/// steps once per structural character instead of once per byte.
-class Tokenizer {
- public:
-  explicit Tokenizer(std::string_view text) : text_(text) {}
+constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
 
-  bool at_end() const noexcept { return pos_ >= text_.size(); }
-  std::size_t line() const noexcept { return line_; }
+Error unterminated_quote(std::size_t record_line) {
+  return Error(ErrorKind::kParse,
+               "unterminated quoted field starting near line " + std::to_string(record_line));
+}
 
-  /// Parses one record (one logical row, possibly spanning physical lines
-  /// inside quotes). Returns an empty optional-like flag via `record.fields`
-  /// being empty AND at_end() for trailing blank content.
-  Result<CsvRecord> next_record() {
-    CsvRecord record;
-    record.line_number = line_;
-    std::string field;
-    bool in_quotes = false;
-    bool field_was_quoted = false;
-
-    while (true) {
-      if (at_end()) {
-        if (in_quotes)
-          return Error(ErrorKind::kParse,
-                       "unterminated quoted field starting near line " + std::to_string(record.line_number));
-        record.fields.push_back(std::move(field));
-        return record;
-      }
-      if (in_quotes) {
-        // Inside quotes only '"' and '\n' matter (the latter for line
-        // accounting); everything before the next one is field content.
-        const std::size_t hit = simd::find_any_of4(text_, '"', '\n', '"', '\n', pos_);
-        if (hit == std::string_view::npos) {
-          pos_ = text_.size();
-          return Error(ErrorKind::kParse,
-                       "unterminated quoted field starting near line " + std::to_string(record.line_number));
-        }
-        field.append(text_, pos_, hit - pos_);
-        pos_ = hit + 1;
-        if (text_[hit] == '"') {
-          if (!at_end() && text_[pos_] == '"') {  // escaped quote
-            field += '"';
-            ++pos_;
-          } else {
-            in_quotes = false;
-          }
-        } else {  // '\n' inside a quoted field stays in the value
-          ++line_;
-          field += '\n';
-        }
-        continue;
-      }
-      const std::size_t hit = simd::find_any_of4(text_, ',', '\r', '\n', '"', pos_);
-      if (hit == std::string_view::npos) {
-        field.append(text_, pos_, text_.size() - pos_);
-        pos_ = text_.size();
-        continue;  // the at_end() branch closes out the record
-      }
-      field.append(text_, pos_, hit - pos_);
-      pos_ = hit + 1;
-      switch (text_[hit]) {
-        case ',':
-          record.fields.push_back(std::move(field));
-          field.clear();
-          field_was_quoted = false;
-          break;
-        case '\r':
-          if (!at_end() && text_[pos_] == '\n') ++pos_;
-          [[fallthrough]];
-        case '\n':
-          ++line_;
-          record.fields.push_back(std::move(field));
-          return record;
-        case '"':
-          if (!field.empty() || field_was_quoted)
-            return Error(ErrorKind::kParse, "stray quote in field on line " + std::to_string(line_));
-          in_quotes = true;
-          field_was_quoted = true;
-          break;
-      }
-    }
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
-bool is_blank_record(const CsvRecord& record) {
-  return record.fields.size() == 1 && trim(record.fields[0]).empty();
+Error stray_quote(std::size_t line) {
+  return Error(ErrorKind::kParse, "stray quote in field on line " + std::to_string(line));
 }
 
 }  // namespace
 
-Result<CsvDocument> CsvDocument::parse(std::string_view text) {
+bool CsvRecordView::blank() const noexcept {
+  return fields.size() == 1 && trim(fields[0]).empty();
+}
+
+Result<std::string_view> CsvRecordView::field(std::size_t index,
+                                              std::string_view column_name) const {
+  if (index < fields.size()) return fields[index];
+  return Error(ErrorKind::kValidation,
+               "row on line " + std::to_string(line_number) + " has " +
+                   std::to_string(fields.size()) + " fields; column '" +
+                   std::string(column_name) + "' is index " + std::to_string(index));
+}
+
+CsvTokenizer::CsvTokenizer(std::string_view text) noexcept : text_(text) {
   // Spreadsheet exports routinely prepend a UTF-8 byte-order mark; left
   // in place it would glue itself onto the first header name and break
   // column lookup.
-  constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
-  if (text.substr(0, kUtf8Bom.size()) == kUtf8Bom) text.remove_prefix(kUtf8Bom.size());
-  Tokenizer tokenizer(text);
+  if (text_.substr(0, kUtf8Bom.size()) == kUtf8Bom) text_.remove_prefix(kUtf8Bom.size());
+}
+
+Result<CsvRecordView> CsvTokenizer::next_record() {
+  fields_.clear();
+  buffers_used_ = 0;
+  const std::size_t record_line = line_;
+  while (true) {
+    if (!at_end() && text_[pos_] == '"') {
+      if (auto quoted = quoted_field(record_line); !quoted.ok()) return quoted.error();
+    } else {
+      const std::size_t end = next_structural(pos_);
+      if (end != text_.size() && text_[end] == '"') return stray_quote(line_);
+      fields_.push_back(text_.substr(pos_, end - pos_));
+      pos_ = end;
+    }
+    // pos_ is on the delimiter or line break that ends the field, or at
+    // the end of the text.
+    if (at_end()) return CsvRecordView{fields_, record_line};
+    const char terminator = text_[pos_++];
+    if (terminator == ',') continue;
+    if (terminator == '\r' && !at_end() && text_[pos_] == '\n') ++pos_;
+    ++line_;
+    return CsvRecordView{fields_, record_line};
+  }
+}
+
+Result<void> CsvTokenizer::quoted_field(std::size_t record_line) {
+  std::size_t start = ++pos_;  // first byte after the opening quote
+  std::string* unescaped = nullptr;
+  std::size_t close = 0;
+  while (true) {
+    // Inside quotes only '"' and '\n' matter (the latter for line
+    // accounting); everything else is field content.
+    std::size_t hit = next_structural(pos_);
+    while (hit != text_.size() && (text_[hit] == ',' || text_[hit] == '\r'))
+      hit = next_structural(hit + 1);
+    if (hit == text_.size()) {
+      pos_ = text_.size();
+      return unterminated_quote(record_line);
+    }
+    pos_ = hit + 1;
+    if (text_[hit] == '\n') {  // a line break inside quotes stays in the value
+      ++line_;
+      continue;
+    }
+    if (at_end() || text_[pos_] != '"') {
+      close = hit;
+      break;
+    }
+    // A doubled quote stands for one: copy through it, skip its twin.
+    if (unescaped == nullptr) unescaped = &take_buffer();
+    unescaped->append(text_, start, pos_ - start);
+    start = ++pos_;
+  }
+  // Bytes after the closing quote, up to the delimiter, join the value.
+  const std::size_t end = next_structural(pos_);
+  if (end != text_.size() && text_[end] == '"') return stray_quote(line_);
+  const std::string_view last = text_.substr(start, close - start);
+  const std::string_view tail = text_.substr(pos_, end - pos_);
+  pos_ = end;
+  if (unescaped == nullptr && tail.empty()) {
+    fields_.push_back(last);
+    return {};
+  }
+  if (unescaped == nullptr) unescaped = &take_buffer();
+  unescaped->append(last).append(tail);
+  fields_.push_back(*unescaped);
+  return {};
+}
+
+std::size_t CsvTokenizer::next_structural(std::size_t from) noexcept {
+  while (from < text_.size()) {
+    if (from >= block_end_) {
+      block_ = from;
+      block_end_ = std::min(text_.size(), from + 64);
+      mask_ = simd::mask_any_of4(text_.substr(block_, block_end_ - block_), ',', '\r', '\n', '"');
+    }
+    const std::uint64_t ahead = mask_ >> (from - block_);
+    if (ahead != 0) return from + static_cast<std::size_t>(std::countr_zero(ahead));
+    from = block_end_;
+  }
+  return text_.size();
+}
+
+std::string& CsvTokenizer::take_buffer() {
+  if (buffers_used_ == buffers_.size()) buffers_.emplace_back();
+  std::string& buffer = buffers_[buffers_used_++];
+  buffer.clear();
+  return buffer;
+}
+
+Result<CsvDocument> CsvDocument::parse(std::string_view text) {
+  CsvTokenizer tokenizer(text);
   CsvDocument doc;
+  // At most one row per line break: the header's ends the first line.
+  doc.records_.reserve(simd::count_byte(text, '\n'));
   bool have_header = false;
   while (!tokenizer.at_end()) {
     auto record = tokenizer.next_record();
     if (!record.ok()) return record.error();
-    if (is_blank_record(record.value())) continue;  // skip blank lines anywhere
+    const CsvRecordView& row = record.value();
+    if (row.blank()) continue;  // skip blank lines anywhere
+    std::vector<std::string> fields(row.fields.begin(), row.fields.end());
     if (!have_header) {
-      doc.header_ = std::move(record.value().fields);
+      doc.header_ = std::move(fields);
       have_header = true;
     } else {
-      doc.records_.push_back(std::move(record.value()));
+      doc.records_.push_back({std::move(fields), row.line_number});
     }
   }
   if (!have_header)
@@ -134,34 +159,53 @@ Result<CsvDocument> CsvDocument::parse(std::string_view text) {
 }
 
 Result<CsvDocument> CsvDocument::read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return Error(ErrorKind::kIo, "cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad())
-    return Error(ErrorKind::kIo, "read error on file: " + path);
-  auto doc = parse(buffer.str());
+  auto text = read_text_file(path);
+  if (!text.ok()) return text.error();
+  auto doc = parse(text.value());
   if (!doc.ok()) return doc.error().with_context(path);
   return doc;
 }
 
 Result<std::size_t> CsvDocument::column(std::string_view name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (iequals(trim(header_[i]), trim(name))) return i;
-  }
-  return Error(ErrorKind::kNotFound, "no such column: '" + std::string(name) + "'");
+  const std::vector<std::string_view> names(header_.begin(), header_.end());
+  return find_column(names, name);
 }
 
 Result<std::string> CsvDocument::field(const CsvRecord& record, std::string_view column_name) const {
   auto index = column(column_name);
   if (!index.ok()) return index.error();
-  if (index.value() >= record.fields.size())
-    return Error(ErrorKind::kValidation,
-                 "row on line " + std::to_string(record.line_number) + " has " +
-                     std::to_string(record.fields.size()) + " fields; column '" +
-                     std::string(column_name) + "' is index " + std::to_string(index.value()));
-  return record.fields[index.value()];
+  const std::vector<std::string_view> fields(record.fields.begin(), record.fields.end());
+  auto value = CsvRecordView{fields, record.line_number}.field(index.value(), column_name);
+  if (!value.ok()) return value.error();
+  return std::string(value.value());
+}
+
+Result<std::size_t> find_column(std::span<const std::string_view> header, std::string_view name) {
+  for (std::size_t i = 0; i < header.size(); ++i) {
+    if (iequals(trim(header[i]), trim(name))) return i;
+  }
+  return Error(ErrorKind::kNotFound, "no such column: '" + std::string(name) + "'");
+}
+
+Result<std::string> read_text_file(const std::string& path, std::string_view what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in)
+    return Error(ErrorKind::kIo, "cannot open " + std::string(what) + ": " + path);
+  std::string text;
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) {
+    text.resize(size);
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  }
+  // Inputs without a size (pipes), or a file that grew meanwhile.
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  if (in.bad())
+    return Error(ErrorKind::kIo, "read error on " + std::string(what) + ": " + path);
+  return text;
 }
 
 std::string CsvWriter::escape(std::string_view field) {

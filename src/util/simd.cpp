@@ -25,13 +25,14 @@ std::size_t scalar_find_byte(const char* p, std::size_t n, char c) noexcept {
   return n;
 }
 
-std::size_t scalar_find_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
-                                char c3) noexcept {
+std::uint64_t scalar_mask_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
+                                  char c3) noexcept {
+  std::uint64_t mask = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const char c = p[i];
-    if (c == c0 || c == c1 || c == c2 || c == c3) return i;
+    if (c == c0 || c == c1 || c == c2 || c == c3) mask |= std::uint64_t{1} << i;
   }
-  return n;
+  return mask;
 }
 
 std::size_t scalar_count_byte(const char* p, std::size_t n, char c) noexcept {
@@ -40,7 +41,7 @@ std::size_t scalar_count_byte(const char* p, std::size_t n, char c) noexcept {
   return count;
 }
 
-constexpr ByteKernels kScalarByteKernels{scalar_find_byte, scalar_find_any_of4,
+constexpr ByteKernels kScalarByteKernels{scalar_find_byte, scalar_mask_any_of4,
                                          scalar_count_byte};
 
 // --- SSE2 byte kernels --------------------------------------------------
@@ -62,22 +63,23 @@ std::size_t sse2_find_byte(const char* p, std::size_t n, char c) noexcept {
   return i + scalar_find_byte(p + i, n - i, c);
 }
 
-std::size_t sse2_find_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
-                              char c3) noexcept {
+std::uint64_t sse2_mask_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
+                                char c3) noexcept {
   const __m128i n0 = _mm_set1_epi8(c0);
   const __m128i n1 = _mm_set1_epi8(c1);
   const __m128i n2 = _mm_set1_epi8(c2);
   const __m128i n3 = _mm_set1_epi8(c3);
+  std::uint64_t mask = 0;
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
     const __m128i hit = _mm_or_si128(
         _mm_or_si128(_mm_cmpeq_epi8(block, n0), _mm_cmpeq_epi8(block, n1)),
         _mm_or_si128(_mm_cmpeq_epi8(block, n2), _mm_cmpeq_epi8(block, n3)));
-    const int mask = _mm_movemask_epi8(hit);
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
+    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(_mm_movemask_epi8(hit))) << i;
   }
-  return i + scalar_find_any_of4(p + i, n - i, c0, c1, c2, c3);
+  if (i < n) mask |= scalar_mask_any_of4(p + i, n - i, c0, c1, c2, c3) << i;
+  return mask;
 }
 
 std::size_t sse2_count_byte(const char* p, std::size_t n, char c) noexcept {
@@ -92,7 +94,7 @@ std::size_t sse2_count_byte(const char* p, std::size_t n, char c) noexcept {
   return count + scalar_count_byte(p + i, n - i, c);
 }
 
-constexpr ByteKernels kSse2ByteKernels{sse2_find_byte, sse2_find_any_of4, sse2_count_byte};
+constexpr ByteKernels kSse2ByteKernels{sse2_find_byte, sse2_mask_any_of4, sse2_count_byte};
 
 #endif  // __SSE2__
 
@@ -214,12 +216,8 @@ std::size_t find_byte(std::string_view text, char c, std::size_t pos) noexcept {
   return offset == text.size() - pos ? std::string_view::npos : pos + offset;
 }
 
-std::size_t find_any_of4(std::string_view text, char c0, char c1, char c2, char c3,
-                         std::size_t pos) noexcept {
-  if (pos >= text.size()) return std::string_view::npos;
-  const std::size_t offset = byte_kernels(active_level())
-                                 .find_any_of4(text.data() + pos, text.size() - pos, c0, c1, c2, c3);
-  return offset == text.size() - pos ? std::string_view::npos : pos + offset;
+std::uint64_t mask_any_of4(std::string_view block, char c0, char c1, char c2, char c3) noexcept {
+  return byte_kernels(active_level()).mask_any_of4(block.data(), block.size(), c0, c1, c2, c3);
 }
 
 std::size_t count_byte(std::string_view text, char c) noexcept {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -71,10 +72,12 @@ std::vector<Level> available_levels();
 /// First occurrence of `c` at or after `pos` (SIMD memchr).
 std::size_t find_byte(std::string_view text, char c, std::size_t pos = 0) noexcept;
 
-/// First occurrence of any of the four bytes at or after `pos`.  Pass a
-/// repeated byte to search for fewer than four distinct values.
-std::size_t find_any_of4(std::string_view text, char c0, char c1, char c2, char c3,
-                         std::size_t pos = 0) noexcept;
+/// Bitmask of the bytes of `block` (at most 64) equal to any of the four
+/// values: bit i is set iff block[i] is one of them.  Pass a repeated
+/// byte to match fewer than four distinct values.  A scanner keeps one
+/// mask per 64 bytes and steps from match to match with bit operations,
+/// so a run of short fields costs no call per field.
+std::uint64_t mask_any_of4(std::string_view block, char c0, char c1, char c2, char c3) noexcept;
 
 /// Number of occurrences of `c` in `text` (SIMD popcount over compare
 /// masks).  Used to keep CSV line numbers exact across bulk quoted-field
@@ -89,8 +92,9 @@ std::size_t count_byte(std::string_view text, char c) noexcept;
 
 struct ByteKernels {
   std::size_t (*find_byte)(const char* p, std::size_t n, char c) noexcept;
-  std::size_t (*find_any_of4)(const char* p, std::size_t n, char c0, char c1, char c2,
-                              char c3) noexcept;
+  /// Precondition: n <= 64.
+  std::uint64_t (*mask_any_of4)(const char* p, std::size_t n, char c0, char c1, char c2,
+                                char c3) noexcept;
   std::size_t (*count_byte)(const char* p, std::size_t n, char c) noexcept;
 };
 

@@ -34,26 +34,26 @@ std::size_t avx2_find_byte(const char* p, std::size_t n, char c) noexcept {
   return i + tail_find_byte(p + i, n - i, c);
 }
 
-std::size_t avx2_find_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
-                              char c3) noexcept {
+std::uint64_t avx2_mask_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
+                                char c3) noexcept {
   const __m256i n0 = _mm256_set1_epi8(c0);
   const __m256i n1 = _mm256_set1_epi8(c1);
   const __m256i n2 = _mm256_set1_epi8(c2);
   const __m256i n3 = _mm256_set1_epi8(c3);
+  std::uint64_t mask = 0;
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     const __m256i block = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
     const __m256i hit = _mm256_or_si256(
         _mm256_or_si256(_mm256_cmpeq_epi8(block, n0), _mm256_cmpeq_epi8(block, n1)),
         _mm256_or_si256(_mm256_cmpeq_epi8(block, n2), _mm256_cmpeq_epi8(block, n3)));
-    const unsigned mask = static_cast<unsigned>(_mm256_movemask_epi8(hit));
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(mask));
+    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(_mm256_movemask_epi8(hit))) << i;
   }
-  for (std::size_t j = i; j < n; ++j) {
-    const char c = p[j];
-    if (c == c0 || c == c1 || c == c2 || c == c3) return j;
+  for (; i < n; ++i) {
+    const char c = p[i];
+    if (c == c0 || c == c1 || c == c2 || c == c3) mask |= std::uint64_t{1} << i;
   }
-  return n;
+  return mask;
 }
 
 std::size_t avx2_count_byte(const char* p, std::size_t n, char c) noexcept {
@@ -70,7 +70,7 @@ std::size_t avx2_count_byte(const char* p, std::size_t n, char c) noexcept {
   return count;
 }
 
-constexpr ByteKernels kAvx2ByteKernels{avx2_find_byte, avx2_find_any_of4, avx2_count_byte};
+constexpr ByteKernels kAvx2ByteKernels{avx2_find_byte, avx2_mask_any_of4, avx2_count_byte};
 
 }  // namespace
 

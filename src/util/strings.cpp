@@ -1,13 +1,26 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <charconv>
 
 namespace tsufail {
+namespace {
+
+// ASCII-only character classes: the "C" locale's isspace and tolower,
+// inlined.
+
+bool ascii_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // ' ' \t \n \v \f \r
+}
+
+char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+}  // namespace
 
 std::string_view trim(std::string_view text) noexcept {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) text.remove_prefix(1);
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) text.remove_suffix(1);
+  while (!text.empty() && ascii_space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && ascii_space(text.back())) text.remove_suffix(1);
   return text;
 }
 
@@ -34,16 +47,14 @@ std::string join(const std::vector<std::string>& parts, std::string_view separat
 
 std::string to_lower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 
 bool iequals(std::string_view text, std::string_view other) noexcept {
   if (text.size() != other.size()) return false;
   for (std::size_t i = 0; i < text.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(text[i])) !=
-        std::tolower(static_cast<unsigned char>(other[i])))
-      return false;
+    if (ascii_lower(text[i]) != ascii_lower(other[i])) return false;
   }
   return true;
 }

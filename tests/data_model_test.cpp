@@ -67,8 +67,21 @@ TEST(Category, Aliases) {
   EXPECT_EQ(parse_category("SYSTEM BOARD").value(), Category::kSystemBoard);
   EXPECT_EQ(parse_category("sxm2-cable").value(), Category::kSxm2Cable);
   EXPECT_EQ(parse_category("IP").value(), Category::kIpMotherboard);
+  EXPECT_EQ(parse_category("fan").value(), Category::kFan);
+  EXPECT_EQ(parse_category("Virtual Machine").value(), Category::kVm);
+  EXPECT_EQ(parse_category("power board").value(), Category::kPowerBoard);
+  EXPECT_EQ(parse_category("sxm2board").value(), Category::kSxm2Board);
+  EXPECT_EQ(parse_category("ip-motherboard").value(), Category::kIpMotherboard);
+  EXPECT_EQ(parse_category("LED front panel").value(), Category::kLedFrontPanel);
+  EXPECT_EQ(parse_category("Cyclic Redundancy Check").value(), Category::kCrc);
+  EXPECT_EQ(parse_category("GPU driver related").value(), Category::kGpuDriver);
+  EXPECT_EQ(parse_category("Driver").value(), Category::kGpuDriver);
+  // Bytes outside ASCII letters and digits are dropped, like punctuation.
+  EXPECT_EQ(parse_category("G\xC3\x9CPU").value(), Category::kGpu);
   EXPECT_FALSE(parse_category("quantum tunneling").ok());
+  EXPECT_EQ(parse_category("GPUs").error().message(), "unknown failure category: 'GPUs'");
   EXPECT_FALSE(parse_category("").ok());
+  EXPECT_EQ(parse_category(" -- ").error().message(), "empty category name");
 }
 
 TEST(Category, Classification) {

@@ -119,6 +119,11 @@ TEST(ServeConcurrent, RacingIngestSealAndQueryConvergeToTheBatchAnswer) {
   }
 
   for (std::size_t t = 0; t < kTenants; ++t) threads[t].join();  // writers
+  // Every row is in and the sealers keep publishing epochs, so a reader
+  // must get an answer: stop only once one has.  Stopping as soon as the
+  // writers finish would let a fast host end the test before any reader
+  // ran, and the query_ok check below would then fail on timing alone.
+  while (query_ok.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   done.store(true, std::memory_order_relaxed);
   for (std::size_t t = kTenants; t < threads.size(); ++t) threads[t].join();
   EXPECT_GT(query_ok.load(), 0u);

@@ -186,6 +186,144 @@ TEST(CsvFile, MissingFileIsIoError) {
   EXPECT_EQ(doc.error().kind(), ErrorKind::kIo);
 }
 
+// --- CsvTokenizer: the streaming reader under CsvDocument ----------------
+
+/// Every record of `text` as owned strings (blank records included).
+std::vector<std::vector<std::string>> tokenize_all(std::string_view text) {
+  std::vector<std::vector<std::string>> rows;
+  CsvTokenizer tokenizer(text);
+  while (!tokenizer.at_end()) {
+    auto record = tokenizer.next_record();
+    EXPECT_TRUE(record.ok());
+    if (!record.ok()) break;
+    rows.emplace_back(record.value().fields.begin(), record.value().fields.end());
+  }
+  return rows;
+}
+
+TEST(CsvTokenizer, PlainAndQuotedFieldsViewTheInput) {
+  const std::string text = "a,\"b,c\",d\n";
+  CsvTokenizer tokenizer(text);
+  auto record = tokenizer.next_record();
+  ASSERT_TRUE(record.ok());
+  ASSERT_EQ(record.value().fields.size(), 3u);
+  EXPECT_EQ(record.value().fields[1], "b,c");
+  for (const std::string_view field : record.value().fields) {
+    EXPECT_GE(field.data(), text.data());
+    EXPECT_LE(field.data() + field.size(), text.data() + text.size());
+  }
+  EXPECT_TRUE(tokenizer.at_end());
+}
+
+TEST(CsvTokenizer, EscapedFieldsOfOneRecordStayValidTogether) {
+  auto rows = tokenize_all("\"a\"\"1\",\"b\"\"2\",\"c\"x,\"\"\"\"\n\"e\"\"5\"\n");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"a\"1", "b\"2", "cx", "\""}));
+  EXPECT_EQ(rows[1], (std::vector<std::string>{"e\"5"}));
+}
+
+TEST(CsvTokenizer, FieldsSpanningScanBlocks) {
+  // Fields longer than the 64-byte scan block, delimiters right at block
+  // edges, and a quoted field whose commas and newlines cross blocks.
+  const std::string long_a(150, 'a');
+  const std::string long_b(63, 'b');
+  std::string quoted;
+  for (int i = 0; i < 40; ++i) quoted += "x,y\n";
+  const std::string text = long_a + "," + long_b + ",\"" + quoted + "\"\n" + long_b + "\n";
+  auto rows = tokenize_all(text);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{long_a, long_b, quoted}));
+  EXPECT_EQ(rows[1], (std::vector<std::string>{long_b}));
+
+  CsvTokenizer tokenizer(text);
+  EXPECT_EQ(tokenizer.next_record().value().line_number, 1u);
+  EXPECT_EQ(tokenizer.next_record().value().line_number, 42u);
+}
+
+TEST(CsvTokenizer, LineBreaksOfEveryKindCountOnce) {
+  CsvTokenizer tokenizer("a\rb\r\nc\n\"d\r\ne\"\nf");
+  std::vector<std::size_t> lines;
+  while (!tokenizer.at_end()) lines.push_back(tokenizer.next_record().value().line_number);
+  EXPECT_EQ(lines, (std::vector<std::size_t>{1, 2, 3, 4, 6}));
+}
+
+TEST(CsvTokenizer, EndOfTextReadsOneEmptyField) {
+  CsvTokenizer tokenizer("");
+  ASSERT_TRUE(tokenizer.at_end());
+  auto record = tokenizer.next_record();
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record.value().fields.size(), 1u);
+  EXPECT_TRUE(record.value().blank());
+}
+
+TEST(CsvTokenizer, BlankRecords) {
+  for (const std::string text : {"\n", "   \n", "\t\r\n", "\"\"\n", "\" \"\n"}) {
+    CsvTokenizer tokenizer(text);
+    EXPECT_TRUE(tokenizer.next_record().value().blank()) << text;
+  }
+  for (const std::string text : {",\n", "x\n", "\"x\"\n"}) {
+    CsvTokenizer tokenizer(text);
+    EXPECT_FALSE(tokenizer.next_record().value().blank()) << text;
+  }
+}
+
+TEST(CsvTokenizer, StructuralErrorsNameTheirLine) {
+  CsvTokenizer stray("a\nb\nfoo\"bar\n");
+  ASSERT_TRUE(stray.next_record().ok());
+  ASSERT_TRUE(stray.next_record().ok());
+  auto bad = stray.next_record();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().message(), "stray quote in field on line 3");
+
+  CsvTokenizer open("a\n\"x\ny");
+  ASSERT_TRUE(open.next_record().ok());
+  auto unterminated = open.next_record();
+  ASSERT_FALSE(unterminated.ok());
+  EXPECT_EQ(unterminated.error().message(), "unterminated quoted field starting near line 2");
+
+  CsvTokenizer after_close("\"ab\"c\"d\n");
+  EXPECT_FALSE(after_close.next_record().ok());
+}
+
+TEST(CsvRecordView, FieldReportsShortRows) {
+  const std::vector<std::string_view> fields{"x", "y"};
+  const CsvRecordView row{fields, 7};
+  EXPECT_EQ(row.field(1, "b").value(), "y");
+  auto missing = row.field(4, "e");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().kind(), ErrorKind::kValidation);
+  EXPECT_EQ(missing.error().message(), "row on line 7 has 2 fields; column 'e' is index 4");
+}
+
+TEST(CsvColumns, FindColumnTrimsFoldsCaseAndTakesTheFirstMatch) {
+  const std::vector<std::string_view> header{"id", " Node ", "NODE", "x"};
+  EXPECT_EQ(find_column(header, "node").value(), 1u);
+  EXPECT_EQ(find_column(header, " X").value(), 3u);
+  auto missing = find_column(header, "rack");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().kind(), ErrorKind::kNotFound);
+}
+
+TEST(CsvFile, ReadTextFileReturnsTheBytes) {
+  const std::string path = ::testing::TempDir() + "/tsufail_read_text_test.bin";
+  std::string bytes(200000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 31 % 251);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  auto text = read_text_file(path);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(text.value(), bytes);
+  std::remove(path.c_str());
+
+  auto missing = read_text_file("/nonexistent/definitely/missing.csv", "log file");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().kind(), ErrorKind::kIo);
+  EXPECT_EQ(missing.error().message(),
+            "cannot open log file: /nonexistent/definitely/missing.csv");
+}
+
 // Property sweep: random documents survive a write -> parse round trip.
 class CsvRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 

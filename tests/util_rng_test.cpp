@@ -246,6 +246,13 @@ struct DistCase {
   double expected_mean;
 };
 
+// Names each case "family(p1,p2)". Without it gtest dumps the struct's
+// bytes, which include the address of `family`, so the test names (and the
+// ctest names discovered from them) would change from build to build.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.family << "(" << c.p1 << "," << c.p2 << ")";
+}
+
 class VariateMeans : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(VariateMeans, EmpiricalMeanTracksAnalytic) {
