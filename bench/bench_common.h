@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "data/log.h"
+#include "data/log_index.h"
 #include "obs/trace.h"
 #include "report/compare.h"
 #include "sim/tsubame_models.h"
@@ -25,6 +26,10 @@ constexpr std::uint64_t kBenchSeed = 20210607;  // DSN 2021 vintage
 
 /// Calibrated synthetic log for one machine (generated once, cached).
 const data::FailureLog& bench_log(data::Machine machine);
+
+/// The index over bench_log(machine), which every analysis takes (built
+/// once, cached).
+const data::LogIndex& bench_index(data::Machine machine);
 
 /// Prints the standard bench banner: what is being reproduced and from what.
 void print_banner(const std::string& experiment, const std::string& paper_ref);

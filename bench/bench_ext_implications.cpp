@@ -27,8 +27,8 @@ int main() {
   report::ComparisonSet cmp_ckpt("analytic model vs simulation");
   const double cost = 0.25;
   for (data::Machine machine : {data::Machine::kTsubame2, data::Machine::kTsubame3}) {
-    const auto& log = bench::bench_log(machine);
-    const double mtbf = analysis::analyze_tbf(log).value().exposure_mtbf_hours;
+    const double mtbf =
+        analysis::analyze_tbf(bench::bench_index(machine)).value().exposure_mtbf_hours;
     const double tau = ops::daly_interval_hours(cost, mtbf).value();
     const double analytic = ops::waste_fraction(cost, tau, mtbf).value();
     const auto sim = ops::simulate_checkpointed_job_exponential(

@@ -15,8 +15,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto racks = analysis::analyze_racks(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto racks = analysis::analyze_racks(index).value();
 
   std::printf("--- %s: %zu racks, %zu with failures ---\n", data::to_string(machine).data(),
               racks.total_racks, racks.racks_with_failures);

@@ -14,8 +14,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto survival = analysis::analyze_node_survival(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto survival = analysis::analyze_node_survival(index).value();
 
   std::printf("--- %s ---\n", data::to_string(machine).data());
   std::printf("nodes: %zu; never failed inside the window: %.1f%%\n",
@@ -29,7 +29,7 @@ void run(data::Machine machine, const char* figure_name) {
     std::printf("median time from first to second failure: %.0f h\n",
                 *survival.median_refailure_hours);
   }
-  const double horizon = log.spec().window_hours();
+  const double horizon = index.spec().window_hours();
   std::printf("restricted mean first-failure survival over the window: %.0f h of %.0f h\n",
               survival.first_failure.restricted_mean(horizon), horizon);
   if (survival.repeat_offender_test.has_value()) {

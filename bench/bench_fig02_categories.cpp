@@ -14,11 +14,11 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto breakdown = analysis::analyze_categories(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto breakdown = analysis::analyze_categories(index).value();
   const auto& targets = sim::paper_targets(machine);
 
-  std::printf("--- %s: %zu failures ---\n", data::to_string(machine).data(), log.size());
+  std::printf("--- %s: %zu failures ---\n", data::to_string(machine).data(), index.size());
   std::vector<report::Bar> bars;
   report::FigureData figure{figure_name, {"category", "count", "percent"}, {}};
   for (const auto& share : breakdown.categories) {

@@ -15,8 +15,8 @@ using namespace tsufail;
 int main() {
   bench::print_banner("bench_fig03_software_loci",
                       "Figure 3: Tsubame-3 software failure root loci");
-  const auto& log = bench::bench_log(data::Machine::kTsubame3);
-  const auto loci = analysis::analyze_software_loci(log, 16).value();
+  const auto loci =
+      analysis::analyze_software_loci(bench::bench_index(data::Machine::kTsubame3), 16).value();
   const auto& targets = sim::paper_targets(data::Machine::kTsubame3);
 
   std::printf("software-class failures: %zu, distinct loci: %zu\n\n", loci.software_failures,
@@ -37,8 +37,8 @@ int main() {
   double driver_avg = 0.0, unknown_avg = 0.0;
   const int seeds = 8;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    auto seeded = sim::generate_log(sim::tsubame3_model(), seed).value();
-    auto seeded_loci = analysis::analyze_software_loci(seeded, 16).value();
+    const auto seeded = sim::generate_log(sim::tsubame3_model(), seed).value();
+    auto seeded_loci = analysis::analyze_software_loci(data::LogIndex(seeded), 16).value();
     driver_avg += seeded_loci.gpu_driver_percent / seeds;
     unknown_avg += seeded_loci.unknown_percent / seeds;
   }

@@ -16,8 +16,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto counts = analysis::analyze_node_counts(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto counts = analysis::analyze_node_counts(index).value();
   const auto& targets = sim::paper_targets(machine);
 
   std::printf("--- %s: %zu failed nodes of %zu ---\n", data::to_string(machine).data(),
@@ -55,9 +55,9 @@ int main() {
 
   // Cross-system shape: T3's three-failure share is ~50% above T2's.
   const auto t2 =
-      analysis::analyze_node_counts(bench::bench_log(data::Machine::kTsubame2)).value();
+      analysis::analyze_node_counts(bench::bench_index(data::Machine::kTsubame2)).value();
   const auto t3 =
-      analysis::analyze_node_counts(bench::bench_log(data::Machine::kTsubame3)).value();
+      analysis::analyze_node_counts(bench::bench_index(data::Machine::kTsubame3)).value();
   std::printf("three-failure share: T2 %.1f%%  T3 %.1f%%  (paper: T3 ~1.5x T2)\n",
               t2.percent_with(3), t3.percent_with(3));
   std::printf("multi-failure share: T2 %.1f%%  T3 %.1f%%  (paper: ~40%% vs ~60%%)\n",

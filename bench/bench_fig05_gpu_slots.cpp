@@ -15,8 +15,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto slots = analysis::analyze_gpu_slots(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto slots = analysis::analyze_gpu_slots(index).value();
 
   std::printf("--- %s: %zu attributed GPU failures, %zu slot involvements ---\n",
               data::to_string(machine).data(), slots.attributed_failures,

@@ -15,8 +15,8 @@ using namespace tsufail;
 int main() {
   bench::print_banner("bench_fig06_tbf_cdf",
                       "Figure 6: CDF of time between failures (RQ4)");
-  const auto t2 = analysis::analyze_tbf(bench::bench_log(data::Machine::kTsubame2)).value();
-  const auto t3 = analysis::analyze_tbf(bench::bench_log(data::Machine::kTsubame3)).value();
+  const auto t2 = analysis::analyze_tbf(bench::bench_index(data::Machine::kTsubame2)).value();
+  const auto t3 = analysis::analyze_tbf(bench::bench_index(data::Machine::kTsubame3)).value();
 
   std::vector<report::Series> series;
   report::FigureData figure{"fig06_tbf_cdf", {"machine", "tbf_hours", "cdf"}, {}};

@@ -22,8 +22,8 @@ double median_of(const std::vector<analysis::CategoryTbf>& rows, data::Category 
 }
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto rows = analysis::analyze_tbf_by_category(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto rows = analysis::analyze_tbf_by_category(index).value();
 
   std::printf("--- %s (sorted by mean TBF, box stats in hours) ---\n",
               data::to_string(machine).data());
@@ -48,7 +48,7 @@ void run(data::Machine machine, const char* figure_name) {
 
   // The paper's "relative spread" remark, quantified: inter-arrival
   // burstiness per category (CV > 1 = bursty).
-  if (auto burstiness = analysis::analyze_category_burstiness(log); burstiness.ok()) {
+  if (auto burstiness = analysis::analyze_category_burstiness(index); burstiness.ok()) {
     std::printf("inter-arrival burstiness (B = (CV-1)/(CV+1), 0 = Poisson): ");
     for (const auto& row : burstiness.value()) {
       std::printf("%s %.2f  ", data::to_string(row.category).data(), row.burstiness);

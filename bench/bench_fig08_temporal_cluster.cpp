@@ -13,8 +13,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  auto clustering = analysis::analyze_multi_gpu_clustering(log);
+  const auto& index = bench::bench_index(machine);
+  auto clustering = analysis::analyze_multi_gpu_clustering(index);
   if (!clustering.ok()) {
     std::printf("--- %s: %s ---\n\n", data::to_string(machine).data(),
                 clustering.error().to_string().c_str());

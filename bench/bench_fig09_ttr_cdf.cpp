@@ -17,8 +17,8 @@ using namespace tsufail;
 int main() {
   bench::print_banner("bench_fig09_ttr_cdf",
                       "Figure 9: CDF of time to recovery (RQ5)");
-  const auto t2 = analysis::analyze_ttr(bench::bench_log(data::Machine::kTsubame2)).value();
-  const auto t3 = analysis::analyze_ttr(bench::bench_log(data::Machine::kTsubame3)).value();
+  const auto t2 = analysis::analyze_ttr(bench::bench_index(data::Machine::kTsubame2)).value();
+  const auto t3 = analysis::analyze_ttr(bench::bench_index(data::Machine::kTsubame3)).value();
 
   std::vector<report::Series> series;
   report::FigureData figure{"fig09_ttr_cdf", {"machine", "ttr_hours", "cdf"}, {}};
@@ -54,8 +54,8 @@ int main() {
     double mttr = 0.0;
     const int seeds = 8;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      auto log = sim::generate_log(model, seed).value();
-      mttr += analysis::analyze_ttr(log).value().mttr_hours / seeds;
+      const auto log = sim::generate_log(model, seed).value();
+      mttr += analysis::analyze_ttr(data::LogIndex(log)).value().mttr_hours / seeds;
     }
     return mttr;
   };

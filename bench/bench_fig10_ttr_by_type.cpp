@@ -16,8 +16,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto rows = analysis::analyze_ttr_by_category(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto rows = analysis::analyze_ttr_by_category(index).value();
 
   std::printf("--- %s (sorted by mean TTR, hours) ---\n", data::to_string(machine).data());
   report::Table table({"Category", "n", "share", "q1", "median", "q3", "mean", "max"});
@@ -40,8 +40,8 @@ void run(data::Machine machine, const char* figure_name) {
   std::printf("%s\n", table.render().c_str());
 
   // Hardware-vs-software spread comparison (pooled IQR).
-  const auto hw = analysis::analyze_ttr_class(log, data::FailureClass::kHardware).value();
-  const auto sw = analysis::analyze_ttr_class(log, data::FailureClass::kSoftware).value();
+  const auto hw = analysis::analyze_ttr_class(index, data::FailureClass::kHardware).value();
+  const auto sw = analysis::analyze_ttr_class(index, data::FailureClass::kSoftware).value();
   const double hw_iqr = hw.summary.p75 - hw.summary.p25;
   const double sw_iqr = sw.summary.p75 - sw.summary.p25;
   std::printf("pooled TTR IQR: hardware %.1f h vs software %.1f h\n\n", hw_iqr, sw_iqr);

@@ -13,8 +13,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto seasonal = analysis::analyze_seasonal(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto seasonal = analysis::analyze_seasonal(index).value();
 
   std::printf("--- %s (monthly TTR box stats, hours) ---\n", data::to_string(machine).data());
   report::Table table({"Month", "n", "q1", "median", "q3", "mean"});

@@ -16,8 +16,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine, const char* figure_name) {
-  const auto& log = bench::bench_log(machine);
-  const auto seasonal = analysis::analyze_seasonal(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto seasonal = analysis::analyze_seasonal(index).value();
 
   std::printf("--- %s (failures per calendar month) ---\n", data::to_string(machine).data());
   std::vector<report::Bar> bars;
@@ -47,8 +47,8 @@ void run(data::Machine machine, const char* figure_name) {
   const auto& model = machine == data::Machine::kTsubame2 ? sim::tsubame2_model()
                                                           : sim::tsubame3_model();
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    auto log = sim::generate_log(model, seed).value();
-    auto s = analysis::analyze_seasonal(log).value();
+    const auto log = sim::generate_log(model, seed).value();
+    auto s = analysis::analyze_seasonal(data::LogIndex(log)).value();
     rho_avg += s.spearman_density_ttr.value_or(0.0) / seeds;
   }
 

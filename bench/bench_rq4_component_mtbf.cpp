@@ -16,8 +16,8 @@ using namespace tsufail;
 int main() {
   bench::print_banner("bench_rq4_component_mtbf",
                       "RQ4: GPU and CPU MTBF across generations");
-  const auto& t2 = bench::bench_log(data::Machine::kTsubame2);
-  const auto& t3 = bench::bench_log(data::Machine::kTsubame3);
+  const auto& t2 = bench::bench_index(data::Machine::kTsubame2);
+  const auto& t3 = bench::bench_index(data::Machine::kTsubame3);
 
   const double t2_gpu =
       analysis::analyze_tbf_category(t2, data::Category::kGpu).value().exposure_mtbf_hours;

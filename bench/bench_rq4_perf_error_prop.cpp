@@ -17,8 +17,8 @@ using namespace tsufail;
 int main() {
   bench::print_banner("bench_rq4_perf_error_prop",
                       "RQ4: performance-error-proportionality metric");
-  const auto& t2 = bench::bench_log(data::Machine::kTsubame2);
-  const auto& t3 = bench::bench_log(data::Machine::kTsubame3);
+  const auto& t2 = bench::bench_index(data::Machine::kTsubame2);
+  const auto& t3 = bench::bench_index(data::Machine::kTsubame3);
   const auto cmp_gen = analysis::compare_generations(t2, t3).value();
 
   report::Table table({"Metric", "Tsubame-2", "Tsubame-3", "Ratio"});

@@ -1,13 +1,10 @@
-// End-to-end run_study throughput: the seed-style per-analysis path (each
-// analysis builds its own view of the log) against the shared-LogIndex
-// study, serial and parallel, on generated Tsubame-2/3 logs at 1x/10x/100x
-// the paper's failure counts.  Emits the standard google-benchmark output
-// (pass --benchmark_format=json for machine-readable results).  At the
-// 100x scale the indexed serial study runs ~1.7x faster than the
-// pre-index per-analysis path from the shared index alone; the parallel
-// dispatch only helps with >1 hardware thread, where the critical path
-// (index build + the longest single analysis) bounds the speedup at
-// roughly 3-6x over the per-analysis baseline.
+// End-to-end run_study throughput: the study over its shared LogIndex,
+// serial and parallel, on generated Tsubame-2/3 logs at 1x/10x/100x the
+// paper's failure counts.  Emits the standard google-benchmark output
+// (pass --benchmark_format=json for machine-readable results).  The
+// parallel dispatch only helps with >1 hardware thread, where the
+// critical path (index build + the longest single analysis) bounds the
+// speedup over the serial study.
 //
 // After the google-benchmark suite, main() gates the tsufail::obs dormant
 // overhead (DESIGN.md section 12): with instrumentation compiled in but
@@ -24,17 +21,7 @@
 #include <map>
 #include <utility>
 
-#include "analysis/category_breakdown.h"
-#include "analysis/gpu_slots.h"
-#include "analysis/multi_gpu.h"
-#include "analysis/node_counts.h"
-#include "analysis/perf_error_prop.h"
-#include "analysis/seasonal.h"
-#include "analysis/software_loci.h"
 #include "analysis/study.h"
-#include "analysis/tbf.h"
-#include "analysis/temporal_cluster.h"
-#include "analysis/ttr.h"
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -67,28 +54,6 @@ data::Machine machine_of(const benchmark::State& state) {
   return state.range(0) == 2 ? data::Machine::kTsubame2 : data::Machine::kTsubame3;
 }
 
-// The pre-LogIndex study shape: every analysis goes through its
-// FailureLog entry point and scans/indexes the log for itself.  This is
-// the baseline the shared-index executor is measured against.
-void BM_StudyPerAnalysis(benchmark::State& state) {
-  const auto& log = corpus(machine_of(state), state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::analyze_categories(log));
-    benchmark::DoNotOptimize(analysis::analyze_software_loci(log));
-    benchmark::DoNotOptimize(analysis::analyze_node_counts(log));
-    benchmark::DoNotOptimize(analysis::analyze_gpu_slots(log));
-    benchmark::DoNotOptimize(analysis::analyze_multi_gpu(log));
-    benchmark::DoNotOptimize(analysis::analyze_tbf(log));
-    benchmark::DoNotOptimize(analysis::analyze_tbf_by_category(log));
-    benchmark::DoNotOptimize(analysis::analyze_multi_gpu_clustering(log));
-    benchmark::DoNotOptimize(analysis::analyze_ttr(log));
-    benchmark::DoNotOptimize(analysis::analyze_ttr_by_category(log));
-    benchmark::DoNotOptimize(analysis::analyze_seasonal(log));
-    benchmark::DoNotOptimize(analysis::analyze_perf_error_prop(log));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(log.size()));
-}
-
 void BM_StudySerial(benchmark::State& state) {
   const auto& log = corpus(machine_of(state), state.range(1));
   for (auto _ : state) {
@@ -114,7 +79,6 @@ void study_args(benchmark::internal::Benchmark* bench) {
   }
 }
 
-BENCHMARK(BM_StudyPerAnalysis)->Apply(study_args)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StudySerial)->Apply(study_args)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StudyParallel)->Apply(study_args)->Unit(benchmark::kMillisecond);
 

@@ -13,8 +13,8 @@ using namespace tsufail;
 namespace {
 
 void run(data::Machine machine) {
-  const auto& log = bench::bench_log(machine);
-  const auto mg = analysis::analyze_multi_gpu(log).value();
+  const auto& index = bench::bench_index(machine);
+  const auto mg = analysis::analyze_multi_gpu(index).value();
   const auto& targets = sim::paper_targets(machine);
 
   report::Table table({"#GPUs", "Count", "Percent", "Paper"});
@@ -54,8 +54,8 @@ int main() {
   run(data::Machine::kTsubame2);
   run(data::Machine::kTsubame3);
 
-  const auto t2 = analysis::analyze_multi_gpu(bench::bench_log(data::Machine::kTsubame2)).value();
-  const auto t3 = analysis::analyze_multi_gpu(bench::bench_log(data::Machine::kTsubame3)).value();
+  const auto t2 = analysis::analyze_multi_gpu(bench::bench_index(data::Machine::kTsubame2)).value();
+  const auto t3 = analysis::analyze_multi_gpu(bench::bench_index(data::Machine::kTsubame3)).value();
   std::printf("multi-GPU failure share: T2 %.1f%% vs T3 %.1f%% "
               "(paper: ~70%% collapses to < 8%%)\n",
               t2.percent_multi, t3.percent_multi);

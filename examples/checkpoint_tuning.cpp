@@ -18,8 +18,10 @@
 using namespace tsufail;
 
 int main() {
-  const auto t2 = sim::generate_log(sim::tsubame2_model(), 11).value();
-  const auto t3 = sim::generate_log(sim::tsubame3_model(), 11).value();
+  const auto t2_log = sim::generate_log(sim::tsubame2_model(), 11).value();
+  const auto t3_log = sim::generate_log(sim::tsubame3_model(), 11).value();
+  const data::LogIndex t2(t2_log);
+  const data::LogIndex t3(t3_log);
   const double mtbf2 = analysis::analyze_tbf(t2).value().exposure_mtbf_hours;
   const double mtbf3 = analysis::analyze_tbf(t3).value().exposure_mtbf_hours;
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "analysis/study.h"
+#include "data/log_index.h"
 #include "data/log_io.h"
 #include "ops/availability.h"
 #include "report/table.h"
@@ -69,8 +70,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   // Repeat-failure nodes: candidates for proactive service.
-  const auto per_node = log.value().count_by_node();
-  std::vector<std::pair<int, std::size_t>> repeats(per_node.begin(), per_node.end());
+  const data::LogIndex index(log.value());
+  std::vector<std::pair<int, std::size_t>> repeats;
+  for (const auto& group : index.nodes()) repeats.emplace_back(group.node, group.count);
   std::erase_if(repeats, [](const auto& entry) { return entry.second < 3; });
   std::sort(repeats.begin(), repeats.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });

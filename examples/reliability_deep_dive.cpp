@@ -18,10 +18,11 @@ using namespace tsufail;
 
 int main() {
   const auto log = sim::generate_log(sim::tsubame3_model(), 23).value();
+  const data::LogIndex index(log);
   std::printf("== %s deep dive (%zu failures) ==\n\n", log.spec().name.c_str(), log.size());
 
   // --- 1. MTBF with honest uncertainty -----------------------------------
-  const auto tbf = analysis::analyze_tbf(log).value();
+  const auto tbf = analysis::analyze_tbf(index).value();
   const auto system_ci =
       analysis::mtbf_confidence_interval(log.size(), log.spec().window_hours()).value();
   std::printf("system MTBF: %.1f h  [95%% CI %.1f - %.1f h]\n", system_ci.mtbf_hours,
@@ -37,7 +38,7 @@ int main() {
               " multi-x uncertainty that point estimates hide)\n\n");
 
   // --- 2. Node survival: the lemon effect, tested -------------------------
-  const auto survival = analysis::analyze_node_survival(log).value();
+  const auto survival = analysis::analyze_node_survival(index).value();
   std::printf("node survival: %.1f%% of nodes never failed inside the window\n",
               100.0 * survival.fraction_never_failed);
   if (survival.median_refailure_hours.has_value()) {
@@ -54,7 +55,7 @@ int main() {
   }
 
   // --- 3. Lifetime trends ---------------------------------------------------
-  const auto trends = analysis::analyze_rolling_trends(log, 90.0, 45.0).value();
+  const auto trends = analysis::analyze_rolling_trends(index, 90.0, 45.0).value();
   std::printf("lifetime trends (90-day windows): failure-rate slope p = %.3f, "
               "early/late rate ratio %.2f, MTTR slope p = %.3f\n",
               trends.rate_trend.slope_p_value, trends.early_late_rate_ratio,
@@ -63,7 +64,7 @@ int main() {
               " would surface here first)\n\n");
 
   // --- 4. Rack concentration -------------------------------------------------
-  const auto racks = analysis::analyze_racks(log).value();
+  const auto racks = analysis::analyze_racks(index).value();
   std::printf("rack view: %zu of %zu racks saw failures; Gini %.2f; %zu racks hold half\n",
               racks.racks_with_failures, racks.total_racks, racks.gini,
               racks.racks_holding_half);

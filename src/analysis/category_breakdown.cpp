@@ -28,8 +28,7 @@ Result<CategoryBreakdown> analyze_categories(const data::LogIndex& index) {
   const double total = static_cast<double>(index.size());
 
   // Enum-ordered map of the machine's vocabulary (zero counts included),
-  // matching FailureLog::count_by_category's iteration order so the
-  // stable sort below breaks count ties identically.
+  // so the stable sort below breaks count ties in enum order.
   std::map<data::Category, std::size_t> counts;
   for (data::Category category : data::categories_for(index.machine()))
     counts[category] = index.count(category);
@@ -46,10 +45,6 @@ Result<CategoryBreakdown> analyze_categories(const data::LogIndex& index) {
     breakdown.classes.push_back({cls, count, 100.0 * static_cast<double>(count) / total});
   }
   return breakdown;
-}
-
-Result<CategoryBreakdown> analyze_categories(const data::FailureLog& log) {
-  return analyze_categories(data::LogIndex(log));
 }
 
 }  // namespace tsufail::analysis

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -37,6 +36,5 @@ struct CategoryBreakdown {
 
 /// Computes the Figure 2 breakdown. Errors: empty log.
 Result<CategoryBreakdown> analyze_categories(const data::LogIndex& index);
-Result<CategoryBreakdown> analyze_categories(const data::FailureLog& log);
 
 }  // namespace tsufail::analysis

@@ -43,8 +43,4 @@ Result<GpuSlotDistribution> analyze_gpu_slots(const data::LogIndex& index) {
   return result;
 }
 
-Result<GpuSlotDistribution> analyze_gpu_slots(const data::FailureLog& log) {
-  return analyze_gpu_slots(data::LogIndex(log));
-}
-
 }  // namespace tsufail::analysis

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -37,6 +36,5 @@ struct GpuSlotDistribution {
 /// Computes the Figure 5 distribution from GPU-related records that carry
 /// slot attribution.  Errors: no attributed GPU failures in the log.
 Result<GpuSlotDistribution> analyze_gpu_slots(const data::LogIndex& index);
-Result<GpuSlotDistribution> analyze_gpu_slots(const data::FailureLog& log);
 
 }  // namespace tsufail::analysis

@@ -68,11 +68,6 @@ Result<LeadLagPair> analyze_lead_lag_pair(const data::LogIndex& index, data::Cat
   return pair;
 }
 
-Result<LeadLagPair> analyze_lead_lag_pair(const data::FailureLog& log, data::Category leader,
-                                          data::Category follower, double window_hours) {
-  return analyze_lead_lag_pair(data::LogIndex(log), leader, follower, window_hours);
-}
-
 Result<LeadLagAnalysis> analyze_lead_lag(const data::LogIndex& index, double window_hours,
                                          std::size_t min_events) {
   if (!(window_hours > 0.0))
@@ -111,11 +106,6 @@ Result<LeadLagAnalysis> analyze_lead_lag(const data::LogIndex& index, double win
   std::sort(analysis.pairs.begin(), analysis.pairs.end(),
             [](const LeadLagPair& a, const LeadLagPair& b) { return a.z_score > b.z_score; });
   return analysis;
-}
-
-Result<LeadLagAnalysis> analyze_lead_lag(const data::FailureLog& log, double window_hours,
-                                         std::size_t min_events) {
-  return analyze_lead_lag(data::LogIndex(log), window_hours, min_events);
 }
 
 }  // namespace tsufail::analysis

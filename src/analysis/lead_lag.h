@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -40,15 +39,10 @@ struct LeadLagAnalysis {
 Result<LeadLagAnalysis> analyze_lead_lag(const data::LogIndex& index,
                                          double window_hours = 72.0,
                                          std::size_t min_events = 8);
-Result<LeadLagAnalysis> analyze_lead_lag(const data::FailureLog& log,
-                                         double window_hours = 72.0,
-                                         std::size_t min_events = 8);
 
 /// One specific ordered pair (no minimum-event gate).
 /// Errors: either category has no events, or non-positive window.
 Result<LeadLagPair> analyze_lead_lag_pair(const data::LogIndex& index, data::Category leader,
-                                          data::Category follower, double window_hours = 72.0);
-Result<LeadLagPair> analyze_lead_lag_pair(const data::FailureLog& log, data::Category leader,
                                           data::Category follower, double window_hours = 72.0);
 
 }  // namespace tsufail::analysis

@@ -37,8 +37,4 @@ Result<MultiGpuInvolvement> analyze_multi_gpu(const data::LogIndex& index) {
   return result;
 }
 
-Result<MultiGpuInvolvement> analyze_multi_gpu(const data::FailureLog& log) {
-  return analyze_multi_gpu(data::LogIndex(log));
-}
-
 }  // namespace tsufail::analysis

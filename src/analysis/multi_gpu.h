@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -31,6 +30,5 @@ struct MultiGpuInvolvement {
 /// Computes Table III from slot-attributed GPU failures.
 /// Errors: no attributed GPU failures.
 Result<MultiGpuInvolvement> analyze_multi_gpu(const data::LogIndex& index);
-Result<MultiGpuInvolvement> analyze_multi_gpu(const data::FailureLog& log);
 
 }  // namespace tsufail::analysis

@@ -54,8 +54,4 @@ Result<NodeCounts> analyze_node_counts(const data::LogIndex& index) {
   return result;
 }
 
-Result<NodeCounts> analyze_node_counts(const data::FailureLog& log) {
-  return analyze_node_counts(data::LogIndex(log));
-}
-
 }  // namespace tsufail::analysis

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -38,6 +37,5 @@ struct NodeCounts {
 
 /// Computes the Figure 4 distribution. Errors: empty log.
 Result<NodeCounts> analyze_node_counts(const data::LogIndex& index);
-Result<NodeCounts> analyze_node_counts(const data::FailureLog& log);
 
 }  // namespace tsufail::analysis

@@ -61,8 +61,4 @@ Result<NodeSurvival> analyze_node_survival(const data::LogIndex& index) {
   return result;
 }
 
-Result<NodeSurvival> analyze_node_survival(const data::FailureLog& log) {
-  return analyze_node_survival(data::LogIndex(log));
-}
-
 }  // namespace tsufail::analysis

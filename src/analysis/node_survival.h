@@ -11,7 +11,6 @@
 
 #include <optional>
 
-#include "data/log.h"
 #include "data/log_index.h"
 #include "stats/survival.h"
 
@@ -41,6 +40,5 @@ struct NodeSurvival {
 
 /// Computes the node survival view. Errors: empty log.
 Result<NodeSurvival> analyze_node_survival(const data::LogIndex& index);
-Result<NodeSurvival> analyze_node_survival(const data::FailureLog& log);
 
 }  // namespace tsufail::analysis

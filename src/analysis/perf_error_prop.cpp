@@ -2,14 +2,12 @@
 
 namespace tsufail::analysis {
 
-namespace {
-
-Result<PerfErrorProportionality> perf_error_prop(const data::MachineSpec& spec,
-                                                 std::size_t failures) {
-  if (failures == 0)
+Result<PerfErrorProportionality> analyze_perf_error_prop(const data::LogIndex& index) {
+  if (index.empty())
     return Error(ErrorKind::kDomain, "analyze_perf_error_prop: empty log");
+  const data::MachineSpec& spec = index.spec();
   PerfErrorProportionality result;
-  result.mtbf_hours = spec.window_hours() / static_cast<double>(failures);
+  result.mtbf_hours = spec.window_hours() / static_cast<double>(index.size());
   result.rpeak_pflops = spec.rpeak_pflops;
   result.pflop_hours_per_failure_free_period = result.rpeak_pflops * result.mtbf_hours;
   result.components = spec.total_gpu_cpu_components();
@@ -18,18 +16,8 @@ Result<PerfErrorProportionality> perf_error_prop(const data::MachineSpec& spec,
   return result;
 }
 
-}  // namespace
-
-Result<PerfErrorProportionality> analyze_perf_error_prop(const data::LogIndex& index) {
-  return perf_error_prop(index.spec(), index.size());
-}
-
-Result<PerfErrorProportionality> analyze_perf_error_prop(const data::FailureLog& log) {
-  return perf_error_prop(log.spec(), log.size());
-}
-
-Result<GenerationComparison> compare_generations(const data::FailureLog& older,
-                                                 const data::FailureLog& newer) {
+Result<GenerationComparison> compare_generations(const data::LogIndex& older,
+                                                 const data::LogIndex& newer) {
   auto older_metric = analyze_perf_error_prop(older);
   if (!older_metric.ok()) return older_metric.error().with_context("older system");
   auto newer_metric = analyze_perf_error_prop(newer);

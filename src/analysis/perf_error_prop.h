@@ -7,7 +7,6 @@
 // combined metric, and the per-component normalization argument).
 #pragma once
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -38,10 +37,9 @@ struct GenerationComparison {
 
 /// Metric for one log. Errors: empty log.
 Result<PerfErrorProportionality> analyze_perf_error_prop(const data::LogIndex& index);
-Result<PerfErrorProportionality> analyze_perf_error_prop(const data::FailureLog& log);
 
 /// Cross-generation comparison. Errors: either log empty.
-Result<GenerationComparison> compare_generations(const data::FailureLog& older,
-                                                 const data::FailureLog& newer);
+Result<GenerationComparison> compare_generations(const data::LogIndex& older,
+                                                 const data::LogIndex& newer);
 
 }  // namespace tsufail::analysis

@@ -67,8 +67,4 @@ Result<RackDistribution> analyze_racks(const data::LogIndex& index) {
   return result;
 }
 
-Result<RackDistribution> analyze_racks(const data::FailureLog& log) {
-  return analyze_racks(data::LogIndex(log));
-}
-
 }  // namespace tsufail::analysis

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -38,7 +37,6 @@ struct RackDistribution {
 
 /// Computes the rack view. Errors: empty log or spec without rack info.
 Result<RackDistribution> analyze_racks(const data::LogIndex& index);
-Result<RackDistribution> analyze_racks(const data::FailureLog& log);
 
 /// Gini coefficient of a non-negative sample (exposed for tests).
 double gini_coefficient(std::vector<double> values);

@@ -88,9 +88,4 @@ Result<RollingTrends> analyze_rolling_trends(const data::LogIndex& index, double
   return trends;
 }
 
-Result<RollingTrends> analyze_rolling_trends(const data::FailureLog& log, double window_days,
-                                             double step_days) {
-  return analyze_rolling_trends(data::LogIndex(log), window_days, step_days);
-}
-
 }  // namespace tsufail::analysis

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 #include "stats/regression.h"
 
@@ -41,9 +40,6 @@ struct RollingTrends {
 /// Errors: empty log, non-positive window/step, or fewer than 3 windows
 /// (no trend can be fit).
 Result<RollingTrends> analyze_rolling_trends(const data::LogIndex& index,
-                                             double window_days = 60.0,
-                                             double step_days = 30.0);
-Result<RollingTrends> analyze_rolling_trends(const data::FailureLog& log,
                                              double window_days = 60.0,
                                              double step_days = 30.0);
 

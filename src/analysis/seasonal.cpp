@@ -1,6 +1,8 @@
 #include "analysis/seasonal.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "stats/correlation.h"
 
@@ -28,20 +30,14 @@ std::array<double, 12> month_exposure_days(TimePoint start, TimePoint end) {
   return days;
 }
 
-}  // namespace
+using MonthlyTtrSamples = std::array<std::vector<double>, 12>;
 
-Result<SeasonalAnalysis> analyze_seasonal(const data::LogIndex& index) {
-  if (index.empty())
-    return Error(ErrorKind::kDomain, "analyze_seasonal: empty log");
-
-  // Month spans preserve record order, so each bucket holds the same TTR
-  // sequence the record scan used to produce.
-  std::array<std::vector<double>, 12> ttr_by_month;
-  for (int month = 1; month <= 12; ++month)
-    ttr_by_month[static_cast<std::size_t>(month - 1)] = index.ttr_of(index.by_month(month));
-
+/// The Figures 11-12 profiles from per-month TTR samples (index 0 =
+/// January), each in record order.
+SeasonalAnalysis seasonal_from(const data::MachineSpec& spec,
+                               const MonthlyTtrSamples& ttr_by_month) {
   SeasonalAnalysis result;
-  result.exposure_days = month_exposure_days(index.spec().log_start, index.spec().log_end);
+  result.exposure_days = month_exposure_days(spec.log_start, spec.log_end);
   std::vector<double> densities, medians;  // months with >= 1 failure
   std::vector<double> first_half, second_half;
   for (int month = 1; month <= 12; ++month) {
@@ -77,28 +73,50 @@ Result<SeasonalAnalysis> analyze_seasonal(const data::LogIndex& index) {
   return result;
 }
 
-Result<SeasonalAnalysis> analyze_seasonal(const data::FailureLog& log) {
-  return analyze_seasonal(data::LogIndex(log));
+/// The profile of the records at `subset` (ascending positions): each
+/// month span is intersected with it, so every bucket holds the TTR
+/// sequence a log of only those records would produce.
+Result<SeasonalAnalysis> seasonal_within(const data::LogIndex& index,
+                                         std::span<const std::uint32_t> subset,
+                                         const std::string& context) {
+  if (subset.empty())
+    return Error(ErrorKind::kDomain, "analyze_seasonal: empty log").with_context(context);
+  MonthlyTtrSamples ttr_by_month;
+  std::vector<std::uint32_t> positions;
+  for (int month = 1; month <= 12; ++month) {
+    const auto in_month = index.by_month(month);
+    positions.clear();
+    std::set_intersection(in_month.begin(), in_month.end(), subset.begin(), subset.end(),
+                          std::back_inserter(positions));
+    ttr_by_month[static_cast<std::size_t>(month - 1)] = index.ttr_of(positions);
+  }
+  return seasonal_from(index.spec(), ttr_by_month);
 }
 
-Result<SeasonalAnalysis> analyze_seasonal_class(const data::FailureLog& log,
+}  // namespace
+
+Result<SeasonalAnalysis> analyze_seasonal(const data::LogIndex& index) {
+  if (index.empty())
+    return Error(ErrorKind::kDomain, "analyze_seasonal: empty log");
+
+  // Month spans preserve record order, so each bucket's TTR sample is in
+  // record order.
+  MonthlyTtrSamples ttr_by_month;
+  for (int month = 1; month <= 12; ++month)
+    ttr_by_month[static_cast<std::size_t>(month - 1)] = index.ttr_of(index.by_month(month));
+  return seasonal_from(index.spec(), ttr_by_month);
+}
+
+Result<SeasonalAnalysis> analyze_seasonal_class(const data::LogIndex& index,
                                                 data::FailureClass cls) {
-  auto sub = log.sublog(log.by_class(cls));
-  if (!sub.ok()) return sub.error();
-  auto result = analyze_seasonal(sub.value());
-  if (!result.ok())
-    return result.error().with_context("class " + std::string(data::to_string(cls)));
-  return result;
+  return seasonal_within(index, index.by_class(cls),
+                         "class " + std::string(data::to_string(cls)));
 }
 
-Result<SeasonalAnalysis> analyze_seasonal_category(const data::FailureLog& log,
+Result<SeasonalAnalysis> analyze_seasonal_category(const data::LogIndex& index,
                                                    data::Category category) {
-  auto sub = log.sublog(log.by_category(category));
-  if (!sub.ok()) return sub.error();
-  auto result = analyze_seasonal(sub.value());
-  if (!result.ok())
-    return result.error().with_context("category " + std::string(data::to_string(category)));
-  return result;
+  return seasonal_within(index, index.by_category(category),
+                         "category " + std::string(data::to_string(category)));
 }
 
 }  // namespace tsufail::analysis

@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 #include "stats/descriptive.h"
 
@@ -45,16 +44,15 @@ struct SeasonalAnalysis {
 
 /// Computes the Figures 11-12 monthly profiles. Errors: empty log.
 Result<SeasonalAnalysis> analyze_seasonal(const data::LogIndex& index);
-Result<SeasonalAnalysis> analyze_seasonal(const data::FailureLog& log);
 
 /// Seasonal profile restricted to one failure class (the paper: "We
 /// observed similar trends for different failure types as well, but
 /// results are not shown for brevity").  Errors: no failures of `cls`.
-Result<SeasonalAnalysis> analyze_seasonal_class(const data::FailureLog& log,
+Result<SeasonalAnalysis> analyze_seasonal_class(const data::LogIndex& index,
                                                 data::FailureClass cls);
 
 /// Seasonal profile restricted to one category.  Errors: no such failures.
-Result<SeasonalAnalysis> analyze_seasonal_category(const data::FailureLog& log,
+Result<SeasonalAnalysis> analyze_seasonal_category(const data::LogIndex& index,
                                                    data::Category category);
 
 }  // namespace tsufail::analysis

@@ -58,8 +58,4 @@ Result<SoftwareLoci> analyze_software_loci(const data::LogIndex& index, std::siz
   return result;
 }
 
-Result<SoftwareLoci> analyze_software_loci(const data::FailureLog& log, std::size_t top_n) {
-  return analyze_software_loci(data::LogIndex(log), top_n);
-}
-
 }  // namespace tsufail::analysis

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 
 namespace tsufail::analysis {
@@ -34,6 +33,5 @@ struct SoftwareLoci {
 /// `top_n` truncates the list (16 in the paper).  Errors: the log has no
 /// software-class failures.
 Result<SoftwareLoci> analyze_software_loci(const data::LogIndex& index, std::size_t top_n = 16);
-Result<SoftwareLoci> analyze_software_loci(const data::FailureLog& log, std::size_t top_n = 16);
 
 }  // namespace tsufail::analysis

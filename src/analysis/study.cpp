@@ -99,8 +99,4 @@ Result<StudyReport> run_study(const data::FailureLog& log, const StudyOptions& o
   return report;
 }
 
-Result<StudyReport> run_study(const data::FailureLog& log) {
-  return run_study(log, StudyOptions{});
-}
-
 }  // namespace tsufail::analysis

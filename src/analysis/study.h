@@ -62,7 +62,6 @@ struct StudyReport {
 /// the whole study meaningless (empty log, or a required analysis
 /// failing); per-analysis impossibilities yield absent optionals / empty
 /// vectors and an entry in StudyReport::skipped instead.
-Result<StudyReport> run_study(const data::FailureLog& log, const StudyOptions& options);
-Result<StudyReport> run_study(const data::FailureLog& log);
+Result<StudyReport> run_study(const data::FailureLog& log, const StudyOptions& options = {});
 
 }  // namespace tsufail::analysis

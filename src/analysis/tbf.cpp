@@ -2,30 +2,22 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "stats/kernels.h"
 
 namespace tsufail::analysis {
 namespace {
 
-/// Differences an ascending event-hour sequence into gaps (one indexed
-/// store per element; see stats::adjacent_deltas).
-std::vector<double> gaps_of(const std::vector<double>& event_hours) {
-  return stats::adjacent_deltas(event_hours);
-}
-
-/// Core TBF computation over an event-hour sample.  Takes ownership of
-/// `hours` (the result does not retain it) and sorts defensively, so the
-/// function is safe on caller-built samples; index/log streams are
-/// already ascending and the sort is a no-op for them.
-Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::vector<double> hours) {
+/// Core TBF computation over an ascending event-hour sample (every
+/// LogIndex hour stream is ascending: spans preserve time order).
+Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const double> hours) {
   if (hours.size() < 2)
     return Error(ErrorKind::kDomain,
                  "TBF needs at least 2 failures, have " + std::to_string(hours.size()));
-  std::sort(hours.begin(), hours.end());
 
   TbfResult result;
-  result.tbf_hours = gaps_of(hours);
+  result.tbf_hours = stats::adjacent_deltas(hours);
   result.mtbf_hours = stats::mean(result.tbf_hours);
   result.exposure_mtbf_hours = spec.window_hours() / static_cast<double>(hours.size());
 
@@ -51,28 +43,10 @@ Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::vector<doub
   return result;
 }
 
-std::vector<double> hours_of(const data::MachineSpec& spec,
-                             std::span<const data::FailureRecord> records) {
-  std::vector<double> hours;
-  hours.reserve(records.size());
-  for (const auto& record : records) hours.push_back(hours_between(spec.log_start, record.time));
-  return hours;
-}
-
 }  // namespace
 
-Result<TbfResult> tbf_from_records(const data::MachineSpec& spec,
-                                   std::span<const data::FailureRecord> records) {
-  return tbf_from_hours(spec, hours_of(spec, records));
-}
-
 Result<TbfResult> analyze_tbf(const data::LogIndex& index) {
-  const auto hours = index.hours();
-  return tbf_from_hours(index.spec(), std::vector<double>(hours.begin(), hours.end()));
-}
-
-Result<TbfResult> analyze_tbf(const data::FailureLog& log) {
-  return tbf_from_records(log.spec(), log.records());
+  return tbf_from_hours(index.spec(), index.hours());
 }
 
 Result<TbfResult> analyze_tbf_category(const data::LogIndex& index, data::Category category) {
@@ -82,19 +56,11 @@ Result<TbfResult> analyze_tbf_category(const data::LogIndex& index, data::Catego
   return result;
 }
 
-Result<TbfResult> analyze_tbf_category(const data::FailureLog& log, data::Category category) {
-  return analyze_tbf_category(data::LogIndex(log), category);
-}
-
 Result<TbfResult> analyze_tbf_class(const data::LogIndex& index, data::FailureClass cls) {
   auto result = tbf_from_hours(index.spec(), index.hours_of(index.by_class(cls)));
   if (!result.ok())
     return result.error().with_context("class " + std::string(data::to_string(cls)));
   return result;
-}
-
-Result<TbfResult> analyze_tbf_class(const data::FailureLog& log, data::FailureClass cls) {
-  return analyze_tbf_class(data::LogIndex(log), cls);
 }
 
 Result<MtbfInterval> mtbf_confidence_interval(std::size_t failures, double window_hours,
@@ -123,9 +89,8 @@ Result<std::vector<CategoryTbf>> analyze_tbf_by_category(const data::LogIndex& i
     // full tbf_from_hours pipeline (summary quantiles, family fitting)
     // would be computed just to be discarded; difference the gaps and box
     // them directly instead.
-    auto hours = index.hours_of(positions);
-    std::sort(hours.begin(), hours.end());  // no-op: index streams ascend
-    const auto gaps = gaps_of(hours);
+    const auto hours = index.hours_of(positions);
+    const auto gaps = stats::adjacent_deltas(hours);
     auto box = stats::box_stats(gaps);
     if (!box.ok()) continue;
     rows.push_back({category, positions.size(), box.value(), stats::mean(gaps),
@@ -138,11 +103,6 @@ Result<std::vector<CategoryTbf>> analyze_tbf_by_category(const data::LogIndex& i
                      return a.mtbf_hours < b.mtbf_hours;
                    });
   return rows;
-}
-
-Result<std::vector<CategoryTbf>> analyze_tbf_by_category(const data::FailureLog& log,
-                                                         std::size_t min_failures) {
-  return analyze_tbf_by_category(data::LogIndex(log), min_failures);
 }
 
 }  // namespace tsufail::analysis

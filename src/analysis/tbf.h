@@ -11,10 +11,8 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
@@ -34,22 +32,13 @@ struct TbfResult {
 
 /// System-wide TBF. Errors: fewer than 2 failures.
 Result<TbfResult> analyze_tbf(const data::LogIndex& index);
-Result<TbfResult> analyze_tbf(const data::FailureLog& log);
 
 /// TBF restricted to one category's event stream.
 /// Errors: fewer than 2 failures of that category.
 Result<TbfResult> analyze_tbf_category(const data::LogIndex& index, data::Category category);
-Result<TbfResult> analyze_tbf_category(const data::FailureLog& log, data::Category category);
 
 /// TBF restricted to one failure class.
 Result<TbfResult> analyze_tbf_class(const data::LogIndex& index, data::FailureClass cls);
-Result<TbfResult> analyze_tbf_class(const data::FailureLog& log, data::FailureClass cls);
-
-/// TBF of an arbitrary record stream measured against `spec`'s window
-/// (no copy is taken; records need not be pre-sorted).
-/// Errors: fewer than 2 records.
-Result<TbfResult> tbf_from_records(const data::MachineSpec& spec,
-                                   std::span<const data::FailureRecord> records);
 
 struct MtbfInterval {
   double mtbf_hours = 0.0;
@@ -78,8 +67,6 @@ struct CategoryTbf {
 /// skipped (a 2-event category has one gap — not a distribution).
 /// Errors: no category reaches `min_failures`.
 Result<std::vector<CategoryTbf>> analyze_tbf_by_category(const data::LogIndex& index,
-                                                         std::size_t min_failures = 3);
-Result<std::vector<CategoryTbf>> analyze_tbf_by_category(const data::FailureLog& log,
                                                          std::size_t min_failures = 3);
 
 }  // namespace tsufail::analysis

@@ -74,22 +74,12 @@ Result<std::vector<CategoryBurstiness>> analyze_category_burstiness(
   return rows;
 }
 
-Result<std::vector<CategoryBurstiness>> analyze_category_burstiness(
-    const data::FailureLog& log, std::size_t min_failures) {
-  return analyze_category_burstiness(data::LogIndex(log), min_failures);
-}
-
 Result<TemporalClustering> analyze_multi_gpu_clustering(const data::LogIndex& index,
                                                         double follow_window_hours) {
   auto result =
       analyze_event_clustering(index.hours_of(index.multi_gpu()), follow_window_hours);
   if (!result.ok()) return result.error().with_context("multi-GPU failure stream");
   return result;
-}
-
-Result<TemporalClustering> analyze_multi_gpu_clustering(const data::FailureLog& log,
-                                                        double follow_window_hours) {
-  return analyze_multi_gpu_clustering(data::LogIndex(log), follow_window_hours);
 }
 
 }  // namespace tsufail::analysis

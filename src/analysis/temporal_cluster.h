@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 #include "stats/descriptive.h"
 
@@ -39,8 +38,6 @@ struct TemporalClustering {
 /// alike.  Errors: fewer than 3 such events.
 Result<TemporalClustering> analyze_multi_gpu_clustering(const data::LogIndex& index,
                                                         double follow_window_hours = 0.0);
-Result<TemporalClustering> analyze_multi_gpu_clustering(const data::FailureLog& log,
-                                                        double follow_window_hours = 0.0);
 
 /// Same statistics over an arbitrary caller-selected event stream (hours
 /// since an arbitrary origin, ascending or not).  `follow_window_hours`
@@ -61,7 +58,5 @@ struct CategoryBurstiness {
 /// Errors: no category qualifies.
 Result<std::vector<CategoryBurstiness>> analyze_category_burstiness(
     const data::LogIndex& index, std::size_t min_failures = 5);
-Result<std::vector<CategoryBurstiness>> analyze_category_burstiness(
-    const data::FailureLog& log, std::size_t min_failures = 5);
 
 }  // namespace tsufail::analysis

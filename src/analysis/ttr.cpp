@@ -38,10 +38,6 @@ Result<TtrResult> analyze_ttr(const data::LogIndex& index) {
   return ttr_from_values(std::vector<double>(ttr.begin(), ttr.end()));
 }
 
-Result<TtrResult> analyze_ttr(const data::FailureLog& log) {
-  return ttr_from_values(log.ttr_values());
-}
-
 Result<TtrResult> analyze_ttr_category(const data::LogIndex& index, data::Category category) {
   auto result = ttr_from_values(index.ttr_of(index.by_category(category)));
   if (!result.ok())
@@ -49,19 +45,11 @@ Result<TtrResult> analyze_ttr_category(const data::LogIndex& index, data::Catego
   return result;
 }
 
-Result<TtrResult> analyze_ttr_category(const data::FailureLog& log, data::Category category) {
-  return analyze_ttr_category(data::LogIndex(log), category);
-}
-
 Result<TtrResult> analyze_ttr_class(const data::LogIndex& index, data::FailureClass cls) {
   auto result = ttr_from_values(index.ttr_of(index.by_class(cls)));
   if (!result.ok())
     return result.error().with_context("class " + std::string(data::to_string(cls)));
   return result;
-}
-
-Result<TtrResult> analyze_ttr_class(const data::FailureLog& log, data::FailureClass cls) {
-  return analyze_ttr_class(data::LogIndex(log), cls);
 }
 
 Result<std::vector<CategoryTtr>> analyze_ttr_by_category(const data::LogIndex& index,
@@ -84,11 +72,6 @@ Result<std::vector<CategoryTtr>> analyze_ttr_by_category(const data::LogIndex& i
     return a.mttr_hours < b.mttr_hours;
   });
   return rows;
-}
-
-Result<std::vector<CategoryTtr>> analyze_ttr_by_category(const data::FailureLog& log,
-                                                         std::size_t min_failures) {
-  return analyze_ttr_by_category(data::LogIndex(log), min_failures);
 }
 
 }  // namespace tsufail::analysis

@@ -10,7 +10,6 @@
 #include <optional>
 #include <vector>
 
-#include "data/log.h"
 #include "data/log_index.h"
 #include "stats/descriptive.h"
 #include "stats/fit.h"
@@ -26,15 +25,12 @@ struct TtrResult {
 
 /// System-wide TTR. Errors: empty log.
 Result<TtrResult> analyze_ttr(const data::LogIndex& index);
-Result<TtrResult> analyze_ttr(const data::FailureLog& log);
 
 /// TTR restricted to one category. Errors: no such failures.
 Result<TtrResult> analyze_ttr_category(const data::LogIndex& index, data::Category category);
-Result<TtrResult> analyze_ttr_category(const data::FailureLog& log, data::Category category);
 
 /// TTR restricted to one failure class. Errors: no such failures.
 Result<TtrResult> analyze_ttr_class(const data::LogIndex& index, data::FailureClass cls);
-Result<TtrResult> analyze_ttr_class(const data::FailureLog& log, data::FailureClass cls);
 
 struct CategoryTtr {
   data::Category category = data::Category::kUnknown;
@@ -48,8 +44,6 @@ struct CategoryTtr {
 /// Categories with fewer than `min_failures` records are skipped.
 /// Errors: no category reaches `min_failures`.
 Result<std::vector<CategoryTtr>> analyze_ttr_by_category(const data::LogIndex& index,
-                                                         std::size_t min_failures = 2);
-Result<std::vector<CategoryTtr>> analyze_ttr_by_category(const data::FailureLog& log,
                                                          std::size_t min_failures = 2);
 
 }  // namespace tsufail::analysis

@@ -572,7 +572,7 @@ Result<void> run_triage(const ParsedArgs& args, std::ostream& out) {
   }
   out << impact.render() << "\n";
 
-  auto survival = analysis::analyze_node_survival(log.value());
+  auto survival = analysis::analyze_node_survival(data::LogIndex(log.value()));
   if (survival.ok()) {
     out << "repeat-offender test (log-rank): ";
     if (survival.value().repeat_offender_test.has_value()) {
@@ -697,7 +697,7 @@ Result<void> run_checkpoint(const ParsedArgs& args, std::ostream& out) {
   if (!log.ok()) return log.error();
   auto cost = args.get_double("cost-hours");
   if (!cost.ok()) return cost.error();
-  auto tbf = analysis::analyze_tbf(log.value());
+  auto tbf = analysis::analyze_tbf(data::LogIndex(log.value()));
   if (!tbf.ok()) return tbf.error();
   auto plan = ops::plan_checkpointing(cost.value(), tbf.value().exposure_mtbf_hours);
   if (!plan.ok()) return plan.error();
@@ -957,7 +957,8 @@ Result<void> run_trends(const ParsedArgs& args, std::ostream& out) {
   if (!window.ok()) return window.error();
   auto step = args.get_double("step-days");
   if (!step.ok()) return step.error();
-  auto trends = analysis::analyze_rolling_trends(log.value(), window.value(), step.value());
+  auto trends = analysis::analyze_rolling_trends(data::LogIndex(log.value()), window.value(),
+                                                 step.value());
   if (!trends.ok()) return trends.error();
 
   report::Table table({"Window center", "Failures", "Failures/day", "MTBF", "MTTR"});
@@ -1000,7 +1001,7 @@ Result<void> run_racks(const ParsedArgs& args, std::ostream& out) {
   if (!log.ok()) return log.error();
   auto top = args.get_int("top");
   if (!top.ok()) return top.error();
-  auto racks = analysis::analyze_racks(log.value());
+  auto racks = analysis::analyze_racks(data::LogIndex(log.value()));
   if (!racks.ok()) return racks.error();
 
   report::Table table({"Rack", "Failures", "Share", "Failures/node"});
@@ -1048,7 +1049,7 @@ Result<void> run_couplings(const ParsedArgs& args, std::ostream& out) {
   if (!top.ok()) return top.error();
   if (min_events.value() < 1)
     return Error(ErrorKind::kDomain, "--min-events must be >= 1");
-  auto analysis = analysis::analyze_lead_lag(log.value(), window.value(),
+  auto analysis = analysis::analyze_lead_lag(data::LogIndex(log.value()), window.value(),
                                              static_cast<std::size_t>(min_events.value()));
   if (!analysis.ok()) return analysis.error();
 
@@ -1558,7 +1559,8 @@ Result<void> run_compare(const ParsedArgs& args, std::ostream& out) {
   if (!older.ok()) return older.error().with_context("older log");
   auto newer = load_log(args, 1);
   if (!newer.ok()) return newer.error().with_context("newer log");
-  auto cmp = analysis::compare_generations(older.value(), newer.value());
+  auto cmp = analysis::compare_generations(data::LogIndex(older.value()),
+                                           data::LogIndex(newer.value()));
   if (!cmp.ok()) return cmp.error();
 
   report::Table table({"Metric", older.value().spec().name, newer.value().spec().name, "Ratio"});

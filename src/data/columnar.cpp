@@ -353,7 +353,9 @@ Result<ColumnarSnapshotPtr> ColumnarSnapshot::from_bytes(std::string_view bytes)
   // Owned storage is a word vector so the base stays 8-byte aligned and
   // the zero-copy pointer casts below are valid for every column type.
   snapshot->owned_.resize((bytes.size() + 7) / 8, 0);
-  std::memcpy(snapshot->owned_.data(), bytes.data(), bytes.size());
+  // An empty input leaves owned_ without storage; memcpy may not be
+  // handed its null data pointer even for a zero-byte copy.
+  if (!bytes.empty()) std::memcpy(snapshot->owned_.data(), bytes.data(), bytes.size());
   snapshot->data_ = reinterpret_cast<const char*>(snapshot->owned_.data());
   snapshot->byte_size_ = bytes.size();
   if (auto parsed = snapshot->parse(); !parsed.ok()) return parsed.error();

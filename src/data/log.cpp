@@ -51,60 +51,12 @@ Result<FailureLog> FailureLog::append(const FailureLog& base, std::vector<Failur
   return FailureLog(base.spec_, std::move(records));
 }
 
-std::vector<FailureRecord> FailureLog::filter(
-    const std::function<bool(const FailureRecord&)>& predicate) const {
+std::vector<FailureRecord> FailureLog::by_category(Category category) const {
   std::vector<FailureRecord> out;
   for (const auto& record : records_) {
-    if (predicate(record)) out.push_back(record);
+    if (record.category == category) out.push_back(record);
   }
   return out;
-}
-
-std::vector<FailureRecord> FailureLog::by_category(Category category) const {
-  return filter([category](const FailureRecord& r) { return r.category == category; });
-}
-
-std::vector<FailureRecord> FailureLog::by_class(FailureClass cls) const {
-  return filter([cls](const FailureRecord& r) { return r.failure_class() == cls; });
-}
-
-std::vector<FailureRecord> FailureLog::gpu_related() const {
-  return filter([](const FailureRecord& r) { return r.gpu_related(); });
-}
-
-std::vector<FailureRecord> FailureLog::in_window(TimePoint from, TimePoint to) const {
-  return filter([from, to](const FailureRecord& r) { return r.time >= from && r.time <= to; });
-}
-
-std::map<Category, std::size_t> FailureLog::count_by_category() const {
-  std::map<Category, std::size_t> counts;
-  for (Category c : categories_for(spec_.machine)) counts[c] = 0;
-  for (const auto& record : records_) ++counts[record.category];
-  return counts;
-}
-
-std::map<int, std::size_t> FailureLog::count_by_node() const {
-  std::map<int, std::size_t> counts;
-  for (const auto& record : records_) ++counts[record.node];
-  return counts;
-}
-
-std::vector<double> FailureLog::failure_hours_since_start() const {
-  std::vector<double> hours;
-  hours.reserve(records_.size());
-  for (const auto& record : records_) hours.push_back(hours_between(spec_.log_start, record.time));
-  return hours;
-}
-
-std::vector<double> FailureLog::ttr_values() const {
-  std::vector<double> values;
-  values.reserve(records_.size());
-  for (const auto& record : records_) values.push_back(record.ttr_hours);
-  return values;
-}
-
-Result<FailureLog> FailureLog::sublog(std::vector<FailureRecord> records) const {
-  return create(spec_, std::move(records), /*slack_hours=*/24.0 * 14);
 }
 
 }  // namespace tsufail::data

@@ -1,9 +1,9 @@
 // FailureLog: an immutable, time-sorted collection of failure records for
-// one machine, plus the query API every analyzer is built on.
+// one machine.  It only stores and constructs; the analyses read a log
+// through data::LogIndex (log_index.h), which derives every grouping they
+// need in one pass.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -27,41 +27,9 @@ class FailureLog {
   std::size_t size() const noexcept { return records_.size(); }
   bool empty() const noexcept { return records_.empty(); }
 
-  // --- Queries ---------------------------------------------------------
-
-  /// Records satisfying an arbitrary predicate, in time order.
-  std::vector<FailureRecord> filter(
-      const std::function<bool(const FailureRecord&)>& predicate) const;
-
-  /// Records of one category.
+  /// Copies of one category's records, in time order — the per-category
+  /// stream ops::simulate_spares and ops::analyze_availability replay.
   std::vector<FailureRecord> by_category(Category category) const;
-
-  /// Records of one hardware/software class.
-  std::vector<FailureRecord> by_class(FailureClass cls) const;
-
-  /// GPU-related records (GPU hardware + GPU driver).
-  std::vector<FailureRecord> gpu_related() const;
-
-  /// Records within [from, to] inclusive.
-  std::vector<FailureRecord> in_window(TimePoint from, TimePoint to) const;
-
-  /// Failure count per category, in the machine's Table II order
-  /// (categories with zero occurrences included).
-  std::map<Category, std::size_t> count_by_category() const;
-
-  /// Failure count per node, only nodes with >= 1 failure.
-  std::map<int, std::size_t> count_by_node() const;
-
-  /// Distinct failure times as fractional hours since the log window start,
-  /// for inter-arrival analysis.
-  std::vector<double> failure_hours_since_start() const;
-
-  /// All time-to-recovery values in record order.
-  std::vector<double> ttr_values() const;
-
-  /// A new log containing only `records` (keeps this log's spec).
-  /// Used to derive per-category sub-logs.
-  Result<FailureLog> sublog(std::vector<FailureRecord> records) const;
 
   /// A new log holding `base`'s records followed by `suffix` — the
   /// append-only shape a sealed stream epoch produces.  Only the suffix

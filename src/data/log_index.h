@@ -1,13 +1,15 @@
-// LogIndex: a build-once, immutable indexed view over a FailureLog.
+// LogIndex: a build-once, immutable indexed view over a FailureLog, and
+// the one input type of every analysis in src/analysis/ (run_study builds
+// it from a log as its first task).
 //
-// Every analyzer in src/analysis/ used to re-scan (and often re-copy and
-// re-sort) the flat record vector to carve out its event stream.  The
-// index does that work exactly once: records keep their time order, hour
-// offsets from the window start and TTR values are precomputed into
-// dense arrays, and the common groupings — category, hardware/software
-// class, node, calendar month, GPU attribution — are materialized as
-// position spans into one shared arena.  Analyses then read spans instead
-// of filtering, and a whole-study run touches each record O(1) times.
+// The index does the per-record work exactly once, so no analysis
+// re-scans, re-copies or re-sorts the record vector to carve out its
+// event stream: records keep their time order, hour offsets from the
+// window start and TTR values are precomputed into dense arrays, and the
+// common groupings — category, hardware/software class, node, calendar
+// month, GPU attribution — are materialized as position spans into one
+// shared arena.  Analyses then read spans instead of filtering, and a
+// whole-study run touches each record O(1) times.
 //
 // Invariants (asserted by tests/data_index_test.cpp):
 //   * positions are indices into records(), and every group span is
@@ -18,6 +20,8 @@
 //   * multi_gpu() is a subset of gpu_attributed().
 //
 // The index borrows the log (no record copies); the log must outlive it.
+// Every entry point that takes a log deletes its rvalue overload, so an
+// index over a temporary log does not compile.
 #pragma once
 
 #include <array>
@@ -38,6 +42,7 @@ class LogIndex {
   /// Builds the index in one pass over `log` (plus one calendar
   /// conversion per record for the month groups).
   explicit LogIndex(const FailureLog& log);
+  explicit LogIndex(const FailureLog&& log) = delete;
 
   /// Delta-merge: indexes `log` — which must hold `base.log()`'s records
   /// as an identical prefix (the append-only shape a sealed epoch
@@ -48,6 +53,7 @@ class LogIndex {
   /// run through the same builder.  Precondition (REQUIREd):
   /// log.size() >= base.size() and the logs share a machine spec.
   static LogIndex extend(const LogIndex& base, const FailureLog& log);
+  static LogIndex extend(const LogIndex& base, const FailureLog&& log) = delete;
 
   /// Adopts the precomputed index sections of a loaded columnar
   /// snapshot: the hours/TTR/arena spans point straight into the
@@ -60,6 +66,8 @@ class LogIndex {
   /// snapshot has no index sections or disagrees with `log` on size.
   static Result<LogIndex> from_columnar(const FailureLog& log,
                                         std::shared_ptr<const ColumnarSnapshot> snapshot);
+  static Result<LogIndex> from_columnar(const FailureLog&& log,
+                                        std::shared_ptr<const ColumnarSnapshot> snapshot) = delete;
 
   const FailureLog& log() const noexcept { return *log_; }
   const MachineSpec& spec() const noexcept { return log_->spec(); }

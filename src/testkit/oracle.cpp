@@ -673,59 +673,42 @@ OracleReport run_oracle(const data::FailureLog& log, const OracleOptions& option
   // the index bit-for-bit.
   check_snapshot_roundtrip(d, log, index);
 
-  // One analysis, three ways: reference vs FailureLog wrapper vs LogIndex
-  // overload.
-  const auto check = [&](const std::string& name, auto ref_result, auto log_result,
-                         auto index_result) {
-    d.set_tag(name + "[log]");
-    cmp_result(d, ref_result, log_result);
-    d.set_tag(name + "[index]");
+  // One analysis, two ways: the reference vs the LogIndex entry point.
+  const auto check = [&](const std::string& name, auto ref_result, auto index_result) {
+    d.set_tag(name);
     cmp_result(d, ref_result, index_result);
   };
 
-  check("categories", ref_categories(log), analysis::analyze_categories(log),
-        analysis::analyze_categories(index));
-  check("software_loci", ref_software_loci(log), analysis::analyze_software_loci(log),
-        analysis::analyze_software_loci(index));
-  check("node_counts", ref_node_counts(log), analysis::analyze_node_counts(log),
-        analysis::analyze_node_counts(index));
-  check("gpu_slots", ref_gpu_slots(log), analysis::analyze_gpu_slots(log),
-        analysis::analyze_gpu_slots(index));
-  check("multi_gpu", ref_multi_gpu(log), analysis::analyze_multi_gpu(log),
-        analysis::analyze_multi_gpu(index));
-  check("tbf", ref_tbf(log), analysis::analyze_tbf(log), analysis::analyze_tbf(index));
-  check("tbf_by_category", ref_tbf_by_category(log), analysis::analyze_tbf_by_category(log),
-        analysis::analyze_tbf_by_category(index));
+  check("categories", ref_categories(log), analysis::analyze_categories(index));
+  check("software_loci", ref_software_loci(log), analysis::analyze_software_loci(index));
+  check("node_counts", ref_node_counts(log), analysis::analyze_node_counts(index));
+  check("gpu_slots", ref_gpu_slots(log), analysis::analyze_gpu_slots(index));
+  check("multi_gpu", ref_multi_gpu(log), analysis::analyze_multi_gpu(index));
+  check("tbf", ref_tbf(log), analysis::analyze_tbf(index));
+  check("tbf_by_category", ref_tbf_by_category(log), analysis::analyze_tbf_by_category(index));
   check("multi_gpu_clustering", ref_multi_gpu_clustering(log),
-        analysis::analyze_multi_gpu_clustering(log),
         analysis::analyze_multi_gpu_clustering(index));
-  check("ttr", ref_ttr(log), analysis::analyze_ttr(log), analysis::analyze_ttr(index));
-  check("ttr_by_category", ref_ttr_by_category(log), analysis::analyze_ttr_by_category(log),
-        analysis::analyze_ttr_by_category(index));
-  check("seasonal", ref_seasonal(log), analysis::analyze_seasonal(log),
-        analysis::analyze_seasonal(index));
-  check("perf_error_prop", ref_perf_error_prop(log), analysis::analyze_perf_error_prop(log),
-        analysis::analyze_perf_error_prop(index));
+  check("ttr", ref_ttr(log), analysis::analyze_ttr(index));
+  check("ttr_by_category", ref_ttr_by_category(log), analysis::analyze_ttr_by_category(index));
+  check("seasonal", ref_seasonal(log), analysis::analyze_seasonal(index));
+  check("perf_error_prop", ref_perf_error_prop(log), analysis::analyze_perf_error_prop(index));
 
   // Restricted-stream variants on representative streams.
   for (data::Category category : {data::Category::kGpu, data::Category::kCpu}) {
     const std::string tag(data::to_string(category));
     check("tbf_category[" + tag + "]", ref_tbf_category(log, category),
-          analysis::analyze_tbf_category(log, category),
           analysis::analyze_tbf_category(index, category));
     check("ttr_category[" + tag + "]", ref_ttr_category(log, category),
-          analysis::analyze_ttr_category(log, category),
           analysis::analyze_ttr_category(index, category));
   }
   for (data::FailureClass cls : {data::FailureClass::kHardware, data::FailureClass::kSoftware}) {
     const std::string tag(data::to_string(cls));
     check("tbf_class[" + tag + "]", ref_tbf_class(log, cls),
-          analysis::analyze_tbf_class(log, cls), analysis::analyze_tbf_class(index, cls));
+          analysis::analyze_tbf_class(index, cls));
     check("ttr_class[" + tag + "]", ref_ttr_class(log, cls),
-          analysis::analyze_ttr_class(log, cls), analysis::analyze_ttr_class(index, cls));
+          analysis::analyze_ttr_class(index, cls));
   }
   check("category_burstiness", ref_category_burstiness(log),
-        analysis::analyze_category_burstiness(log),
         analysis::analyze_category_burstiness(index));
 
   // The assembled study, serial reference vs the executor at every

@@ -1,8 +1,8 @@
 // tsufail::testkit — the differential oracle.
 //
-// run_oracle() recomputes every analysis three ways — the naive reference
-// (reference.h), the FailureLog wrapper, and the LogIndex overload — plus
-// run_study at several thread counts, and structurally diffs the results.
+// run_oracle() recomputes every analysis two ways — the naive reference
+// (reference.h) and the LogIndex entry point — plus run_study at several
+// thread counts, and structurally diffs the results.
 // Exact fields (counts, enums, strings, orderings, identical-arithmetic
 // doubles) must match to <= 4 ULPs; reassociation-prone doubles (Welford
 // vs two-pass moments, chunked vs day-walk exposure, correlations over

@@ -42,7 +42,8 @@ TEST(CategoryBreakdown, CountsAndPercents) {
                            rec(2, Category::kGpu, "2012-02-02"),
                            rec(3, Category::kCpu, "2012-02-03"),
                            rec(4, Category::kPbs, "2012-02-04")});
-  auto breakdown = analyze_categories(log);
+  const data::LogIndex index(log);
+  auto breakdown = analyze_categories(index);
   ASSERT_TRUE(breakdown.ok());
   EXPECT_EQ(breakdown.value().total_failures, 4u);
   EXPECT_DOUBLE_EQ(breakdown.value().percent_of(Category::kGpu), 50.0);
@@ -56,7 +57,8 @@ TEST(CategoryBreakdown, ClassShares) {
                            rec(2, Category::kPbs, "2012-02-02"),
                            rec(3, Category::kDown, "2012-02-03"),
                            rec(4, Category::kVm, "2012-02-04")});
-  auto breakdown = analyze_categories(log);
+  const data::LogIndex index(log);
+  auto breakdown = analyze_categories(index);
   ASSERT_TRUE(breakdown.ok());
   EXPECT_DOUBLE_EQ(breakdown.value().percent_of(FailureClass::kHardware), 25.0);
   EXPECT_DOUBLE_EQ(breakdown.value().percent_of(FailureClass::kSoftware), 50.0);
@@ -64,7 +66,8 @@ TEST(CategoryBreakdown, ClassShares) {
 }
 
 TEST(CategoryBreakdown, EmptyLogIsError) {
-  EXPECT_FALSE(analyze_categories(t2_log({})).ok());
+  const auto log = t2_log({});
+  EXPECT_FALSE(analyze_categories(data::LogIndex(log)).ok());
 }
 
 TEST(SoftwareLoci, CountsAndDriverDetection) {
@@ -76,7 +79,8 @@ TEST(SoftwareLoci, CountsAndDriverDetection) {
       rec(5, Category::kSoftware, "2018-02-05", 1, {}, ""),
       rec(6, Category::kGpu, "2018-02-06", 1, {0}),  // not software class
   });
-  auto loci = analyze_software_loci(log);
+  const data::LogIndex index(log);
+  auto loci = analyze_software_loci(index);
   ASSERT_TRUE(loci.ok());
   EXPECT_EQ(loci.value().software_failures, 5u);
   EXPECT_EQ(loci.value().distinct_loci, 4u);  // driver, cuda, lustre, unknown
@@ -91,14 +95,16 @@ TEST(SoftwareLoci, TopNTruncation) {
     records.push_back(rec(i, Category::kSoftware, "2018-03-01", 1, {},
                           "locus " + std::to_string(i)));
   }
-  auto loci = analyze_software_loci(t3_log(std::move(records)), 3);
+  const auto log = t3_log(std::move(records));
+  auto loci = analyze_software_loci(data::LogIndex(log), 3);
   ASSERT_TRUE(loci.ok());
   EXPECT_EQ(loci.value().top.size(), 3u);
   EXPECT_EQ(loci.value().distinct_loci, 10u);
 }
 
 TEST(SoftwareLoci, NoSoftwareFailuresIsError) {
-  EXPECT_FALSE(analyze_software_loci(t3_log({rec(1, Category::kGpu, "2018-02-01", 1, {0})})).ok());
+  const auto log = t3_log({rec(1, Category::kGpu, "2018-02-01", 1, {0})});
+  EXPECT_FALSE(analyze_software_loci(data::LogIndex(log)).ok());
 }
 
 TEST(NodeCounts, BucketsAndHeadlines) {
@@ -109,7 +115,8 @@ TEST(NodeCounts, BucketsAndHeadlines) {
       rec(3, Category::kPbs, "2012-02-06"),  // node 3: one failure
       rec(4, Category::kSsd, "2012-02-07"),  // node 4: one failure
   });
-  auto counts = analyze_node_counts(log);
+  const data::LogIndex index(log);
+  auto counts = analyze_node_counts(index);
   ASSERT_TRUE(counts.ok());
   EXPECT_EQ(counts.value().failed_nodes, 4u);
   EXPECT_EQ(counts.value().total_nodes, 1408u);
@@ -126,7 +133,8 @@ TEST(NodeCounts, RepeatNodeClassSplit) {
       rec(1, Category::kGpu, "2012-02-01"), rec(1, Category::kPbs, "2012-02-02"),
       rec(2, Category::kVm, "2012-02-03"),
   });
-  auto counts = analyze_node_counts(log);
+  const data::LogIndex index(log);
+  auto counts = analyze_node_counts(index);
   ASSERT_TRUE(counts.ok());
   // Node 1 repeats: 1 hardware + 1 software failure land there.
   EXPECT_EQ(counts.value().repeat_node_hardware_failures, 1u);
@@ -137,7 +145,8 @@ TEST(NodeCounts, UnknownClassExcludedFromSplit) {
   const auto log = t2_log({
       rec(1, Category::kDown, "2012-02-01"), rec(1, Category::kDown, "2012-02-02"),
   });
-  auto counts = analyze_node_counts(log);
+  const data::LogIndex index(log);
+  auto counts = analyze_node_counts(index);
   ASSERT_TRUE(counts.ok());
   EXPECT_EQ(counts.value().repeat_node_hardware_failures, 0u);
   EXPECT_EQ(counts.value().repeat_node_software_failures, 0u);
@@ -151,7 +160,8 @@ TEST(GpuSlots, CountsInvolvementsPerSlot) {
       rec(4, Category::kGpu, "2012-02-04", 1, {}),  // unattributed: skipped
       rec(5, Category::kCpu, "2012-02-05"),
   });
-  auto slots = analyze_gpu_slots(log);
+  const data::LogIndex index(log);
+  auto slots = analyze_gpu_slots(index);
   ASSERT_TRUE(slots.ok());
   EXPECT_EQ(slots.value().attributed_failures, 3u);
   EXPECT_EQ(slots.value().total_involvements, 6u);
@@ -163,8 +173,10 @@ TEST(GpuSlots, CountsInvolvementsPerSlot) {
 }
 
 TEST(GpuSlots, NoAttributedFailuresIsError) {
-  EXPECT_FALSE(analyze_gpu_slots(t2_log({rec(1, Category::kCpu, "2012-02-01")})).ok());
-  EXPECT_FALSE(analyze_gpu_slots(t2_log({rec(1, Category::kGpu, "2012-02-01", 1, {})})).ok());
+  const auto cpu_only = t2_log({rec(1, Category::kCpu, "2012-02-01")});
+  EXPECT_FALSE(analyze_gpu_slots(data::LogIndex(cpu_only)).ok());
+  const auto no_slots = t2_log({rec(1, Category::kGpu, "2012-02-01", 1, {})});
+  EXPECT_FALSE(analyze_gpu_slots(data::LogIndex(no_slots)).ok());
 }
 
 TEST(MultiGpu, TableThreeBuckets) {
@@ -174,7 +186,8 @@ TEST(MultiGpu, TableThreeBuckets) {
       rec(3, Category::kGpu, "2012-02-03", 1, {0, 1}),
       rec(4, Category::kGpu, "2012-02-04", 1, {0, 1, 2}),
   });
-  auto mg = analyze_multi_gpu(log);
+  const data::LogIndex index(log);
+  auto mg = analyze_multi_gpu(index);
   ASSERT_TRUE(mg.ok());
   EXPECT_EQ(mg.value().attributed_failures, 4u);
   EXPECT_EQ(mg.value().count_with(1), 2u);
@@ -186,7 +199,8 @@ TEST(MultiGpu, TableThreeBuckets) {
 
 TEST(MultiGpu, AllBucketsPresentEvenWhenEmpty) {
   const auto log = t3_log({rec(1, Category::kGpu, "2018-02-01", 1, {0})});
-  auto mg = analyze_multi_gpu(log);
+  const data::LogIndex index(log);
+  auto mg = analyze_multi_gpu(index);
   ASSERT_TRUE(mg.ok());
   ASSERT_EQ(mg.value().buckets.size(), 4u);  // 1..4 for Tsubame-3
   EXPECT_EQ(mg.value().count_with(4), 0u);
@@ -196,7 +210,8 @@ TEST(MultiGpu, AllBucketsPresentEvenWhenEmpty) {
 TEST(PerfErrorProp, SingleMachineMetric) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-01"),
                            rec(2, Category::kGpu, "2012-08-01")});
-  auto metric = analyze_perf_error_prop(log);
+  const data::LogIndex index(log);
+  auto metric = analyze_perf_error_prop(index);
   ASSERT_TRUE(metric.ok());
   const double window = data::tsubame2_spec().window_hours();
   EXPECT_DOUBLE_EQ(metric.value().mtbf_hours, window / 2.0);
@@ -209,8 +224,10 @@ TEST(PerfErrorProp, GenerationComparisonRatios) {
                              rec(2, Category::kGpu, "2012-03-01"),
                              rec(3, Category::kGpu, "2012-04-01"),
                              rec(4, Category::kGpu, "2012-05-01")});
+  const data::LogIndex older_index(older);
   const auto newer = t3_log({rec(1, Category::kGpu, "2018-02-01", 1, {0})});
-  auto cmp = compare_generations(older, newer);
+  const data::LogIndex newer_index(newer);
+  auto cmp = compare_generations(older_index, newer_index);
   ASSERT_TRUE(cmp.ok());
   EXPECT_NEAR(cmp.value().compute_ratio, 12.1 / 2.3, 1e-12);
   EXPECT_NEAR(cmp.value().component_ratio, 7040.0 / 3240.0, 1e-12);

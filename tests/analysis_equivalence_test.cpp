@@ -1,14 +1,23 @@
 // Refactor-equivalence suite: the LogIndex-based analyses must be
-// bit-identical to the raw-log computation they replaced, the FailureLog
-// wrappers must agree with the index overloads field-for-field, and
-// run_study must assemble the exact same StudyReport at every thread
-// count.  All comparisons use EXPECT_EQ on doubles deliberately: the
-// refactor's contract is bit identity, not tolerance.
+// bit-identical to the raw-log computation they replaced, the restricted
+// seasonal views must equal the whole-log analysis of their own sub-log,
+// every analysis entry point must take the index (and only run_study a
+// log), and run_study must assemble the exact same StudyReport at every
+// thread count.  All comparisons use EXPECT_EQ on doubles deliberately:
+// the refactor's contract is bit identity, not tolerance.
 #include <gtest/gtest.h>
 
+#include <concepts>
 #include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "analysis/lead_lag.h"
+#include "analysis/node_survival.h"
+#include "analysis/query.h"
+#include "analysis/rack_distribution.h"
+#include "analysis/rolling.h"
 #include "analysis/study.h"
 #include "data/log_index.h"
 #include "sim/generator.h"
@@ -289,43 +298,169 @@ TEST_P(RawPathEquivalence, MultiGpuHourStreamMatchesRecordScan) {
 INSTANTIATE_TEST_SUITE_P(BothMachines, RawPathEquivalence,
                          ::testing::Values(data::Machine::kTsubame2, data::Machine::kTsubame3));
 
-// ---- FailureLog wrappers vs index overloads, every analysis -------------
+// ---- restricted seasonal views vs their own sub-log ---------------------
 
-class WrapperEquivalence : public ::testing::TestWithParam<data::Machine> {};
-
-TEST_P(WrapperEquivalence, EveryAnalysisAgreesWithItsIndexOverload) {
-  const auto log = generated(GetParam());
-  const data::LogIndex index(log);
-
-  { SCOPED_TRACE("categories");
-    expect_eq(analyze_categories(log).value(), analyze_categories(index).value()); }
-  { SCOPED_TRACE("software_loci");
-    expect_eq(analyze_software_loci(log).value(), analyze_software_loci(index).value()); }
-  { SCOPED_TRACE("node_counts");
-    expect_eq(analyze_node_counts(log).value(), analyze_node_counts(index).value()); }
-  { SCOPED_TRACE("gpu_slots");
-    expect_eq(analyze_gpu_slots(log).value(), analyze_gpu_slots(index).value()); }
-  { SCOPED_TRACE("multi_gpu");
-    expect_eq(analyze_multi_gpu(log).value(), analyze_multi_gpu(index).value()); }
-  { SCOPED_TRACE("tbf");
-    expect_eq(analyze_tbf(log).value(), analyze_tbf(index).value()); }
-  { SCOPED_TRACE("tbf_by_category");
-    expect_eq(analyze_tbf_by_category(log).value(), analyze_tbf_by_category(index).value()); }
-  { SCOPED_TRACE("multi_gpu_clustering");
-    expect_eq(analyze_multi_gpu_clustering(log).value(),
-              analyze_multi_gpu_clustering(index).value()); }
-  { SCOPED_TRACE("ttr");
-    expect_eq(analyze_ttr(log).value(), analyze_ttr(index).value()); }
-  { SCOPED_TRACE("ttr_by_category");
-    expect_eq(analyze_ttr_by_category(log).value(), analyze_ttr_by_category(index).value()); }
-  { SCOPED_TRACE("seasonal");
-    expect_eq(analyze_seasonal(log).value(), analyze_seasonal(index).value()); }
-  { SCOPED_TRACE("perf_error_prop");
-    expect_eq(analyze_perf_error_prop(log).value(), analyze_perf_error_prop(index).value()); }
+/// What a restricted seasonal view must reproduce: the selected records
+/// copied into a log of their own, indexed, and analyzed whole.
+template <typename Keep>
+Result<SeasonalAnalysis> seasonal_of_sublog(const data::FailureLog& log, Keep keep) {
+  std::vector<data::FailureRecord> subset;
+  for (const auto& record : log.records())
+    if (keep(record)) subset.push_back(record);
+  // Generated logs overshoot the window by up to an hour.
+  const auto sub = data::FailureLog::create(log.spec(), std::move(subset), 1.0).value();
+  const data::LogIndex index(sub);
+  return analyze_seasonal(index);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothMachines, WrapperEquivalence,
+class SeasonalRestriction : public ::testing::TestWithParam<data::Machine> {};
+
+TEST_P(SeasonalRestriction, ClassViewMatchesItsSubLog) {
+  const auto log = generated(GetParam());
+  const data::LogIndex index(log);
+  for (data::FailureClass cls : {data::FailureClass::kHardware, data::FailureClass::kSoftware,
+                                 data::FailureClass::kUnknown}) {
+    const std::string name(data::to_string(cls));
+    SCOPED_TRACE(name);
+    const auto got = analyze_seasonal_class(index, cls);
+    const auto want = seasonal_of_sublog(
+        log, [cls](const data::FailureRecord& r) { return r.failure_class() == cls; });
+    ASSERT_EQ(got.ok(), want.ok());
+    if (got.ok())
+      expect_eq(got.value(), want.value());
+    else
+      EXPECT_EQ(got.error().message(), "class " + name + ": analyze_seasonal: empty log");
+  }
+}
+
+TEST_P(SeasonalRestriction, CategoryViewMatchesItsSubLog) {
+  const auto log = generated(GetParam());
+  const data::LogIndex index(log);
+  std::size_t compared = 0;
+  for (data::Category category : data::categories_for(log.machine())) {
+    const std::string name(data::to_string(category));
+    SCOPED_TRACE(name);
+    const auto got = analyze_seasonal_category(index, category);
+    const auto want = seasonal_of_sublog(
+        log, [category](const data::FailureRecord& r) { return r.category == category; });
+    ASSERT_EQ(got.ok(), want.ok());
+    if (got.ok()) {
+      expect_eq(got.value(), want.value());
+      ++compared;
+    } else {
+      EXPECT_EQ(got.error().message(), "category " + name + ": analyze_seasonal: empty log");
+    }
+  }
+  EXPECT_GE(compared, 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothMachines, SeasonalRestriction,
                          ::testing::Values(data::Machine::kTsubame2, data::Machine::kTsubame3));
+
+TEST(SeasonalRestrictionEdge, NoFailuresOfTheClassOrCategoryIsADomainError) {
+  data::FailureRecord gpu;
+  gpu.node = 1;
+  gpu.category = data::Category::kGpu;
+  gpu.time = parse_time("2012-02-10").value();
+  gpu.ttr_hours = 10.0;
+  const auto log = data::FailureLog::create(data::tsubame2_spec(), {gpu}).value();
+  const data::LogIndex index(log);
+
+  const auto software = analyze_seasonal_class(index, data::FailureClass::kSoftware);
+  ASSERT_FALSE(software.ok());
+  EXPECT_EQ(software.error().to_string(), "domain: class software: analyze_seasonal: empty log");
+  const auto ssd = analyze_seasonal_category(index, data::Category::kSsd);
+  ASSERT_FALSE(ssd.ok());
+  EXPECT_EQ(ssd.error().to_string(), "domain: category SSD: analyze_seasonal: empty log");
+}
+
+// ---- compare_generations vs two perf_error_prop results -----------------
+
+TEST(GenerationComparison, RatiosOfTheTwoMachineMetrics) {
+  const auto t2_log = generated(data::Machine::kTsubame2);
+  const auto t3_log = generated(data::Machine::kTsubame3);
+  const data::LogIndex t2(t2_log);
+  const data::LogIndex t3(t3_log);
+  const auto older = analyze_perf_error_prop(t2).value();
+  const auto newer = analyze_perf_error_prop(t3).value();
+  const auto cmp = compare_generations(t2, t3).value();
+  { SCOPED_TRACE("older"); expect_eq(cmp.older, older); }
+  { SCOPED_TRACE("newer"); expect_eq(cmp.newer, newer); }
+  EXPECT_EQ(cmp.compute_ratio, newer.rpeak_pflops / older.rpeak_pflops);
+  EXPECT_EQ(cmp.mtbf_ratio, newer.mtbf_hours / older.mtbf_hours);
+  EXPECT_EQ(cmp.metric_ratio, newer.pflop_hours_per_failure_free_period /
+                                  older.pflop_hours_per_failure_free_period);
+  EXPECT_EQ(cmp.component_ratio,
+            static_cast<double>(older.components) / static_cast<double>(newer.components));
+  EXPECT_EQ(cmp.reliability_outpaced_shrinkage, cmp.mtbf_ratio > cmp.component_ratio);
+}
+
+TEST(GenerationComparison, EmptySideIsNamedInTheError) {
+  const auto t3_log = generated(data::Machine::kTsubame3);
+  const auto empty_log = data::FailureLog::create(data::tsubame2_spec(), {}).value();
+  const data::LogIndex t3(t3_log);
+  const data::LogIndex empty(empty_log);
+  const auto no_older = compare_generations(empty, t3);
+  ASSERT_FALSE(no_older.ok());
+  EXPECT_EQ(no_older.error().to_string(),
+            "domain: older system: analyze_perf_error_prop: empty log");
+  const auto no_newer = compare_generations(t3, empty);
+  ASSERT_FALSE(no_newer.ok());
+  EXPECT_EQ(no_newer.error().to_string(),
+            "domain: newer system: analyze_perf_error_prop: empty log");
+}
+
+// ---- one input type: the index in, a log only into run_study -----------
+
+// Every public entry point of src/analysis/ except run_study, as a generic
+// callable that is invocable exactly when the call compiles.
+constexpr auto kEntryPoints = std::tuple{
+    [](const auto& in) -> decltype(void(analyze_categories(in))) {},
+    [](const auto& in) -> decltype(void(analyze_software_loci(in))) {},
+    [](const auto& in) -> decltype(void(analyze_node_counts(in))) {},
+    [](const auto& in) -> decltype(void(analyze_gpu_slots(in))) {},
+    [](const auto& in) -> decltype(void(analyze_multi_gpu(in))) {},
+    [](const auto& in) -> decltype(void(analyze_tbf(in))) {},
+    [](const auto& in) -> decltype(void(analyze_tbf_category(in, data::Category::kGpu))) {},
+    [](const auto& in) -> decltype(void(analyze_tbf_class(in, data::FailureClass::kHardware))) {},
+    [](const auto& in) -> decltype(void(analyze_tbf_by_category(in))) {},
+    [](const auto& in) -> decltype(void(analyze_multi_gpu_clustering(in))) {},
+    [](const auto& in) -> decltype(void(analyze_category_burstiness(in))) {},
+    [](const auto& in) -> decltype(void(analyze_ttr(in))) {},
+    [](const auto& in) -> decltype(void(analyze_ttr_category(in, data::Category::kGpu))) {},
+    [](const auto& in) -> decltype(void(analyze_ttr_class(in, data::FailureClass::kHardware))) {},
+    [](const auto& in) -> decltype(void(analyze_ttr_by_category(in))) {},
+    [](const auto& in) -> decltype(void(analyze_seasonal(in))) {},
+    [](const auto& in)
+        -> decltype(void(analyze_seasonal_class(in, data::FailureClass::kHardware))) {},
+    [](const auto& in) -> decltype(void(analyze_seasonal_category(in, data::Category::kGpu))) {},
+    [](const auto& in) -> decltype(void(analyze_perf_error_prop(in))) {},
+    [](const auto& in) -> decltype(void(compare_generations(in, in))) {},
+    [](const auto& in) -> decltype(void(analyze_node_survival(in))) {},
+    [](const auto& in) -> decltype(void(analyze_racks(in))) {},
+    [](const auto& in) -> decltype(void(analyze_rolling_trends(in))) {},
+    [](const auto& in) -> decltype(void(analyze_lead_lag(in))) {},
+    [](const auto& in) -> decltype(void(analyze_lead_lag_pair(in, data::Category::kGpu,
+                                                              data::Category::kCpu))) {},
+    [](const auto& in) -> decltype(void(run_query("tbf", in))) {},
+};
+constexpr auto kRunStudy = [](const auto& in) -> decltype(void(run_study(in))) {};
+
+template <typename Input, typename Entry>
+concept EntryPointTakes = std::invocable<const Entry&, const Input&>;
+
+template <typename Input, typename... Entry>
+constexpr std::size_t entry_points_taking(const std::tuple<Entry...>&) {
+  return (std::size_t{0} + ... + (EntryPointTakes<Input, Entry> ? 1 : 0));
+}
+
+static_assert(entry_points_taking<data::LogIndex>(kEntryPoints) ==
+                  std::tuple_size_v<decltype(kEntryPoints)>,
+              "every analysis entry point takes a const data::LogIndex&");
+static_assert(entry_points_taking<data::FailureLog>(kEntryPoints) == 0,
+              "no analysis entry point besides run_study takes a const data::FailureLog&");
+static_assert(EntryPointTakes<data::FailureLog, decltype(kRunStudy)>);
+static_assert(!EntryPointTakes<data::LogIndex, decltype(kRunStudy)>);
 
 // ---- run_study determinism across thread counts -------------------------
 

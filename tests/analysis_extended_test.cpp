@@ -28,7 +28,8 @@ TEST(NodeSurvival, HandLogCensoring) {
   // Two nodes fail (node 1 twice); 1406 nodes never fail.
   const auto log = t2_log({rec(1, "2012-02-01 00:00:00"), rec(1, "2012-03-01 00:00:00"),
                            rec(2, "2012-04-01 00:00:00")});
-  auto survival = analyze_node_survival(log);
+  const data::LogIndex index(log);
+  auto survival = analyze_node_survival(index);
   ASSERT_TRUE(survival.ok());
   const auto& s = survival.value();
   EXPECT_EQ(s.first_failure.observations(), 1408u);
@@ -44,7 +45,8 @@ TEST(NodeSurvival, HandLogCensoring) {
 }
 
 TEST(NodeSurvival, EmptyLogIsError) {
-  EXPECT_FALSE(analyze_node_survival(t2_log({})).ok());
+  const auto log = t2_log({});
+  EXPECT_FALSE(analyze_node_survival(data::LogIndex(log)).ok());
 }
 
 TEST(NodeSurvival, LemonEffectDetectedOnCalibratedLog) {
@@ -52,7 +54,8 @@ TEST(NodeSurvival, LemonEffectDetectedOnCalibratedLog) {
   // fresh nodes fail at all — the paper's repeat-failure observation as a
   // significant log-rank result.
   const auto log = sim::generate_log(sim::tsubame3_model(), 3).value();
-  auto survival = analyze_node_survival(log).value();
+  const data::LogIndex index(log);
+  auto survival = analyze_node_survival(index).value();
   ASSERT_TRUE(survival.repeat_offender_test.has_value());
   EXPECT_TRUE(survival.failed_nodes_refail_faster);
   EXPECT_LT(survival.repeat_offender_test->p_value, 0.01);
@@ -62,9 +65,10 @@ TEST(NodeSurvival, UniformFleetShowsWeakerLemonEffect) {
   auto model = sim::tsubame3_model();
   model.knobs.enable_node_heterogeneity = false;
   const auto log = sim::generate_log(model, 3).value();
-  auto survival = analyze_node_survival(log).value();
-  const auto hetero = analyze_node_survival(
-      sim::generate_log(sim::tsubame3_model(), 3).value()).value();
+  const data::LogIndex index(log);
+  auto survival = analyze_node_survival(index).value();
+  const auto hetero_log = sim::generate_log(sim::tsubame3_model(), 3).value();
+  const auto hetero = analyze_node_survival(data::LogIndex(hetero_log)).value();
   ASSERT_TRUE(survival.repeat_offender_test.has_value());
   ASSERT_TRUE(hetero.repeat_offender_test.has_value());
   EXPECT_LT(survival.repeat_offender_test->statistic,
@@ -80,7 +84,8 @@ TEST(RollingTrends, WindowBookkeeping) {
     t = t.plus_hours(30.0 * 24.0);
   }
   const auto log = t2_log(std::move(records));
-  auto trends = analyze_rolling_trends(log, 60.0, 30.0);
+  const data::LogIndex index(log);
+  auto trends = analyze_rolling_trends(index, 60.0, 30.0);
   ASSERT_TRUE(trends.ok());
   EXPECT_GT(trends.value().windows.size(), 10u);
   // A 60-day window over 30-day-spaced events holds 2-3 events mid-log.
@@ -98,11 +103,13 @@ TEST(RollingTrends, WindowBookkeeping) {
 
 TEST(RollingTrends, Errors) {
   const auto log = t2_log({rec(1, "2012-02-01")});
-  EXPECT_FALSE(analyze_rolling_trends(t2_log({}), 60, 30).ok());
-  EXPECT_FALSE(analyze_rolling_trends(log, -1, 30).ok());
-  EXPECT_FALSE(analyze_rolling_trends(log, 60, 0).ok());
-  EXPECT_FALSE(analyze_rolling_trends(log, 10000, 30).ok());   // window > span
-  EXPECT_FALSE(analyze_rolling_trends(log, 570, 560).ok());    // < 3 windows
+  const data::LogIndex index(log);
+  const auto empty = t2_log({});
+  EXPECT_FALSE(analyze_rolling_trends(data::LogIndex(empty), 60, 30).ok());
+  EXPECT_FALSE(analyze_rolling_trends(index, -1, 30).ok());
+  EXPECT_FALSE(analyze_rolling_trends(index, 60, 0).ok());
+  EXPECT_FALSE(analyze_rolling_trends(index, 10000, 30).ok());   // window > span
+  EXPECT_FALSE(analyze_rolling_trends(index, 570, 560).ok());    // < 3 windows
 }
 
 TEST(RollingTrends, FlatCalibratedLogHasNoStrongTrend) {
@@ -111,7 +118,8 @@ TEST(RollingTrends, FlatCalibratedLogHasNoStrongTrend) {
   double significant = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto log = sim::generate_log(sim::tsubame2_model(), seed).value();
-    auto trends = analyze_rolling_trends(log).value();
+    const data::LogIndex index(log);
+    auto trends = analyze_rolling_trends(index).value();
     significant += (trends.rate_trend.slope_p_value < 0.05) ? 1 : 0;
     EXPECT_NEAR(trends.early_late_rate_ratio, 1.0, 0.5) << seed;
   }
@@ -128,7 +136,8 @@ TEST(RollingTrends, DetectsEngineeredBurnIn) {
   model.seasonal.failure_intensity = {3.0, 3.0, 3.0, 1.0, 1.0, 1.0,
                                       1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
   const auto log = sim::generate_log(model, 9).value();
-  auto trends = analyze_rolling_trends(log).value();
+  const data::LogIndex index(log);
+  auto trends = analyze_rolling_trends(index).value();
   // Jan-Mar 2012 inflates the first quarter of the T2 window
   // (Jan 2012 .. May 2012) relative to the last (Mar .. Aug 2013).
   EXPECT_GT(trends.early_late_rate_ratio, 1.3);

@@ -51,7 +51,8 @@ TEST(RackAnalysis, HandLogCounts) {
                            rec(1, Category::kGpu, "2012-02-02"),
                            rec(40, Category::kCpu, "2012-02-03"),
                            rec(100, Category::kFan, "2012-02-04")});
-  auto racks = analyze_racks(log);
+  const data::LogIndex index(log);
+  auto racks = analyze_racks(index);
   ASSERT_TRUE(racks.ok());
   EXPECT_EQ(racks.value().total_racks, 44u);
   EXPECT_EQ(racks.value().racks_with_failures, 3u);
@@ -64,14 +65,16 @@ TEST(RackAnalysis, HandLogCounts) {
 }
 
 TEST(RackAnalysis, EmptyLogIsError) {
-  EXPECT_FALSE(analyze_racks(t2_log({})).ok());
+  const auto log = t2_log({});
+  EXPECT_FALSE(analyze_racks(data::LogIndex(log)).ok());
 }
 
 TEST(RackAnalysis, CalibratedLogIsNonUniform) {
   // With rack + node heterogeneity the rack distribution must reject
   // uniformity and concentrate failures well above the even split.
   const auto log = sim::generate_log(sim::tsubame2_model(), 3).value();
-  auto racks = analyze_racks(log).value();
+  const data::LogIndex index(log);
+  auto racks = analyze_racks(index).value();
   EXPECT_LT(racks.uniformity_p_value, 0.01);
   EXPECT_GT(racks.gini, 0.25);
   EXPECT_LT(racks.racks_holding_half, racks.total_racks / 3);
@@ -81,8 +84,10 @@ TEST(RackAnalysis, HeterogeneityOffIsNearUniform) {
   auto model = sim::tsubame2_model();
   model.knobs.enable_node_heterogeneity = false;  // disables rack factor too
   const auto log = sim::generate_log(model, 3).value();
-  auto racks = analyze_racks(log).value();
-  const auto hetero = analyze_racks(sim::generate_log(sim::tsubame2_model(), 3).value()).value();
+  const data::LogIndex index(log);
+  auto racks = analyze_racks(index).value();
+  const auto hetero_log = sim::generate_log(sim::tsubame2_model(), 3).value();
+  const auto hetero = analyze_racks(data::LogIndex(hetero_log)).value();
   EXPECT_LT(racks.gini, hetero.gini);
   EXPECT_GT(racks.uniformity_p_value, 1e-4);  // no engineered signal left
 }
@@ -91,27 +96,29 @@ TEST(SeasonalByClass, RestrictsRecords) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-10", 10.0),
                            rec(2, Category::kPbs, "2012-02-15", 2.0),
                            rec(3, Category::kGpu, "2012-08-10", 40.0)});
-  auto hardware = analyze_seasonal_class(log, data::FailureClass::kHardware);
+  const data::LogIndex index(log);
+  auto hardware = analyze_seasonal_class(index, data::FailureClass::kHardware);
   ASSERT_TRUE(hardware.ok());
   EXPECT_EQ(hardware.value().failure_counts[1], 1u);  // Feb: GPU only
   EXPECT_EQ(hardware.value().failure_counts[7], 1u);
-  auto software = analyze_seasonal_class(log, data::FailureClass::kSoftware);
+  auto software = analyze_seasonal_class(index, data::FailureClass::kSoftware);
   ASSERT_TRUE(software.ok());
   EXPECT_EQ(software.value().failure_counts[1], 1u);
   EXPECT_EQ(software.value().failure_counts[7], 0u);
-  EXPECT_FALSE(analyze_seasonal_class(t2_log({rec(1, Category::kGpu, "2012-02-10")}),
-                                      data::FailureClass::kSoftware)
-                   .ok());
+  const auto gpu_only = t2_log({rec(1, Category::kGpu, "2012-02-10")});
+  EXPECT_FALSE(
+      analyze_seasonal_class(data::LogIndex(gpu_only), data::FailureClass::kSoftware).ok());
 }
 
 TEST(SeasonalByCategory, RestrictsRecords) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-10"),
                            rec(2, Category::kSsd, "2012-03-10")});
-  auto gpu = analyze_seasonal_category(log, Category::kGpu);
+  const data::LogIndex index(log);
+  auto gpu = analyze_seasonal_category(index, Category::kGpu);
   ASSERT_TRUE(gpu.ok());
   EXPECT_EQ(gpu.value().failure_counts[1], 1u);
   EXPECT_EQ(gpu.value().failure_counts[2], 0u);
-  EXPECT_FALSE(analyze_seasonal_category(log, Category::kVm).ok());
+  EXPECT_FALSE(analyze_seasonal_category(index, Category::kVm).ok());
 }
 
 TEST(SeasonalByClass, PaperBrevityClaimOnCalibratedLog) {
@@ -121,8 +128,9 @@ TEST(SeasonalByClass, PaperBrevityClaimOnCalibratedLog) {
   const int seeds = 5;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     const auto log = sim::generate_log(sim::tsubame2_model(), seed).value();
-    auto hw = analyze_seasonal_class(log, data::FailureClass::kHardware).value();
-    auto sw = analyze_seasonal_class(log, data::FailureClass::kSoftware).value();
+    const data::LogIndex index(log);
+    auto hw = analyze_seasonal_class(index, data::FailureClass::kHardware).value();
+    auto sw = analyze_seasonal_class(index, data::FailureClass::kSoftware).value();
     hw_ratio += hw.second_half_median_ttr / hw.first_half_median_ttr / seeds;
     sw_ratio += sw.second_half_median_ttr / sw.first_half_median_ttr / seeds;
   }

@@ -31,7 +31,8 @@ TEST(Tbf, GapsAndMtbf) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-01 00:00:00"),
                            rec(2, Category::kCpu, "2012-02-01 10:00:00"),
                            rec(3, Category::kGpu, "2012-02-02 00:00:00")});
-  auto tbf = analyze_tbf(log);
+  const data::LogIndex index(log);
+  auto tbf = analyze_tbf(index);
   ASSERT_TRUE(tbf.ok());
   EXPECT_EQ(tbf.value().tbf_hours, (std::vector<double>{10.0, 14.0}));
   EXPECT_DOUBLE_EQ(tbf.value().mtbf_hours, 12.0);
@@ -39,14 +40,17 @@ TEST(Tbf, GapsAndMtbf) {
 }
 
 TEST(Tbf, FewerThanTwoFailuresIsError) {
-  EXPECT_FALSE(analyze_tbf(t2_log({rec(1, Category::kGpu, "2012-02-01")})).ok());
-  EXPECT_FALSE(analyze_tbf(t2_log({})).ok());
+  const auto single = t2_log({rec(1, Category::kGpu, "2012-02-01")});
+  EXPECT_FALSE(analyze_tbf(data::LogIndex(single)).ok());
+  const auto empty = t2_log({});
+  EXPECT_FALSE(analyze_tbf(data::LogIndex(empty)).ok());
 }
 
 TEST(Tbf, SimultaneousFailuresGiveZeroGaps) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-01 00:00:00"),
                            rec(2, Category::kGpu, "2012-02-01 00:00:00")});
-  auto tbf = analyze_tbf(log);
+  const data::LogIndex index(log);
+  auto tbf = analyze_tbf(index);
   ASSERT_TRUE(tbf.ok());
   EXPECT_EQ(tbf.value().tbf_hours, (std::vector<double>{0.0}));
 }
@@ -55,11 +59,12 @@ TEST(Tbf, PerCategoryRestrictsStream) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-01 00:00:00"),
                            rec(2, Category::kCpu, "2012-02-01 06:00:00"),
                            rec(3, Category::kGpu, "2012-02-01 20:00:00")});
-  auto gpu = analyze_tbf_category(log, Category::kGpu);
+  const data::LogIndex index(log);
+  auto gpu = analyze_tbf_category(index, Category::kGpu);
   ASSERT_TRUE(gpu.ok());
   EXPECT_EQ(gpu.value().tbf_hours, (std::vector<double>{20.0}));
-  EXPECT_FALSE(analyze_tbf_category(log, Category::kCpu).ok());  // one event
-  EXPECT_FALSE(analyze_tbf_category(log, Category::kSsd).ok());  // none
+  EXPECT_FALSE(analyze_tbf_category(index, Category::kCpu).ok());  // one event
+  EXPECT_FALSE(analyze_tbf_category(index, Category::kSsd).ok());  // none
 }
 
 TEST(Tbf, PerClassStream) {
@@ -67,7 +72,8 @@ TEST(Tbf, PerClassStream) {
                            rec(2, Category::kPbs, "2012-02-01 06:00:00"),
                            rec(3, Category::kFan, "2012-02-01 12:00:00"),
                            rec(4, Category::kVm, "2012-02-01 18:00:00")});
-  auto hw = analyze_tbf_class(log, FailureClass::kHardware);
+  const data::LogIndex index(log);
+  auto hw = analyze_tbf_class(index, FailureClass::kHardware);
   ASSERT_TRUE(hw.ok());
   EXPECT_EQ(hw.value().tbf_hours, (std::vector<double>{12.0}));
 }
@@ -85,7 +91,8 @@ TEST(Tbf, ByCategorySortedAscendingByMtbf) {
                           format_time(parse_time("2012-02-01 00:00:00").value()
                                           .plus_hours(120.0 * i)).c_str()));
   }
-  auto rows = analyze_tbf_by_category(t2_log(std::move(records)));
+  const auto log = t2_log(std::move(records));
+  auto rows = analyze_tbf_by_category(data::LogIndex(log));
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 2u);
   EXPECT_EQ(rows.value()[0].category, Category::kGpu);
@@ -101,7 +108,8 @@ TEST(Tbf, MinFailuresFilter) {
                            rec(3, Category::kGpu, "2012-02-03"),
                            rec(4, Category::kCpu, "2012-02-04"),
                            rec(5, Category::kCpu, "2012-02-05")});
-  auto rows = analyze_tbf_by_category(log, 3);
+  const data::LogIndex index(log);
+  auto rows = analyze_tbf_by_category(index, 3);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 1u);  // CPU has only 2 events
 }
@@ -110,7 +118,8 @@ TEST(Ttr, MttrAndSummary) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-01", 10.0),
                            rec(2, Category::kGpu, "2012-02-02", 30.0),
                            rec(3, Category::kGpu, "2012-02-03", 20.0)});
-  auto ttr = analyze_ttr(log);
+  const data::LogIndex index(log);
+  auto ttr = analyze_ttr(index);
   ASSERT_TRUE(ttr.ok());
   EXPECT_DOUBLE_EQ(ttr.value().mttr_hours, 20.0);
   EXPECT_DOUBLE_EQ(ttr.value().summary.median, 20.0);
@@ -118,7 +127,8 @@ TEST(Ttr, MttrAndSummary) {
 }
 
 TEST(Ttr, EmptyLogIsError) {
-  EXPECT_FALSE(analyze_ttr(t2_log({})).ok());
+  const auto log = t2_log({});
+  EXPECT_FALSE(analyze_ttr(data::LogIndex(log)).ok());
 }
 
 TEST(Ttr, ByCategorySortedAscendingByMttr) {
@@ -126,7 +136,8 @@ TEST(Ttr, ByCategorySortedAscendingByMttr) {
                            rec(2, Category::kPbs, "2012-02-02", 4.0),
                            rec(3, Category::kSsd, "2012-02-03", 100.0),
                            rec(4, Category::kSsd, "2012-02-04", 300.0)});
-  auto rows = analyze_ttr_by_category(log);
+  const data::LogIndex index(log);
+  auto rows = analyze_ttr_by_category(index);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 2u);
   EXPECT_EQ(rows.value()[0].category, Category::kPbs);
@@ -138,10 +149,11 @@ TEST(Ttr, ByCategorySortedAscendingByMttr) {
 TEST(Ttr, PerCategoryAndClass) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-01", 10.0),
                            rec(2, Category::kPbs, "2012-02-02", 2.0)});
-  EXPECT_DOUBLE_EQ(analyze_ttr_category(log, Category::kGpu).value().mttr_hours, 10.0);
+  const data::LogIndex index(log);
+  EXPECT_DOUBLE_EQ(analyze_ttr_category(index, Category::kGpu).value().mttr_hours, 10.0);
   EXPECT_DOUBLE_EQ(
-      analyze_ttr_class(log, FailureClass::kSoftware).value().mttr_hours, 2.0);
-  EXPECT_FALSE(analyze_ttr_category(log, Category::kSsd).ok());
+      analyze_ttr_class(index, FailureClass::kSoftware).value().mttr_hours, 2.0);
+  EXPECT_FALSE(analyze_ttr_category(index, Category::kSsd).ok());
 }
 
 TEST(Clustering, BurstyStreamDetected) {
@@ -191,8 +203,8 @@ TEST(Clustering, MultiGpuStreamFromLog) {
   multi3.gpu_slots = {0, 2};
   data::FailureRecord single = rec(4, Category::kGpu, "2012-03-01 00:00:00");
   single.gpu_slots = {0};
-  auto result = analyze_multi_gpu_clustering(
-      t2_log({multi1, multi2, multi3, single}));
+  const auto log = t2_log({multi1, multi2, multi3, single});
+  auto result = analyze_multi_gpu_clustering(data::LogIndex(log));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().events, 3u);  // singles excluded
 }
@@ -202,7 +214,8 @@ TEST(Seasonal, MonthlyProfiles) {
                            rec(2, Category::kGpu, "2012-02-20", 20.0),
                            rec(3, Category::kGpu, "2012-08-10", 40.0),
                            rec(4, Category::kGpu, "2013-02-10", 30.0)});
-  auto seasonal = analyze_seasonal(log);
+  const data::LogIndex index(log);
+  auto seasonal = analyze_seasonal(index);
   ASSERT_TRUE(seasonal.ok());
   EXPECT_EQ(seasonal.value().failure_counts[1], 3u);  // February across years
   EXPECT_EQ(seasonal.value().failure_counts[7], 1u);  // August
@@ -217,13 +230,15 @@ TEST(Seasonal, MonthlyProfiles) {
 TEST(Seasonal, CorrelationAbsentWithFewMonths) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-10", 10.0),
                            rec(2, Category::kGpu, "2012-03-10", 20.0)});
-  auto seasonal = analyze_seasonal(log);
+  const data::LogIndex index(log);
+  auto seasonal = analyze_seasonal(index);
   ASSERT_TRUE(seasonal.ok());
   EXPECT_FALSE(seasonal.value().pearson_density_ttr.has_value());
 }
 
 TEST(Seasonal, EmptyLogIsError) {
-  EXPECT_FALSE(analyze_seasonal(t2_log({})).ok());
+  const auto log = t2_log({});
+  EXPECT_FALSE(analyze_seasonal(data::LogIndex(log)).ok());
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "data/log_index.h"
@@ -31,6 +33,26 @@ bool strictly_ascending(std::span<const std::uint32_t> positions) {
                             [](std::uint32_t a, std::uint32_t b) { return a >= b; }) ==
          positions.end();
 }
+
+// The index borrows its log, so every way in refuses a temporary log: only
+// a log the caller keeps alive (an lvalue) can be indexed.
+static_assert(!std::is_constructible_v<LogIndex, FailureLog&&>);
+static_assert(!std::is_constructible_v<LogIndex, const FailureLog&&>);
+static_assert(std::is_constructible_v<LogIndex, const FailureLog&>);
+
+template <typename Log>
+concept ExtendTakes = requires(const LogIndex& base, Log&& log) {
+  LogIndex::extend(base, std::forward<Log>(log));
+};
+static_assert(!ExtendTakes<FailureLog>);
+static_assert(ExtendTakes<const FailureLog&>);
+
+template <typename Log>
+concept AdoptTakes = requires(Log&& log, std::shared_ptr<const ColumnarSnapshot> snapshot) {
+  LogIndex::from_columnar(std::forward<Log>(log), snapshot);
+};
+static_assert(!AdoptTakes<FailureLog>);
+static_assert(AdoptTakes<const FailureLog&>);
 
 class LogIndexInvariants : public ::testing::TestWithParam<Machine> {};
 

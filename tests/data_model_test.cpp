@@ -211,59 +211,10 @@ FailureLog small_log() {
       .value();
 }
 
-TEST(FailureLog, ByCategoryAndClass) {
+TEST(FailureLog, ByCategory) {
   const auto log = small_log();
   EXPECT_EQ(log.by_category(Category::kGpu).size(), 2u);
   EXPECT_EQ(log.by_category(Category::kSsd).size(), 0u);
-  EXPECT_EQ(log.by_class(FailureClass::kHardware).size(), 3u);
-  EXPECT_EQ(log.by_class(FailureClass::kSoftware).size(), 1u);
-  EXPECT_EQ(log.by_class(FailureClass::kUnknown).size(), 1u);
-  EXPECT_EQ(log.gpu_related().size(), 2u);
-}
-
-TEST(FailureLog, InWindowInclusive) {
-  const auto log = small_log();
-  const auto from = parse_time("2012-03-01 00:00:00").value();
-  const auto to = parse_time("2012-05-01 00:00:00").value();
-  EXPECT_EQ(log.in_window(from, to).size(), 3u);
-}
-
-TEST(FailureLog, CountByCategoryIncludesZeros) {
-  const auto log = small_log();
-  const auto counts = log.count_by_category();
-  EXPECT_EQ(counts.size(), 17u);  // full T2 vocabulary
-  EXPECT_EQ(counts.at(Category::kGpu), 2u);
-  EXPECT_EQ(counts.at(Category::kSsd), 0u);
-}
-
-TEST(FailureLog, CountByNode) {
-  const auto log = small_log();
-  const auto counts = log.count_by_node();
-  EXPECT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts.at(1), 2u);
-  EXPECT_EQ(counts.at(2), 2u);
-  EXPECT_EQ(counts.at(3), 1u);
-}
-
-TEST(FailureLog, HoursSinceStartAscending) {
-  const auto log = small_log();
-  const auto hours = log.failure_hours_since_start();
-  ASSERT_EQ(hours.size(), 5u);
-  for (std::size_t i = 1; i < hours.size(); ++i) EXPECT_LE(hours[i - 1], hours[i]);
-  EXPECT_GT(hours.front(), 0.0);
-}
-
-TEST(FailureLog, TtrValuesInRecordOrder) {
-  const auto log = small_log();
-  EXPECT_EQ(log.ttr_values(), (std::vector<double>{5.0, 7.0, 9.0, 2.0, 4.0}));
-}
-
-TEST(FailureLog, SublogKeepsSpec) {
-  const auto log = small_log();
-  auto sub = log.sublog(log.by_category(Category::kGpu));
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub.value().size(), 2u);
-  EXPECT_EQ(sub.value().machine(), Machine::kTsubame2);
 }
 
 }  // namespace

@@ -82,16 +82,19 @@ TEST(EndToEnd, StudyInternallyConsistent) {
   EXPECT_EQ(study.tbf->tbf_hours.size(), log.size() - 1);
   double gap_sum = 0.0;
   for (double gap : study.tbf->tbf_hours) gap_sum += gap;
-  const auto hours = log.failure_hours_since_start();
+  const data::LogIndex index(log);
+  const auto hours = index.hours();
   EXPECT_NEAR(gap_sum, hours.back() - hours.front(), 1e-6);
 }
 
 TEST(EndToEnd, OpsPipelineOnMeasuredMtbf) {
   // The paper's implication chain: measure MTBF -> plan checkpoints.
   const auto t2 = sim::generate_log(sim::tsubame2_model(), 2).value();
+  const data::LogIndex t2_index(t2);
   const auto t3 = sim::generate_log(sim::tsubame3_model(), 2).value();
-  const double mtbf2 = analysis::analyze_tbf(t2).value().exposure_mtbf_hours;
-  const double mtbf3 = analysis::analyze_tbf(t3).value().exposure_mtbf_hours;
+  const data::LogIndex t3_index(t3);
+  const double mtbf2 = analysis::analyze_tbf(t2_index).value().exposure_mtbf_hours;
+  const double mtbf3 = analysis::analyze_tbf(t3_index).value().exposure_mtbf_hours;
 
   const auto plan2 = ops::plan_checkpointing(0.25, mtbf2).value();
   const auto plan3 = ops::plan_checkpointing(0.25, mtbf3).value();

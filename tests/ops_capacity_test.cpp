@@ -96,13 +96,14 @@ TEST(LeadLag, EngineeredCouplingDetected) {
     t = t.plus_hours(300.0);
   }
   const auto log = t2_log(std::move(records));
-  auto pair = analysis::analyze_lead_lag_pair(log, Category::kGpu, Category::kPbs, 24.0).value();
+  const data::LogIndex index(log);
+  auto pair = analysis::analyze_lead_lag_pair(index, Category::kGpu, Category::kPbs, 24.0).value();
   EXPECT_DOUBLE_EQ(pair.observed, 30.0);
   EXPECT_GT(pair.lift, 5.0);
   EXPECT_GT(pair.z_score, 5.0);
   // The reverse direction carries no signal (PBS fires AFTER GPU).
   auto reverse =
-      analysis::analyze_lead_lag_pair(log, Category::kPbs, Category::kGpu, 24.0).value();
+      analysis::analyze_lead_lag_pair(index, Category::kPbs, Category::kGpu, 24.0).value();
   EXPECT_LT(reverse.z_score, 2.0);
 }
 
@@ -116,7 +117,8 @@ TEST(LeadLag, IndependentStreamsShowNoLift) {
     records.push_back(rec(i, Category::kFan, format_time(t.plus_hours(150.0)).c_str()));
     t = t.plus_hours(300.0);
   }
-  auto pair = analysis::analyze_lead_lag_pair(t2_log(std::move(records)), Category::kGpu,
+  const auto log = t2_log(std::move(records));
+  auto pair = analysis::analyze_lead_lag_pair(data::LogIndex(log), Category::kGpu,
                                               Category::kFan, 24.0)
                   .value();
   EXPECT_DOUBLE_EQ(pair.observed, 0.0);
@@ -126,14 +128,16 @@ TEST(LeadLag, SelfPairMeasuresSelfExcitation) {
   // Bursty software failures on the calibrated T3 log: Software -> Software
   // within 72 h must exceed independence.
   const auto log = sim::generate_log(sim::tsubame3_model(), 5).value();
+  const data::LogIndex index(log);
   auto self_pair =
-      analysis::analyze_lead_lag_pair(log, Category::kSoftware, Category::kSoftware).value();
+      analysis::analyze_lead_lag_pair(index, Category::kSoftware, Category::kSoftware).value();
   EXPECT_GT(self_pair.lift, 1.1);
 }
 
 TEST(LeadLag, FullMatrixSortedByZ) {
   const auto log = sim::generate_log(sim::tsubame2_model(), 5).value();
-  auto matrix = analysis::analyze_lead_lag(log, 72.0, 10).value();
+  const data::LogIndex index(log);
+  auto matrix = analysis::analyze_lead_lag(index, 72.0, 10).value();
   ASSERT_GT(matrix.pairs.size(), 4u);
   for (std::size_t i = 1; i < matrix.pairs.size(); ++i) {
     EXPECT_GE(matrix.pairs[i - 1].z_score, matrix.pairs[i].z_score);
@@ -142,9 +146,10 @@ TEST(LeadLag, FullMatrixSortedByZ) {
 
 TEST(LeadLag, Errors) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-06-01")});
-  EXPECT_FALSE(analysis::analyze_lead_lag_pair(log, Category::kGpu, Category::kPbs).ok());
-  EXPECT_FALSE(analysis::analyze_lead_lag_pair(log, Category::kGpu, Category::kGpu, -1.0).ok());
-  EXPECT_FALSE(analysis::analyze_lead_lag(log).ok());
+  const data::LogIndex index(log);
+  EXPECT_FALSE(analysis::analyze_lead_lag_pair(index, Category::kGpu, Category::kPbs).ok());
+  EXPECT_FALSE(analysis::analyze_lead_lag_pair(index, Category::kGpu, Category::kGpu, -1.0).ok());
+  EXPECT_FALSE(analysis::analyze_lead_lag(index).ok());
 }
 
 }  // namespace

@@ -120,9 +120,11 @@ TEST(MetamorphicProperty, TimeShiftEquivariance) {
     std::vector<data::FailureRecord> shifted(log.records().begin(), log.records().end());
     for (auto& r : shifted) r.time = r.time.plus_seconds(kShiftSeconds);
     const data::FailureLog moved = rebuild(spec, std::move(shifted));
+    const data::LogIndex log_index(log);
+    const data::LogIndex moved_index(moved);
 
-    const auto tbf_a = analysis::analyze_tbf(log);
-    const auto tbf_b = analysis::analyze_tbf(moved);
+    const auto tbf_a = analysis::analyze_tbf(log_index);
+    const auto tbf_b = analysis::analyze_tbf(moved_index);
     if (tbf_a.ok() != tbf_b.ok()) return "TBF outcome changed under time shift";
     if (tbf_a.ok()) {
       if (tbf_a.value().tbf_hours != tbf_b.value().tbf_hours)
@@ -136,8 +138,8 @@ TEST(MetamorphicProperty, TimeShiftEquivariance) {
       return "TBF error changed under time shift";
     }
 
-    const auto ttr_a = analysis::analyze_ttr(log);
-    const auto ttr_b = analysis::analyze_ttr(moved);
+    const auto ttr_a = analysis::analyze_ttr(log_index);
+    const auto ttr_b = analysis::analyze_ttr(moved_index);
     if (ttr_a.ok() != ttr_b.ok()) return "TTR outcome changed under time shift";
     if (ttr_a.ok()) {
       if (ttr_a.value().ttr_hours != ttr_b.value().ttr_hours)
@@ -163,6 +165,8 @@ TEST(MetamorphicProperty, SubsetMonotonicityOfCounts) {
     std::vector<data::FailureRecord> half(log.records().begin(),
                                           log.records().begin() + log.size() / 2);
     const data::FailureLog sub = rebuild(log.spec(), std::move(half));
+    const data::LogIndex log_index(log);
+    const data::LogIndex sub_index(sub);
 
     const auto full_counts = category_counts(log);
     for (const auto& [category, count] : category_counts(sub)) {
@@ -172,8 +176,8 @@ TEST(MetamorphicProperty, SubsetMonotonicityOfCounts) {
                std::string(data::to_string(category));
     }
 
-    const auto full_nodes = analysis::analyze_node_counts(log);
-    const auto sub_nodes = analysis::analyze_node_counts(sub);
+    const auto full_nodes = analysis::analyze_node_counts(log_index);
+    const auto sub_nodes = analysis::analyze_node_counts(sub_index);
     if (full_nodes.ok() && sub_nodes.ok()) {
       if (sub_nodes.value().failed_nodes > full_nodes.value().failed_nodes)
         return "subset has more failed nodes than the full log";
@@ -182,8 +186,8 @@ TEST(MetamorphicProperty, SubsetMonotonicityOfCounts) {
         return "subset max per-node failures exceeds full log";
     }
 
-    const auto full_seasonal = analysis::analyze_seasonal(log);
-    const auto sub_seasonal = analysis::analyze_seasonal(sub);
+    const auto full_seasonal = analysis::analyze_seasonal(log_index);
+    const auto sub_seasonal = analysis::analyze_seasonal(sub_index);
     if (full_seasonal.ok() && sub_seasonal.ok()) {
       for (std::size_t m = 0; m < 12; ++m)
         if (sub_seasonal.value().failure_counts[m] > full_seasonal.value().failure_counts[m])
@@ -209,9 +213,11 @@ TEST(MetamorphicProperty, RpeakScalingLinearity) {
     spec.rpeak_pflops *= 2.0;
     const data::FailureLog scaled =
         rebuild(spec, {log.records().begin(), log.records().end()});
+    const data::LogIndex log_index(log);
+    const data::LogIndex scaled_index(scaled);
 
-    const auto a = analysis::analyze_perf_error_prop(log);
-    const auto b = analysis::analyze_perf_error_prop(scaled);
+    const auto a = analysis::analyze_perf_error_prop(log_index);
+    const auto b = analysis::analyze_perf_error_prop(scaled_index);
     if (a.ok() != b.ok()) return "perf-error outcome changed under Rpeak scaling";
     if (!a.ok()) return std::nullopt;
     if (b.value().pflop_hours_per_failure_free_period !=
@@ -233,9 +239,11 @@ TEST(MetamorphicProperty, TtrScalingLinearity) {
     std::vector<data::FailureRecord> doubled(log.records().begin(), log.records().end());
     for (auto& r : doubled) r.ttr_hours *= 2.0;
     const data::FailureLog scaled = rebuild(log.spec(), std::move(doubled));
+    const data::LogIndex log_index(log);
+    const data::LogIndex scaled_index(scaled);
 
-    const auto a = analysis::analyze_ttr(log);
-    const auto b = analysis::analyze_ttr(scaled);
+    const auto a = analysis::analyze_ttr(log_index);
+    const auto b = analysis::analyze_ttr(scaled_index);
     if (a.ok() != b.ok()) return "TTR outcome changed under TTR scaling";
     if (!a.ok()) return std::nullopt;
     if (b.value().mttr_hours != 2.0 * a.value().mttr_hours)
@@ -258,7 +266,7 @@ TEST(MetamorphicProperty, TtrScalingLinearity) {
 
 TEST(MetamorphicProperty, TbfGapCountAndNonNegativity) {
   const Property property = [](const data::FailureLog& log) -> std::optional<std::string> {
-    const auto tbf = analysis::analyze_tbf(log);
+    const auto tbf = analysis::analyze_tbf(data::LogIndex(log));
     if (!tbf.ok()) {
       if (log.size() >= 2) return "TBF failed on a log with >= 2 records";
       return std::nullopt;
@@ -275,7 +283,7 @@ TEST(MetamorphicProperty, TbfGapCountAndNonNegativity) {
 
 TEST(MetamorphicProperty, CategoryPercentsSumToHundred) {
   const Property property = [](const data::FailureLog& log) -> std::optional<std::string> {
-    const auto breakdown = analysis::analyze_categories(log);
+    const auto breakdown = analysis::analyze_categories(data::LogIndex(log));
     if (!breakdown.ok()) {
       if (log.size() > 0) return "category breakdown failed on a non-empty log";
       return std::nullopt;

@@ -173,10 +173,12 @@ TEST(CalibrationFig6, MtbfImprovedAboutFourFold) {
 
 TEST(CalibrationRq4, GpuMtbfImprovedFarMoreThanComponentShrinkage) {
   auto t2_log = sim::generate_log(sim::tsubame2_model(), 777).value();
+  const data::LogIndex t2_index(t2_log);
   auto t3_log = sim::generate_log(sim::tsubame3_model(), 777).value();
-  const double t2_gpu = analysis::analyze_tbf_category(t2_log, Category::kGpu)
+  const data::LogIndex t3_index(t3_log);
+  const double t2_gpu = analysis::analyze_tbf_category(t2_index, Category::kGpu)
                             .value().exposure_mtbf_hours;
-  const double t3_gpu = analysis::analyze_tbf_category(t3_log, Category::kGpu)
+  const double t3_gpu = analysis::analyze_tbf_category(t3_index, Category::kGpu)
                             .value().exposure_mtbf_hours;
   // Paper: 21.94 h -> 226.48 h (~10x) while GPU count only halved.
   EXPECT_GT(t3_gpu / t2_gpu, 5.0);
@@ -186,10 +188,12 @@ TEST(CalibrationRq4, GpuMtbfImprovedFarMoreThanComponentShrinkage) {
 
 TEST(CalibrationRq4, CpuMtbfAlsoImproved) {
   auto t2_log = sim::generate_log(sim::tsubame2_model(), 778).value();
+  const data::LogIndex t2_index(t2_log);
   auto t3_log = sim::generate_log(sim::tsubame3_model(), 778).value();
-  const double t2_cpu = analysis::analyze_tbf_category(t2_log, Category::kCpu)
+  const data::LogIndex t3_index(t3_log);
+  const double t2_cpu = analysis::analyze_tbf_category(t2_index, Category::kCpu)
                             .value().exposure_mtbf_hours;
-  const double t3_cpu = analysis::analyze_tbf_category(t3_log, Category::kCpu)
+  const double t3_cpu = analysis::analyze_tbf_category(t3_index, Category::kCpu)
                             .value().exposure_mtbf_hours;
   EXPECT_GT(t3_cpu, 2.0 * t2_cpu);  // paper: ~3x
 }
@@ -286,8 +290,9 @@ TEST(CalibrationFig10, HardwareSpreadExceedsSoftwareSpread) {
   // Pooled IQR of hardware TTR > pooled IQR of software TTR (both systems).
   for (const auto* model : {&sim::tsubame2_model(), &sim::tsubame3_model()}) {
     auto log = sim::generate_log(*model, 555).value();
-    auto hw = analysis::analyze_ttr_class(log, FailureClass::kHardware).value();
-    auto sw = analysis::analyze_ttr_class(log, FailureClass::kSoftware).value();
+    const data::LogIndex index(log);
+    auto hw = analysis::analyze_ttr_class(index, FailureClass::kHardware).value();
+    auto sw = analysis::analyze_ttr_class(index, FailureClass::kSoftware).value();
     EXPECT_GT(hw.summary.p75 - hw.summary.p25, sw.summary.p75 - sw.summary.p25)
         << model->spec.name;
   }
@@ -316,7 +321,8 @@ TEST(CalibrationFig11, Tsubame2SecondHalfRepairsSlower) {
   const int seeds = 6;
   for (std::uint64_t seed = 300; seed < 300 + seeds; ++seed) {
     auto log = sim::generate_log(sim::tsubame2_model(), seed).value();
-    auto seasonal = analysis::analyze_seasonal(log).value();
+    const data::LogIndex index(log);
+    auto seasonal = analysis::analyze_seasonal(index).value();
     h1 += seasonal.first_half_median_ttr / seeds;
     h2 += seasonal.second_half_median_ttr / seeds;
   }
@@ -328,7 +334,8 @@ TEST(CalibrationFig11, Tsubame3HasNoSeasonalTtrTrend) {
   const int seeds = 6;
   for (std::uint64_t seed = 300; seed < 300 + seeds; ++seed) {
     auto log = sim::generate_log(sim::tsubame3_model(), seed).value();
-    auto seasonal = analysis::analyze_seasonal(log).value();
+    const data::LogIndex index(log);
+    auto seasonal = analysis::analyze_seasonal(index).value();
     h1 += seasonal.first_half_median_ttr / seeds;
     h2 += seasonal.second_half_median_ttr / seeds;
   }
@@ -348,7 +355,8 @@ TEST(CalibrationFig12, DensityAndTtrUncorrelated) {
   const int seeds = 8;
   for (std::uint64_t seed = 400; seed < 400 + seeds; ++seed) {
     auto log = sim::generate_log(sim::tsubame3_model(), seed).value();
-    auto seasonal = analysis::analyze_seasonal(log).value();
+    const data::LogIndex index(log);
+    auto seasonal = analysis::analyze_seasonal(index).value();
     ASSERT_TRUE(seasonal.spearman_density_ttr.has_value());
     rho_sum += *seasonal.spearman_density_ttr / seeds;
   }
@@ -359,8 +367,10 @@ TEST(CalibrationFig12, DensityAndTtrUncorrelated) {
 
 TEST(CalibrationPerfProp, ComputeAndMtbfRatiosMatchPaperStory) {
   auto t2_log = sim::generate_log(sim::tsubame2_model(), 888).value();
+  const data::LogIndex t2_index(t2_log);
   auto t3_log = sim::generate_log(sim::tsubame3_model(), 888).value();
-  auto cmp = analysis::compare_generations(t2_log, t3_log).value();
+  const data::LogIndex t3_index(t3_log);
+  auto cmp = analysis::compare_generations(t2_index, t3_index).value();
   EXPECT_NEAR(cmp.compute_ratio, 12.1 / 2.3, 0.01);     // ~5.3x Rpeak
   EXPECT_NEAR(cmp.mtbf_ratio, 4.7, 0.5);                // "more than 4x"
   EXPECT_GT(cmp.metric_ratio, 20.0);                    // FLOP x MTBF compounding

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "data/log_index.h"
 #include "data/log_io.h"
 #include "sim/generator.h"
 #include "sim/tsubame_models.h"
@@ -46,10 +47,10 @@ TEST(Generator, AllRecordsValidateAgainstSpec) {
 
 TEST(Generator, CategoryCountsFollowShares) {
   const auto log = generate_log(tsubame2_model(), 3).value();
-  const auto counts = log.count_by_category();
+  const data::LogIndex index(log);
   // Largest-remainder apportionment: GPU share 44.37% of 897 = 398.0.
-  EXPECT_EQ(counts.at(data::Category::kGpu), 398u);
-  EXPECT_EQ(counts.at(data::Category::kCpu), 16u);  // 1.78% of 897 = 15.97
+  EXPECT_EQ(index.count(data::Category::kGpu), 398u);
+  EXPECT_EQ(index.count(data::Category::kCpu), 16u);  // 1.78% of 897 = 15.97
 }
 
 TEST(Generator, SlotListsOnlyOnGpuHardware) {
@@ -130,8 +131,10 @@ TEST(GeneratorKnobs, DisablingHeterogeneityFlattensNodes) {
   uniform.knobs.enable_node_heterogeneity = false;
 
   const auto max_node_count = [](const data::FailureLog& log) {
+    const data::LogIndex index(log);
     std::size_t max_count = 0;
-    for (const auto& [node, count] : log.count_by_node()) max_count = std::max(max_count, count);
+    for (const auto& group : index.nodes())
+      max_count = std::max<std::size_t>(max_count, group.count);
     return max_count;
   };
   const auto hetero_max = max_node_count(generate_log(hetero, 21).value());

@@ -25,22 +25,26 @@ TEST_P(GeneratorSeedSweep, ExactTotalsEverySeed) {
 TEST_P(GeneratorSeedSweep, HeadlineSharesAreSeedInvariant) {
   // Largest-remainder apportionment fixes per-category counts exactly,
   // independent of the seed.
-  const auto t2 = generate_log(tsubame2_model(), GetParam()).value();
-  EXPECT_EQ(t2.count_by_category().at(data::Category::kGpu), 398u);
-  EXPECT_EQ(t2.count_by_category().at(data::Category::kCpu), 16u);
-  const auto t3 = generate_log(tsubame3_model(), GetParam()).value();
-  EXPECT_EQ(t3.count_by_category().at(data::Category::kSoftware), 171u);
-  EXPECT_EQ(t3.count_by_category().at(data::Category::kGpu), 94u);
+  const auto t2_log = generate_log(tsubame2_model(), GetParam()).value();
+  const data::LogIndex t2(t2_log);
+  EXPECT_EQ(t2.count(data::Category::kGpu), 398u);
+  EXPECT_EQ(t2.count(data::Category::kCpu), 16u);
+  const auto t3_log = generate_log(tsubame3_model(), GetParam()).value();
+  const data::LogIndex t3(t3_log);
+  EXPECT_EQ(t3.count(data::Category::kSoftware), 171u);
+  EXPECT_EQ(t3.count(data::Category::kGpu), 94u);
 }
 
 TEST_P(GeneratorSeedSweep, TableThreeRowsAreSeedInvariant) {
   const auto t2 = generate_log(tsubame2_model(), GetParam()).value();
-  auto mg2 = analysis::analyze_multi_gpu(t2).value();
+  const data::LogIndex t2_index(t2);
+  auto mg2 = analysis::analyze_multi_gpu(t2_index).value();
   EXPECT_EQ(mg2.count_with(1), 112u);
   EXPECT_EQ(mg2.count_with(2), 128u);
   EXPECT_EQ(mg2.count_with(3), 128u);
   const auto t3 = generate_log(tsubame3_model(), GetParam()).value();
-  auto mg3 = analysis::analyze_multi_gpu(t3).value();
+  const data::LogIndex t3_index(t3);
+  auto mg3 = analysis::analyze_multi_gpu(t3_index).value();
   EXPECT_EQ(mg3.count_with(1), 75u);
   EXPECT_EQ(mg3.count_with(2), 4u);
   EXPECT_EQ(mg3.count_with(3), 2u);

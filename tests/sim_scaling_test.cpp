@@ -33,7 +33,8 @@ TEST(ScaleGpuDensity, GeneratedLogsHonourTheRegime) {
   for (auto regime : {InvolvementRegime::kIndependent, InvolvementRegime::kCorrelated}) {
     auto scaled = scale_gpu_density(tsubame3_model(), 6, regime).value();
     const auto log = generate_log(scaled, 3).value();
-    const auto mg = analysis::analyze_multi_gpu(log).value();
+    const data::LogIndex index(log);
+    const auto mg = analysis::analyze_multi_gpu(index).value();
     if (regime == InvolvementRegime::kIndependent) {
       EXPECT_LT(mg.percent_multi, 12.0);
     } else {
@@ -72,7 +73,8 @@ TEST(ScaleFleetSize, ScalesVolumeLinearly) {
 
 TEST(CategoryBurstiness, BurstyCategoriesRankAboveIid) {
   const auto log = generate_log(tsubame3_model(), 7).value();
-  auto rows = analysis::analyze_category_burstiness(log).value();
+  const data::LogIndex index(log);
+  auto rows = analysis::analyze_category_burstiness(index).value();
   ASSERT_GE(rows.size(), 2u);
   // Software is generated with burst arrivals; GPU is i.i.d.: software
   // must carry the higher burstiness.
@@ -97,7 +99,8 @@ TEST(CategoryBurstiness, ErrorsOnTinyLog) {
   r.ttr_hours = 1.0;
   r.gpu_slots = {0};
   auto log = data::FailureLog::create(data::tsubame3_spec(), {r}).value();
-  EXPECT_FALSE(analysis::analyze_category_burstiness(log).ok());
+  const data::LogIndex index(log);
+  EXPECT_FALSE(analysis::analyze_category_burstiness(index).ok());
 }
 
 TEST(MarkdownReport, ContainsEverySection) {

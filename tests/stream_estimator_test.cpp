@@ -44,8 +44,9 @@ analysis::RollingTrends stream_trends(const data::FailureLog& log, double window
   auto estimator =
       RollingWindowEstimator::create(log.spec().window_hours(), window_days, step_days);
   EXPECT_TRUE(estimator.ok());
-  const auto hours = log.failure_hours_since_start();
-  const auto ttr = log.ttr_values();
+  const data::LogIndex index(log);
+  const auto hours = index.hours();
+  const auto ttr = index.ttr();
   for (std::size_t i = 0; i < hours.size(); ++i) estimator.value().observe(hours[i], ttr[i]);
   estimator.value().finish();
   auto trends = estimator.value().trends();
@@ -57,13 +58,15 @@ class RollingAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RollingAgreement, MatchesBatchOnTsubame2) {
   const auto log = sim::generate_log(sim::tsubame2_model(), GetParam()).value();
-  const auto batch = analysis::analyze_rolling_trends(log, 60.0, 30.0).value();
+  const data::LogIndex index(log);
+  const auto batch = analysis::analyze_rolling_trends(index, 60.0, 30.0).value();
   expect_trends_match(batch, stream_trends(log, 60.0, 30.0));
 }
 
 TEST_P(RollingAgreement, MatchesBatchOnTsubame3) {
   const auto log = sim::generate_log(sim::tsubame3_model(), GetParam()).value();
-  const auto batch = analysis::analyze_rolling_trends(log, 60.0, 30.0).value();
+  const data::LogIndex index(log);
+  const auto batch = analysis::analyze_rolling_trends(index, 60.0, 30.0).value();
   expect_trends_match(batch, stream_trends(log, 60.0, 30.0));
 }
 
@@ -71,7 +74,8 @@ TEST_P(RollingAgreement, MatchesBatchOnUnevenGrid) {
   // A window/step pair that does not divide the span evenly exercises the
   // grid-accumulation edge cases.
   const auto log = sim::generate_log(sim::tsubame3_model(), GetParam()).value();
-  const auto batch = analysis::analyze_rolling_trends(log, 45.0, 11.0).value();
+  const data::LogIndex index(log);
+  const auto batch = analysis::analyze_rolling_trends(index, 45.0, 11.0).value();
   expect_trends_match(batch, stream_trends(log, 45.0, 11.0));
 }
 
