@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "analysis/study.h"
@@ -26,6 +27,65 @@ std::vector<double> random_sample(std::size_t n) {
   for (auto& x : sample) x = rng.lognormal(3.0, 1.2);
   return sample;
 }
+
+/// TTR-like: recorded to 4 decimals over a narrow range, so most repeat.
+std::vector<double> four_decimal_sample(std::size_t n) {
+  Rng rng(42);
+  std::vector<double> sample(n);
+  for (auto& x : sample) x = std::round(rng.lognormal(-3.0, 0.8) * 1e4) / 1e4;
+  return sample;
+}
+
+/// range(0) values, lognormal (range(1) == 0) or 4-decimal tie-heavy
+/// (range(1) == 1).
+std::vector<double> sort_input(const benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  return state.range(1) == 0 ? random_sample(n) : four_decimal_sample(n);
+}
+
+// The sort benches copy the unsorted sample into the buffer every
+// iteration (the same cost for each), then sort it.  BM_RadixSort against
+// BM_StdSort places stats::kRadixSortCutoff; BM_SortAscending is what
+// callers get on either side of it.
+template <typename Sort>
+void time_sort(benchmark::State& state, Sort&& sort) {
+  const auto sample = sort_input(state);
+  std::vector<double> buffer(sample.size());
+  for (auto _ : state) {
+    std::copy(sample.begin(), sample.end(), buffer.begin());
+    sort(buffer);
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_StdSort(benchmark::State& state) {
+  time_sort(state, [](std::vector<double>& v) { std::sort(v.begin(), v.end()); });
+}
+void BM_RadixSort(benchmark::State& state) {
+  time_sort(state, [](std::vector<double>& v) { stats::radix_sort_ascending(v); });
+}
+void BM_SortAscending(benchmark::State& state) {
+  time_sort(state, [](std::vector<double>& v) { stats::sort_ascending(v); });
+}
+const std::vector<std::vector<std::int64_t>> kSortArgs = {
+    benchmark::CreateRange(1 << 10, 1 << 20, 2), {0, 1}};
+BENCHMARK(BM_StdSort)->ArgsProduct(kSortArgs);
+BENCHMARK(BM_RadixSort)->ArgsProduct(kSortArgs);
+BENCHMARK(BM_SortAscending)->ArgsProduct(kSortArgs);
+
+void BM_SelectFamily(benchmark::State& state) {
+  // The positive, ascending sample the TBF/TTR analyses hand over.
+  auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
+  stats::sort_ascending(sample);
+  for (auto _ : state) {
+    auto choice = stats::select_family(sample);
+    benchmark::DoNotOptimize(choice);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SelectFamily)->Range(1 << 10, 1 << 20)->Unit(benchmark::kMillisecond);
 
 void BM_EcdfBuild(benchmark::State& state) {
   const auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
@@ -65,7 +125,7 @@ void BM_Gather(benchmark::State& state) {
   Rng rng(99);
   std::vector<std::uint32_t> indices(n);
   for (auto& i : indices) i = static_cast<std::uint32_t>(rng.uniform_index(n));
-  std::vector<double> out;
+  std::vector<double> out(n);
   for (auto _ : state) {
     stats::gather_into(sample, indices, out);
     benchmark::DoNotOptimize(out.data());

@@ -4,12 +4,13 @@
 #include <numeric>
 
 #include "stats/hypothesis.h"
+#include "stats/kernels.h"
 
 namespace tsufail::analysis {
 
 double gini_coefficient(std::vector<double> values) {
   if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
+  stats::sort_ascending(values);
   const double total = std::accumulate(values.begin(), values.end(), 0.0);
   if (total <= 0.0) return 0.0;
   // G = (2 * sum_i i*x_(i) ) / (n * total) - (n + 1) / n, with 1-based i.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "stats/correlation.h"
+#include "stats/kernels.h"
 
 namespace tsufail::analysis {
 
@@ -59,10 +60,15 @@ SeasonalAnalysis seasonal_from(const data::MachineSpec& spec,
     half.insert(half.end(), ttr_by_month[idx].begin(), ttr_by_month[idx].end());
   }
 
-  if (!first_half.empty())
-    result.first_half_median_ttr = stats::quantile(first_half, 0.5).value();
-  if (!second_half.empty())
-    result.second_half_median_ttr = stats::quantile(second_half, 0.5).value();
+  // The halves are this function's own copies, so they sort in place.
+  if (!first_half.empty()) {
+    stats::sort_ascending(first_half);
+    result.first_half_median_ttr = stats::quantile_sorted(first_half, 0.5).value();
+  }
+  if (!second_half.empty()) {
+    stats::sort_ascending(second_half);
+    result.second_half_median_ttr = stats::quantile_sorted(second_half, 0.5).value();
+  }
 
   if (densities.size() >= 3) {
     if (auto r = stats::pearson(densities, medians); r.ok())

@@ -22,10 +22,9 @@ Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const 
   result.exposure_mtbf_hours = spec.window_hours() / static_cast<double>(hours.size());
 
   // The summary and the family fit both want an ordered sample; sorting
-  // the gaps once here lets summarize and the fitter's Ecdf take their
-  // sorted fast paths instead of each re-sorting a copy.
+  // the gaps once here lets both read it in place.
   std::vector<double> sorted_gaps = result.tbf_hours;
-  std::sort(sorted_gaps.begin(), sorted_gaps.end());
+  stats::sort_ascending(sorted_gaps);
   auto summary = stats::summarize(sorted_gaps);
   if (!summary.ok()) return summary.error();
   result.summary = summary.value();
@@ -34,7 +33,7 @@ Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const 
   // Simultaneous failures produce zero gaps; family fitting requires
   // positive support, so fit on the positive sub-sample — the suffix past
   // the zeros, since the sorted gaps are non-negative.
-  const std::vector<double> positive(
+  const std::span<const double> positive(
       std::upper_bound(sorted_gaps.begin(), sorted_gaps.end(), 0.0), sorted_gaps.end());
   if (positive.size() >= 8) {
     if (auto family = stats::select_family(positive); family.ok())

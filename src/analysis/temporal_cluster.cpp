@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "stats/kernels.h"
+
 namespace tsufail::analysis {
 
 Result<TemporalClustering> analyze_event_clustering(std::vector<double> event_hours,
@@ -12,7 +14,7 @@ Result<TemporalClustering> analyze_event_clustering(std::vector<double> event_ho
                                          std::to_string(event_hours.size()));
   if (follow_window_hours < 0.0)
     return Error(ErrorKind::kDomain, "follow window must be non-negative");
-  std::sort(event_hours.begin(), event_hours.end());
+  stats::sort_ascending(event_hours);
 
   TemporalClustering result;
   result.events = event_hours.size();

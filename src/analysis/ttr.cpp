@@ -1,6 +1,9 @@
 #include "analysis/ttr.h"
 
 #include <algorithm>
+#include <span>
+
+#include "stats/kernels.h"
 
 namespace tsufail::analysis {
 namespace {
@@ -12,18 +15,18 @@ Result<TtrResult> ttr_from_values(std::vector<double> values) {
   result.ttr_hours = std::move(values);
   result.mttr_hours = stats::mean(result.ttr_hours);
 
-  // Sort once; summarize and the fitter's Ecdf both detect sorted input
-  // and skip their own O(n log n) passes.
+  // Sort once; summarize and select_family both detect sorted input and
+  // read it in place.
   std::vector<double> sorted = result.ttr_hours;
-  std::sort(sorted.begin(), sorted.end());
+  stats::sort_ascending(sorted);
   auto summary = stats::summarize(sorted);
   if (!summary.ok()) return summary.error();
   result.summary = summary.value();
 
   // Family fitting requires positive support: the suffix past the
   // zero-TTR records (repair times are non-negative).
-  const std::vector<double> positive(std::upper_bound(sorted.begin(), sorted.end(), 0.0),
-                                     sorted.end());
+  const std::span<const double> positive(std::upper_bound(sorted.begin(), sorted.end(), 0.0),
+                                         sorted.end());
   if (positive.size() >= 8) {
     if (auto family = stats::select_family(positive); family.ok())
       result.best_family = family.value();

@@ -111,7 +111,7 @@ Result<ConfidenceInterval> bootstrap_ci(
     for (auto& thread : threads) thread.join();
   }
 
-  std::sort(replicate_stats.begin(), replicate_stats.end());
+  sort_ascending(replicate_stats);
   const double alpha = (1.0 - level) / 2.0;
   ci.low = quantile_sorted(replicate_stats, alpha).value();
   ci.high = quantile_sorted(replicate_stats, 1.0 - alpha).value();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "stats/kernels.h"
+
 namespace tsufail::stats {
 
 void RunningStats::add(double x) noexcept {
@@ -70,21 +72,23 @@ Result<double> quantile_sorted(std::span<const double> sorted, double q) {
 
 Result<double> quantile(std::span<const double> sample, double q) {
   std::vector<double> copy(sample.begin(), sample.end());
-  std::sort(copy.begin(), copy.end());
+  sort_ascending(copy);
   return quantile_sorted(copy, q);
 }
 
 Result<Summary> summarize(std::span<const double> sample) {
   if (sample.empty())
     return Error(ErrorKind::kDomain, "summarize: empty sample");
-  std::vector<double> sorted(sample.begin(), sample.end());
   // Analyzers often pass already-ordered samples (LogIndex streams are
-  // time-sorted); an O(n) check dodges the O(n log n) re-sort then.
-  if (!std::is_sorted(sorted.begin(), sorted.end())) std::sort(sorted.begin(), sorted.end());
+  // time-sorted); those are read in place, the rest sorted into a copy.
+  std::vector<double> storage;
+  const auto sorted = ascending_view(sample, storage);
+  RunningStats moments;
+  for (double x : sorted) moments.add(x);
   Summary s;
   s.count = sorted.size();
-  s.mean = mean(sorted);
-  s.stddev = stddev(sorted);
+  s.mean = moments.mean();
+  s.stddev = moments.stddev();
   s.min = sorted.front();
   s.max = sorted.back();
   s.p25 = quantile_sorted(sorted, 0.25).value();
@@ -97,8 +101,8 @@ Result<Summary> summarize(std::span<const double> sample) {
 Result<BoxStats> box_stats(std::span<const double> sample) {
   if (sample.empty())
     return Error(ErrorKind::kDomain, "box_stats: empty sample");
-  std::vector<double> sorted(sample.begin(), sample.end());
-  if (!std::is_sorted(sorted.begin(), sorted.end())) std::sort(sorted.begin(), sorted.end());
+  std::vector<double> storage;
+  const auto sorted = ascending_view(sample, storage);
   BoxStats b;
   b.count = sorted.size();
   b.q1 = quantile_sorted(sorted, 0.25).value();

@@ -6,11 +6,12 @@ namespace tsufail::stats {
 namespace {
 
 /// Regularized lower incomplete gamma P(a, x) by series expansion
-/// (x < a + 1) or continued fraction (otherwise).  Standard Numerical
-/// Recipes formulation, accurate to ~1e-12 over this library's range.
-double reg_lower_gamma(double a, double x) {
+/// (x < a + 1) or continued fraction (otherwise), given ln Gamma(a).
+/// Standard Numerical Recipes formulation, accurate to ~1e-12 over this
+/// library's range.
+double reg_lower_gamma(double a, double x, double log_gamma_a) {
   if (x <= 0.0) return 0.0;
-  const double log_prefix = a * std::log(x) - x - detail::lgamma_threadsafe(a);
+  const double log_prefix = a * std::log(x) - x - log_gamma_a;
   if (x < a + 1.0) {
     // Series: P(a,x) = e^-x x^a / Gamma(a) * sum_{n>=0} x^n / (a (a+1)...(a+n))
     double term = 1.0 / a;
@@ -47,9 +48,16 @@ double reg_lower_gamma(double a, double x) {
 
 }  // namespace
 
-double Gamma::cdf(double x) const noexcept {
+double Gamma::cdf(double x) const noexcept { return GammaCdf(*this)(x); }
+
+GammaCdf::GammaCdf(const Gamma& gamma) noexcept
+    : shape_(gamma.shape),
+      scale_(gamma.scale),
+      log_gamma_shape_(detail::lgamma_threadsafe(gamma.shape)) {}
+
+double GammaCdf::operator()(double x) const noexcept {
   if (x <= 0.0) return 0.0;
-  return reg_lower_gamma(shape, x / scale);
+  return reg_lower_gamma(shape_, x / scale_, log_gamma_shape_);
 }
 
 Result<LogNormal> LogNormal::from_mean_median(double mean, double median) {

@@ -111,4 +111,18 @@ struct Gamma {
   double variance() const noexcept { return shape * scale * scale; }
 };
 
+/// Gamma::cdf for scans over many points of one fit: ln Gamma(shape) is
+/// evaluated once, at construction, instead of once per point.  Each
+/// call equals gamma.cdf(x) bit for bit.
+class GammaCdf {
+ public:
+  explicit GammaCdf(const Gamma& gamma) noexcept;
+  double operator()(double x) const noexcept;
+
+ private:
+  double shape_;
+  double scale_;
+  double log_gamma_shape_;
+};
+
 }  // namespace tsufail::stats

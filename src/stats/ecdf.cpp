@@ -17,9 +17,9 @@ Result<Ecdf> Ecdf::create(std::span<const double> sample) {
   if (sample.empty())
     return Error(ErrorKind::kDomain, "Ecdf: empty sample");
   std::vector<double> sorted(sample.begin(), sample.end());
-  // Callers frequently hold pre-sorted samples (select_family over a
-  // sorted sub-sample, time-ordered streams); skip the re-sort for them.
-  if (!std::is_sorted(sorted.begin(), sorted.end())) std::sort(sorted.begin(), sorted.end());
+  // Callers frequently hold pre-sorted samples (time-ordered streams);
+  // skip the re-sort for them.
+  if (!std::is_sorted(sorted.begin(), sorted.end())) sort_ascending(sorted);
   return Ecdf(std::move(sorted));
 }
 

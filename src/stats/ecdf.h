@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -68,10 +69,15 @@ Result<double> dkw_band_halfwidth(std::size_t n, double level = 0.95);
 /// distributions in shape.
 double ks_statistic(const Ecdf& a, const Ecdf& b);
 
-/// One-sample KS statistic against an arbitrary continuous CDF.
+/// One-sample KS statistic of an ascending-sorted sample against an
+/// arbitrary continuous CDF.  The scan stops once its running maximum
+/// reaches `stop_at` and returns that maximum: then the result is >=
+/// stop_at but not the full statistic, which is all a caller comparing
+/// candidates against the best distance so far needs.  The running
+/// maximum never falls, so a result below stop_at is always exact.
 template <typename Cdf>
-double ks_statistic_against(const Ecdf& ecdf, Cdf&& cdf) {
-  const auto sorted = ecdf.sorted();
+double ks_statistic_against_sorted(std::span<const double> sorted, Cdf&& cdf,
+                                   double stop_at = std::numeric_limits<double>::infinity()) {
   const auto n = static_cast<double>(sorted.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -79,8 +85,15 @@ double ks_statistic_against(const Ecdf& ecdf, Cdf&& cdf) {
     const double before = static_cast<double>(i) / n;
     const double after = static_cast<double>(i + 1) / n;
     worst = std::max({worst, std::abs(model - before), std::abs(model - after)});
+    if (worst >= stop_at) break;
   }
   return worst;
+}
+
+/// One-sample KS statistic against an arbitrary continuous CDF.
+template <typename Cdf>
+double ks_statistic_against(const Ecdf& ecdf, Cdf&& cdf) {
+  return ks_statistic_against_sorted(ecdf.sorted(), std::forward<Cdf>(cdf));
 }
 
 }  // namespace tsufail::stats

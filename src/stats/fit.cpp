@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
+#include "stats/kernels.h"
 
 namespace tsufail::stats {
 namespace {
@@ -20,38 +23,37 @@ Result<void> check_positive(std::span<const double> sample, const char* who) {
   return {};
 }
 
-}  // namespace
+/// log(x) of every observation, in sample order, and one Welford pass
+/// over them: what the Weibull, lognormal and gamma MLEs all start from,
+/// so select_family computes it once for the three.
+struct LogMoments {
+  std::vector<double> logs;
+  RunningStats stats;
+};
 
-Result<Exponential> fit_exponential(std::span<const double> sample) {
-  if (sample.empty())
-    return Error(ErrorKind::kDomain, "fit_exponential: empty sample");
-  double sum = 0.0;
-  for (double x : sample) {
-    if (!(x >= 0.0) || !std::isfinite(x))
-      return Error(ErrorKind::kDomain, "fit_exponential: observations must be >= 0 and finite");
-    sum += x;
+/// Errors: as check_positive, in `who`'s name.
+Result<LogMoments> log_moments(std::span<const double> sample, const char* who) {
+  if (auto ok = check_positive(sample, who); !ok.ok()) return ok.error();
+  LogMoments m;
+  m.logs.resize(sample.size());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    m.logs[i] = std::log(sample[i]);
+    m.stats.add(m.logs[i]);
   }
-  const double mean = sum / static_cast<double>(sample.size());
-  if (!(mean > 0.0))
-    return Error(ErrorKind::kDomain, "fit_exponential: all-zero sample");
-  return Exponential{mean};
+  return m;
 }
 
-Result<LogNormal> fit_lognormal(std::span<const double> sample) {
-  if (auto ok = check_positive(sample, "fit_lognormal"); !ok.ok()) return ok.error();
-  RunningStats logs;
-  for (double x : sample) logs.add(std::log(x));
+LogNormal lognormal_from(const LogMoments& m) {
   LogNormal d;
-  d.mu_log = logs.mean();
+  d.mu_log = m.stats.mean();
   // MLE uses the biased (n) variance of the logs.
-  const auto n = static_cast<double>(sample.size());
-  d.sigma_log = std::sqrt(logs.variance() * (n - 1.0) / n);
+  const auto n = static_cast<double>(m.stats.count());
+  d.sigma_log = std::sqrt(m.stats.variance() * (n - 1.0) / n);
   if (d.sigma_log <= 0.0) d.sigma_log = 1e-12;  // degenerate constant sample
   return d;
 }
 
-Result<Weibull> fit_weibull(std::span<const double> sample) {
-  if (auto ok = check_positive(sample, "fit_weibull"); !ok.ok()) return ok.error();
+Result<Weibull> weibull_from(std::span<const double> sample, const LogMoments& m) {
   if (sample.size() < 2)
     return Error(ErrorKind::kDomain, "fit_weibull: need at least 2 observations");
 
@@ -59,18 +61,14 @@ Result<Weibull> fit_weibull(std::span<const double> sample) {
   //   g(k) = sum(x^k log x)/sum(x^k) - 1/k - mean(log x) = 0,
   // then scale = (mean(x^k))^(1/k).  g is increasing in k, so Newton with
   // bisection safeguards converges from a moment-based start.
-  std::vector<double> logs(sample.size());
-  double mean_log = 0.0;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    logs[i] = std::log(sample[i]);
-    mean_log += logs[i];
-  }
-  mean_log /= static_cast<double>(sample.size());
+  const std::vector<double>& logs = m.logs;
+  // The plain sum of the logs over n (not the Welford mean).
+  const double mean_log = m.stats.sum() / static_cast<double>(sample.size());
 
   // Scale x^k by exp(-k*max_log) implicitly via shifted logs to avoid
   // overflow with large k.  The shift is invariant across Newton
   // iterations, so it is computed once, not per g_and_slope call.
-  const double max_log = *std::max_element(logs.begin(), logs.end());
+  const double max_log = m.stats.max();
 
   const auto g_and_slope = [&](double k, double& g, double& slope) {
     double s0 = 0.0, s1 = 0.0, s2 = 0.0;
@@ -87,10 +85,8 @@ Result<Weibull> fit_weibull(std::span<const double> sample) {
   };
 
   // Start from the classic log-variance approximation.
-  RunningStats log_stats;
-  for (double l : logs) log_stats.add(l);
-  double k = log_stats.stddev() > 0 ? 1.2 / (log_stats.stddev() * std::sqrt(6.0) / std::numbers::pi)
-                                    : 1.0;
+  const double log_stddev = m.stats.stddev();
+  double k = log_stddev > 0 ? 1.2 / (log_stddev * std::sqrt(6.0) / std::numbers::pi) : 1.0;
   k = std::clamp(k, 1e-2, 1e2);
 
   bool converged = false;
@@ -116,30 +112,12 @@ Result<Weibull> fit_weibull(std::span<const double> sample) {
   return Weibull{k, scale};
 }
 
-double digamma(double x) noexcept {
-  // Shift into the asymptotic regime, then use the Bernoulli expansion.
-  double result = 0.0;
-  while (x < 10.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)));
-  return result;
-}
-
-Result<Gamma> fit_gamma(std::span<const double> sample) {
-  if (auto ok = check_positive(sample, "fit_gamma"); !ok.ok()) return ok.error();
+Result<Gamma> gamma_from(std::span<const double> sample, const LogMoments& m) {
   if (sample.size() < 2)
     return Error(ErrorKind::kDomain, "fit_gamma: need at least 2 observations");
-  RunningStats raw, logs;
-  for (double x : sample) {
-    raw.add(x);
-    logs.add(std::log(x));
-  }
-  const double s = std::log(raw.mean()) - logs.mean();
+  RunningStats raw;
+  for (double x : sample) raw.add(x);
+  const double s = std::log(raw.mean()) - m.stats.mean();
   if (s <= 0.0) {  // numerically constant sample
     return Gamma{1e6, raw.mean() / 1e6};
   }
@@ -166,6 +144,65 @@ Result<Gamma> fit_gamma(std::span<const double> sample) {
   return Gamma{k, raw.mean() / k};
 }
 
+}  // namespace
+
+Result<Exponential> fit_exponential(std::span<const double> sample) {
+  if (sample.empty())
+    return Error(ErrorKind::kDomain, "fit_exponential: empty sample");
+  double sum = 0.0;
+  for (double x : sample) {
+    if (!(x >= 0.0) || !std::isfinite(x))
+      return Error(ErrorKind::kDomain, "fit_exponential: observations must be >= 0 and finite");
+    sum += x;
+  }
+  const double mean = sum / static_cast<double>(sample.size());
+  if (!(mean > 0.0))
+    return Error(ErrorKind::kDomain, "fit_exponential: all-zero sample");
+  return Exponential{mean};
+}
+
+Result<LogNormal> fit_lognormal(std::span<const double> sample) {
+  auto m = log_moments(sample, "fit_lognormal");
+  if (!m.ok()) return m.error();
+  return lognormal_from(m.value());
+}
+
+Result<Weibull> fit_weibull(std::span<const double> sample) {
+  auto m = log_moments(sample, "fit_weibull");
+  if (!m.ok()) return m.error();
+  return weibull_from(sample, m.value());
+}
+
+double digamma(double x) noexcept {
+  if (x < 0.0) {
+    // Poles at the negative integers (every double at or below -2^52 is
+    // one) and no limit at -inf.  Elsewhere the reflection
+    //   psi(x) = psi(1 - x) - pi / tan(pi x),
+    // with x reduced modulo 1 first (tan has period pi), lands in the
+    // positive range below in one step instead of |x| shifts.
+    const double whole = std::floor(x);
+    if (x == whole) return std::numeric_limits<double>::quiet_NaN();
+    return digamma(1.0 - x) - std::numbers::pi / std::tan(std::numbers::pi * (x - whole));
+  }
+  // Shift into the asymptotic regime, then use the Bernoulli expansion.
+  double result = 0.0;
+  while (x < 10.0) {
+    result -= 1.0 / x;
+    x += 1.0;
+  }
+  const double inv = 1.0 / x;
+  const double inv2 = inv * inv;
+  result += std::log(x) - 0.5 * inv -
+            inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)));
+  return result;
+}
+
+Result<Gamma> fit_gamma(std::span<const double> sample) {
+  auto m = log_moments(sample, "fit_gamma");
+  if (!m.ok()) return m.error();
+  return gamma_from(sample, m.value());
+}
+
 const char* to_string(Family family) noexcept {
   switch (family) {
     case Family::kExponential: return "exponential";
@@ -177,17 +214,22 @@ const char* to_string(Family family) noexcept {
 }
 
 Result<FamilyChoice> select_family(std::span<const double> sample) {
-  auto ecdf = Ecdf::create(sample);
-  if (!ecdf.ok()) return ecdf.error();
+  if (sample.empty())
+    return Error(ErrorKind::kDomain, "Ecdf: empty sample");
+  // The KS scans need the sample ascending; the fits read it in the
+  // caller's order, as the public fit_* do.
+  std::vector<double> storage;
+  const auto sorted = ascending_view(sample, storage);
 
   FamilyChoice best;
   best.ks_distance = 2.0;  // above any possible KS distance
   bool any = false;
 
-  const auto consider = [&](Family family, auto fitted) {
-    if (!fitted.ok()) return;
-    const double d =
-        ks_statistic_against(ecdf.value(), [&](double x) { return fitted.value().cdf(x); });
+  // A scan stops once it reaches the best distance so far: that family
+  // already cannot win (it must be strictly closer; ties keep the earlier
+  // family), and only the winner's distance is reported.
+  const auto consider = [&](Family family, const auto& cdf) {
+    const double d = ks_statistic_against_sorted(sorted, cdf, best.ks_distance);
     if (d < best.ks_distance) {
       best.family = family;
       best.ks_distance = d;
@@ -195,10 +237,18 @@ Result<FamilyChoice> select_family(std::span<const double> sample) {
     any = true;
   };
 
-  consider(Family::kExponential, fit_exponential(sample));
-  consider(Family::kWeibull, fit_weibull(sample));
-  consider(Family::kLogNormal, fit_lognormal(sample));
-  consider(Family::kGamma, fit_gamma(sample));
+  if (const auto fit = fit_exponential(sample); fit.ok())
+    consider(Family::kExponential, [&](double x) { return fit.value().cdf(x); });
+  // One log pass serves the three fits that need it; a sample it rejects
+  // (a zero, a negative, a non-finite value) fits none of them.
+  if (const auto logs = log_moments(sample, "select_family"); logs.ok()) {
+    if (const auto fit = weibull_from(sample, logs.value()); fit.ok())
+      consider(Family::kWeibull, [&](double x) { return fit.value().cdf(x); });
+    const LogNormal lognormal = lognormal_from(logs.value());
+    consider(Family::kLogNormal, [&](double x) { return lognormal.cdf(x); });
+    if (const auto fit = gamma_from(sample, logs.value()); fit.ok())
+      consider(Family::kGamma, GammaCdf(fit.value()));
+  }
 
   if (!any)
     return Error(ErrorKind::kDomain, "select_family: no family could be fitted");

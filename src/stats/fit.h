@@ -30,7 +30,9 @@ Result<Weibull> fit_weibull(std::span<const double> sample);
 /// Errors: fewer than 2 observations or any observation <= 0.
 Result<Gamma> fit_gamma(std::span<const double> sample);
 
-/// Digamma function (psi), asymptotic expansion with recurrence shift.
+/// Digamma function (psi), asymptotic expansion with recurrence shift;
+/// negative x goes through the reflection formula.  NaN at the negative
+/// integers and at -inf (x = 0 keeps the recurrence's infinite result).
 double digamma(double x) noexcept;
 
 /// Which family best fits a sample, chosen by one-sample KS distance.

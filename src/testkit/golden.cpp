@@ -46,17 +46,27 @@ Result<void> write_file(const std::string& path, const std::string& content) {
   return {};
 }
 
+Result<std::string> report_markdown(const sim::MachineModel& model, const char* who) {
+  auto log = sim::generate_log(model, kGoldenSeed);
+  if (!log.ok()) return log.error().with_context(who);
+  auto markdown = report::render_markdown_report(log.value());
+  if (!markdown.ok()) return markdown.error().with_context(who);
+  return std::move(markdown).value();
+}
+
 }  // namespace
 
 Result<std::string> golden_report_markdown(data::Machine machine) {
   const sim::MachineModel& model = machine == data::Machine::kTsubame2
                                        ? sim::tsubame2_model()
                                        : sim::tsubame3_model();
-  auto log = sim::generate_log(model, kGoldenSeed);
-  if (!log.ok()) return log.error().with_context("golden_report_markdown");
-  auto markdown = report::render_markdown_report(log.value());
-  if (!markdown.ok()) return markdown.error().with_context("golden_report_markdown");
-  return std::move(markdown).value();
+  return report_markdown(model, "golden_report_markdown");
+}
+
+Result<std::string> golden_fleet_report_markdown() {
+  sim::MachineModel model = sim::tsubame3_model();
+  model.total_failures = kFleetGoldenFailures;
+  return report_markdown(model, "golden_fleet_report_markdown");
 }
 
 Result<std::string> golden_repairs_markdown(data::Machine machine, std::size_t jobs) {

@@ -1,8 +1,9 @@
 // tsufail::testkit — golden-snapshot framework.
 //
 // Pins large rendered artifacts (the full markdown study report for the
-// Tsubame-2/Tsubame-3 presets) against checked-in golden files.  A
-// mismatch prints a readable line diff; regeneration is one command:
+// Tsubame-2/Tsubame-3 presets, and for Tsubame-3 scaled to fleet size)
+// against checked-in golden files.  A mismatch prints a readable line
+// diff; regeneration is one command:
 //
 //   TSUFAIL_UPDATE_GOLDEN=1 ctest -L golden
 //
@@ -26,6 +27,15 @@ inline constexpr std::uint64_t kGoldenSeed = 0x60'1D'EE'D5;
 /// report::render_markdown_report with default options (serial study).
 /// Errors propagate from generation/rendering.
 Result<std::string> golden_report_markdown(data::Machine machine);
+
+/// Failures in the fleet-scale golden log: enough that every sample the
+/// study sorts or fits there is far larger than any paper-scale one.
+inline constexpr std::size_t kFleetGoldenFailures = 100000;
+
+/// Renders the fleet-scale golden artifact: the Tsubame-3 model with
+/// total_failures = kFleetGoldenFailures, generated from kGoldenSeed and
+/// rendered like golden_report_markdown.  Errors as there.
+Result<std::string> golden_fleet_report_markdown();
 
 /// Renders the repair-policy-comparison golden for one machine preset:
 /// a run_repair_policy_sweep over the default policy variants (6

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "stats/correlation.h"
-#include "stats/fit.h"
 #include "stats/hypothesis.h"
+#include "testkit/reference_fit.h"
 #include "util/strings.h"
 
 namespace tsufail::testkit {
@@ -182,7 +182,7 @@ Result<analysis::TbfResult> tbf_core(const data::MachineSpec& spec, std::vector<
   for (double gap : insertion_sorted(result.tbf_hours))
     if (gap > 0.0) positive.push_back(gap);
   if (positive.size() >= 8) {
-    if (auto family = stats::select_family(positive); family.ok())
+    if (auto family = reference_select_family(positive); family.ok())
       result.best_family = family.value();
   }
   return result;
@@ -201,7 +201,7 @@ Result<analysis::TtrResult> ttr_core(std::vector<double> values) {
   for (double value : insertion_sorted(result.ttr_hours))
     if (value > 0.0) positive.push_back(value);
   if (positive.size() >= 8) {
-    if (auto family = stats::select_family(positive); family.ok())
+    if (auto family = reference_select_family(positive); family.ok())
       result.best_family = family.value();
   }
   return result;

@@ -10,10 +10,15 @@
 // or the analysis plane cannot cancel itself out of a differential test.
 //
 // What IS shared, deliberately: transcendental stats kernels
-// (stats::select_family, stats::chi_square_gof, stats::pearson/spearman).
-// They are pure functions of sample values with their own unit suites;
-// the oracle feeds them independently-derived inputs and targets the
-// analysis plane, not the special-function library.
+// (stats::chi_square_gof, stats::pearson/spearman) and the leaves the
+// family fits are built from (stats::RunningStats, the distribution
+// types' CDFs, ln Gamma).  They are pure functions of sample values with
+// their own unit suites; the oracle feeds them independently-derived
+// inputs and targets the analysis plane, not the special-function
+// library.  Family selection itself is not shared: ref_tbf and ref_ttr
+// call reference_select_family (reference_fit.h), a frozen copy that
+// sorts, fits and scans on its own, and the fast stats::select_family
+// is pinned to that copy bit for bit.
 //
 // Agreement contract (asserted by the oracle in oracle.h): integers,
 // enums, strings, orderings, and doubles produced by identical arithmetic

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/rng.h"
@@ -83,6 +85,19 @@ TEST(Digamma, KnownValues) {
   EXPECT_NEAR(digamma(2.0), 1.0 - kEuler, 1e-10);
   EXPECT_NEAR(digamma(0.5), -kEuler - 2.0 * std::log(2.0), 1e-10);
   EXPECT_NEAR(digamma(10.0), 2.2517525890667211, 1e-10);
+}
+
+TEST(Digamma, PolesAndMinusInfinityAreNaNWithoutLooping) {
+  // The recurrence shift alone would step |x| times, or never finish
+  // once x + 1 == x.
+  for (const double x : {-std::numeric_limits<double>::infinity(), -3.0, -1e300, -0x1p60})
+    EXPECT_TRUE(std::isnan(digamma(x))) << x;
+}
+
+TEST(Digamma, ReflectionForNegativeArguments) {
+  // psi(x + 1) = psi(x) + 1/x, stepped down from psi(0.5).
+  EXPECT_NEAR(digamma(-0.5), digamma(0.5) + 2.0, 1e-10);
+  EXPECT_NEAR(digamma(-1.5), digamma(-0.5) + 2.0 / 3.0, 1e-10);
 }
 
 TEST(SelectFamily, PicksExponentialForExponentialData) {
