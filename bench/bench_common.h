@@ -1,10 +1,10 @@
-// Shared scaffolding for the paper-reproduction bench binaries.
+// Shared scaffolding for the bench binaries.
 //
-// Every bench regenerates one table or figure: it generates the two
-// calibrated synthetic logs (fixed seed, so output is reproducible),
-// prints the paper's reported values next to the measured ones, renders
-// the figure as terminal text, and exports the plotted series as CSV
-// under figures/.
+// The paper's figures come from one table (report/paper_figures.h), which
+// bench_paper walks; the other benches measure the engines around it.
+// They share the calibrated synthetic logs at one fixed seed, print
+// paper-vs-measured comparisons through print_comparisons() and exit with
+// exit_code(), and write BENCH_*.json perf records through PerfJson.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +17,13 @@
 #include "data/log_index.h"
 #include "obs/trace.h"
 #include "report/compare.h"
+#include "report/paper_figures.h"
 #include "sim/tsubame_models.h"
 
 namespace tsufail::bench {
 
 /// The seed every bench uses, so all bench output lines up across binaries.
-constexpr std::uint64_t kBenchSeed = 20210607;  // DSN 2021 vintage
+using report::kBenchSeed;
 
 /// Calibrated synthetic log for one machine (generated once, cached).
 const data::FailureLog& bench_log(data::Machine machine);

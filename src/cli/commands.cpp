@@ -28,8 +28,8 @@
 #include "ops/repairshop.h"
 #include "ops/spares.h"
 #include "predict/evaluate.h"
-#include "report/figure_export.h"
 #include "report/markdown_report.h"
+#include "report/paper_figures.h"
 #include "report/repair_text.h"
 #include "report/study_text.h"
 #include "report/table.h"
@@ -42,7 +42,6 @@
 #include "sim/montecarlo.h"
 #include "sim/scaling.h"
 #include "sim/tsubame_models.h"
-#include "stats/ecdf.h"
 #include "stream/alerts.h"
 #include "stream/event_stream.h"
 #include "stream/health.h"
@@ -622,62 +621,14 @@ Result<void> run_figures(const ParsedArgs& args, std::ostream& out) {
   if (!options.ok()) return options.error();
   auto study = analysis::run_study(log.value(), options.value());
   if (!study.ok()) return study.error();
-  const auto& s = study.value();
+  const data::LogIndex index(log.value());
+  const report::MachineInput machine{index, study.value()};
   std::size_t written = 0;
-
-  const auto emit = [&](const report::FigureData& figure) -> Result<void> {
-    auto result = report::export_figure(figure, outdir.value());
-    if (!result.ok()) return result;
-    ++written;
-    return {};
-  };
-
-  report::FigureData categories{"categories", {"category", "count", "percent"}, {}};
-  for (const auto& share : s.categories.categories) {
-    categories.rows.push_back({std::string(data::to_string(share.category)),
-                               std::to_string(share.count), report::fmt(share.percent)});
+  for (const auto& entry : report::paper_figures()) {
+    const auto figures = report::extract_figures(entry, {&machine, 1});
+    if (auto result = report::export_figures(figures, outdir.value()); !result.ok()) return result;
+    written += figures.size();
   }
-  if (auto r = emit(categories); !r.ok()) return r;
-
-  if (s.tbf.has_value()) {
-    report::FigureData tbf{"tbf_cdf", {"tbf_hours", "cdf"}, {}};
-    const auto ecdf = stats::Ecdf::create(s.tbf->tbf_hours).value();
-    for (const auto& [x, y] : ecdf.curve(100))
-      tbf.rows.push_back({report::fmt(x, 3), report::fmt(y, 4)});
-    if (auto r = emit(tbf); !r.ok()) return r;
-  }
-
-  report::FigureData ttr{"ttr_cdf", {"ttr_hours", "cdf"}, {}};
-  const auto ttr_ecdf = stats::Ecdf::create(s.ttr.ttr_hours).value();
-  for (const auto& [x, y] : ttr_ecdf.curve(100))
-    ttr.rows.push_back({report::fmt(x, 3), report::fmt(y, 4)});
-  if (auto r = emit(ttr); !r.ok()) return r;
-
-  report::FigureData nodes{"node_counts", {"failures_per_node", "nodes", "percent"}, {}};
-  for (const auto& bucket : s.node_counts.buckets) {
-    nodes.rows.push_back({std::to_string(bucket.failures), std::to_string(bucket.nodes),
-                          report::fmt(bucket.percent_of_failed)});
-  }
-  if (auto r = emit(nodes); !r.ok()) return r;
-
-  if (s.gpu_slots.has_value()) {
-    report::FigureData slots{"gpu_slots", {"slot", "count", "percent"}, {}};
-    for (const auto& slot : s.gpu_slots->slots) {
-      slots.rows.push_back({std::to_string(slot.slot), std::to_string(slot.count),
-                            report::fmt(slot.percent)});
-    }
-    if (auto r = emit(slots); !r.ok()) return r;
-  }
-
-  report::FigureData monthly{"monthly", {"month", "failures", "median_ttr", "exposure_days"}, {}};
-  for (const auto& month : s.seasonal.monthly) {
-    monthly.rows.push_back(
-        {std::string(month_abbrev(month.month)), std::to_string(month.failures),
-         month.box ? report::fmt(month.box->median, 2) : "",
-         report::fmt(s.seasonal.exposure_days[static_cast<std::size_t>(month.month - 1)], 1)});
-  }
-  if (auto r = emit(monthly); !r.ok()) return r;
-
   out << "wrote " << written << " figure CSVs to " << outdir.value() << "/\n";
   return {};
 }

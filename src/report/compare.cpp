@@ -52,19 +52,4 @@ std::string ComparisonSet::render() const {
   return out;
 }
 
-std::string ComparisonSet::render_markdown() const {
-  std::string out = "### " + name_ + "\n\n";
-  out += "| Metric | Paper | Measured | Rel. delta | Verdict |\n";
-  out += "|---|---:|---:|---:|---|\n";
-  for (const auto& row : rows_) {
-    const std::string delta = std::abs(row.paper) < 1e-9
-                                  ? "|" + fmt(row.abs_delta()) + "|"
-                                  : fmt_percent(100.0 * row.rel_delta(), 1);
-    out += "| " + row.metric + (row.unit.empty() ? "" : " (" + row.unit + ")") + " | " +
-           fmt(row.paper) + " | " + fmt(row.measured) + " | " + delta + " | " +
-           (row.within_tolerance() ? "match" : "off") + " |\n";
-  }
-  return out + "\n";
-}
-
 }  // namespace tsufail::report

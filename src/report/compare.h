@@ -1,9 +1,10 @@
 // Paper-vs-measured comparison records.
 //
-// Every bench reports the paper's number beside the value measured on the
-// calibrated synthetic log, with a tolerance verdict.  EXPERIMENTS.md is
-// generated from these rows, so the comparison logic lives here, in one
-// place, rather than scattered across bench binaries.
+// Each entry of the paper-figure table (report/paper_figures.h) reports
+// the paper's numbers beside the values measured on the calibrated
+// synthetic logs, with a tolerance verdict; bench_paper prints them and
+// the figures test gates on them.  The tolerance logic lives here, in one
+// place.
 #pragma once
 
 #include <string>
@@ -42,9 +43,6 @@ class ComparisonSet {
 
   /// Renders as an aligned table with a MATCH/OFF verdict column.
   std::string render() const;
-
-  /// Renders as a markdown table row-block for EXPERIMENTS.md.
-  std::string render_markdown() const;
 
  private:
   std::string name_;

@@ -6,18 +6,18 @@
 
 namespace tsufail::report {
 
-Result<void> export_figure(const FigureData& figure, const std::string& directory) {
+Result<void> export_figures(std::span<const FigureData> figures, const std::string& directory) {
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
   if (ec)
     return Error(ErrorKind::kIo, "cannot create figure directory '" + directory +
                                      "': " + ec.message());
-  const std::string path = directory + "/" + figure.name + ".csv";
-  return write_csv_file(path, figure.columns, figure.rows);
-}
-
-std::vector<std::string> row(std::initializer_list<std::string> cells) {
-  return std::vector<std::string>(cells);
+  for (const auto& figure : figures) {
+    const std::string path = directory + "/" + figure.name + ".csv";
+    if (auto written = write_csv_file(path, figure.columns, figure.rows); !written.ok())
+      return written;
+  }
+  return {};
 }
 
 }  // namespace tsufail::report

@@ -1,8 +1,11 @@
 // CSV export of figure series, so a user can replot the reproduction with
-// any external tool.  Each bench writes one CSV per figure into an output
-// directory (default "figures/", created on demand).
+// any external tool.  bench_paper and `tsufail figures` write the figures
+// of the paper-figure table (report/paper_figures.h) through
+// export_figures, one CSV per figure, into an output directory that is
+// created on demand.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,10 +20,8 @@ struct FigureData {
   std::vector<std::vector<std::string>> rows;
 };
 
-/// Writes `figure` as <directory>/<name>.csv, creating the directory.
-Result<void> export_figure(const FigureData& figure, const std::string& directory = "figures");
-
-/// Builds a row of already-formatted cells (convenience for benches).
-std::vector<std::string> row(std::initializer_list<std::string> cells);
+/// Writes each figure as <directory>/<name>.csv, creating the directory.
+/// Stops at the first failure and returns it; its message names the path.
+Result<void> export_figures(std::span<const FigureData> figures, const std::string& directory);
 
 }  // namespace tsufail::report

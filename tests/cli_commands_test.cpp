@@ -7,7 +7,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+
+#include "report/paper_figures.h"
 
 namespace tsufail::cli {
 namespace {
@@ -151,17 +154,114 @@ TEST(Commands, TriageReportsImpactAndPolicy) {
   std::remove(path.c_str());
 }
 
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::string first_line(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
+std::set<std::string> csv_stems(const std::filesystem::path& directory) {
+  std::set<std::string> stems;
+  for (const auto& file : std::filesystem::directory_iterator(directory))
+    stems.insert(file.path().stem().string());
+  return stems;
+}
+
 TEST(Commands, FiguresWritesCsvs) {
-  const std::string path = temp_log_path("cli_figures.csv");
-  const std::string outdir = ::testing::TempDir() + "/cli_figdir";
-  ASSERT_EQ(run({"simulate", path, "--machine", "t2", "--seed", "4"}).code, 0);
-  const auto figures = run({"figures", path, "--outdir", outdir});
+  namespace fs = std::filesystem;
+  const std::string csv = temp_log_path("cli_figures.csv");
+  const std::string tsnap = temp_log_path("cli_figures.tsnap");
+  const fs::path from_csv = temp_log_path("cli_figdir_csv");
+  const fs::path from_tsnap = temp_log_path("cli_figdir_tsnap");
+  fs::remove_all(from_csv);
+  fs::remove_all(from_tsnap);
+  const std::string seed = std::to_string(report::kBenchSeed);
+  ASSERT_EQ(run({"simulate", csv, "--machine", "t2", "--seed", seed}).code, 0);
+  ASSERT_EQ(run({"pack", csv, tsnap}).code, 0);
+  const auto figures = run({"figures", csv, "--outdir", from_csv.string()});
   ASSERT_EQ(figures.code, 0) << figures.err;
-  EXPECT_TRUE(std::filesystem::exists(outdir + "/categories.csv"));
-  EXPECT_TRUE(std::filesystem::exists(outdir + "/tbf_cdf.csv"));
-  EXPECT_TRUE(std::filesystem::exists(outdir + "/ttr_cdf.csv"));
-  EXPECT_TRUE(std::filesystem::exists(outdir + "/monthly.csv"));
-  std::filesystem::remove_all(outdir);
+  ASSERT_EQ(run({"figures", tsnap, "--outdir", from_tsnap.string()}).code, 0);
+
+  // Exactly the table's Tsubame-2 stems, each under its committed header.
+  std::set<std::string> t2_stems;
+  for (const auto& entry : report::paper_figures()) {
+    const auto stem = entry.stems[static_cast<std::size_t>(data::Machine::kTsubame2)];
+    if (!stem.empty() && !entry.pair_rows) t2_stems.insert(std::string(stem));
+  }
+  EXPECT_EQ(csv_stems(from_csv), t2_stems);
+  EXPECT_NE(figures.out.find("wrote " + std::to_string(t2_stems.size()) + " figure CSVs"),
+            std::string::npos)
+      << figures.out;
+  const fs::path committed = TSUFAIL_FIGURES_DIR;
+  for (const auto& stem : t2_stems) {
+    EXPECT_EQ(first_line(from_csv / (stem + ".csv")), first_line(committed / (stem + ".csv")))
+        << stem;
+  }
+
+  // Counts do not pass through the CSV's 4-decimal TTRs, so these match
+  // the bench's files byte for byte (TTR-derived ones need not).
+  for (const char* stem : {"fig02a_categories_t2", "fig04a_node_counts_t2", "fig05a_gpu_slots_t2",
+                           "tab03_multi_gpu_t2"}) {
+    const std::string name = std::string(stem) + ".csv";
+    EXPECT_EQ(read_file(from_csv / name), read_file(committed / name)) << name;
+  }
+
+  // The same log as a snapshot gives the same directory.
+  EXPECT_EQ(csv_stems(from_tsnap), t2_stems);
+  for (const auto& stem : t2_stems) {
+    const std::string name = stem + ".csv";
+    EXPECT_EQ(read_file(from_tsnap / name), read_file(from_csv / name)) << name;
+  }
+  fs::remove_all(from_csv);
+  fs::remove_all(from_tsnap);
+  std::remove(csv.c_str());
+  std::remove(tsnap.c_str());
+}
+
+TEST(Commands, FiguresWritesOnlyTheEntriesWhoseAnalysesRan) {
+  namespace fs = std::filesystem;
+  const std::string path = temp_log_path("cli_figures_two.csv");
+  const fs::path outdir = temp_log_path("cli_figdir_two");
+  fs::remove_all(outdir);
+  {
+    std::ofstream log(path);
+    log << "machine,timestamp,node,category,ttr_hours,gpu_slots,root_locus\n"
+        << "Tsubame-2,2012-01-08 10:48:11,216,FAN,14.4708,,\n"
+        << "Tsubame-2,2012-01-09 21:00:22,552,FAN,61.0331,,\n";
+  }
+  const auto figures = run({"figures", path, "--outdir", outdir.string()});
+  ASSERT_EQ(figures.code, 0) << figures.err;
+  // Absent: GPU slots, Table III and Fig 8 (no GPU failure), Fig 7 (TBF
+  // per category needs 3 failures of one category), node survival (no
+  // node fails twice), Fig 3 (Tsubame-3 only) and RQ4 (needs both
+  // machines).
+  const std::set<std::string> ran = {
+      "ext_racks_t2",          "fig02a_categories_t2",  "fig04a_node_counts_t2",
+      "fig06_tbf_cdf",         "fig09_ttr_cdf",         "fig10a_ttr_by_type_t2",
+      "fig11a_monthly_ttr_t2", "fig12a_monthly_counts_t2"};
+  EXPECT_EQ(csv_stems(outdir), ran);
+  fs::remove_all(outdir);
+  std::remove(path.c_str());
+}
+
+TEST(Commands, FiguresFailsWhenTheOutdirCannotBeCreated) {
+  const std::string path = temp_log_path("cli_figures_blocked.csv");
+  const std::string blocker = temp_log_path("cli_figures_blocker");
+  ASSERT_EQ(run({"simulate", path, "--machine", "t2", "--seed", "4"}).code, 0);
+  std::ofstream(blocker) << "a regular file, not a directory\n";
+  const auto figures = run({"figures", path, "--outdir", blocker + "/figures"});
+  EXPECT_EQ(figures.code, 1);
+  EXPECT_EQ(figures.err.rfind("error: io:", 0), 0u) << figures.err;
+  EXPECT_NE(figures.err.find(blocker + "/figures"), std::string::npos) << figures.err;
+  std::remove(blocker.c_str());
   std::remove(path.c_str());
 }
 

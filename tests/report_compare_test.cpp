@@ -73,22 +73,13 @@ TEST(ComparisonSet, RenderReportsVerdictsAndTally) {
   ComparisonSet set("RQ5");
   set.add("mttr", 10.0, 10.5, 0.15, "h");
   set.add("p95", 100.0, 160.0, 0.15, "h");
+  set.add("share", 0.0, 0.05, 0.15, "%");
   const std::string text = set.render();
   EXPECT_NE(text.find("RQ5"), std::string::npos) << text;
   EXPECT_NE(text.find("MATCH"), std::string::npos) << text;
   EXPECT_NE(text.find("OFF"), std::string::npos) << text;
-  EXPECT_NE(text.find("matched 1/2"), std::string::npos) << text;
+  EXPECT_NE(text.find("matched 2/3"), std::string::npos) << text;
   EXPECT_NE(text.find("[h]"), std::string::npos) << text;
-}
-
-TEST(ComparisonSet, RenderMarkdownRowsAndNearZeroDelta) {
-  ComparisonSet set("Figure 2");
-  set.add("software share", 0.0, 0.05, 0.15, "%");
-  set.add("gpu share", 60.0, 58.0, 0.15, "%");
-  const std::string text = set.render_markdown();
-  EXPECT_NE(text.find("### Figure 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("| software share (%)"), std::string::npos) << text;
-  EXPECT_NE(text.find("match"), std::string::npos) << text;
   // The near-zero row shows an absolute |delta|, not a percent.
   EXPECT_NE(text.find("|0.05|"), std::string::npos) << text;
 }

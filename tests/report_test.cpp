@@ -110,22 +110,13 @@ TEST(ComparisonSet, RenderAndCount) {
   EXPECT_NE(out.find("matched 1/2"), std::string::npos);
 }
 
-TEST(ComparisonSet, Markdown) {
-  ComparisonSet set("Table III");
-  set.add("1 GPU", 30.44, 30.43, 0.1, "%");
-  const std::string md = set.render_markdown();
-  EXPECT_NE(md.find("### Table III"), std::string::npos);
-  EXPECT_NE(md.find("| 1 GPU (%) |"), std::string::npos);
-  EXPECT_NE(md.find("| match |"), std::string::npos);
-}
-
 TEST(FigureExport, WritesCsv) {
   const std::string dir = ::testing::TempDir() + "/tsufail_figures";
   FigureData figure;
   figure.name = "test_fig";
   figure.columns = {"x", "y"};
   figure.rows = {{"1", "0.5"}, {"2", "1.0"}};
-  ASSERT_TRUE(export_figure(figure, dir).ok());
+  ASSERT_TRUE(export_figures({&figure, 1}, dir).ok());
   std::ifstream in(dir + "/test_fig.csv");
   std::string first_line;
   std::getline(in, first_line);
@@ -133,8 +124,32 @@ TEST(FigureExport, WritesCsv) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FigureExport, RowHelper) {
-  EXPECT_EQ(row({"a", "b"}), (std::vector<std::string>{"a", "b"}));
+TEST(FigureExport, ReportsAnUnwritableDirectoryWithItsPath) {
+  const std::string blocker = ::testing::TempDir() + "/tsufail_figures_blocker";
+  std::ofstream(blocker) << "a regular file, not a directory\n";
+  const FigureData figure{"first", {"x"}, {{"1"}}};
+  const std::string outdir = blocker + "/figures";
+  const auto written = export_figures({&figure, 1}, outdir);
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.error().kind(), ErrorKind::kIo);
+  EXPECT_NE(written.error().message().find(outdir), std::string::npos)
+      << written.error().to_string();
+  std::filesystem::remove(blocker);
+}
+
+TEST(FigureExport, StopsAtTheFirstFailedFile) {
+  const std::string dir = ::testing::TempDir() + "/tsufail_figures_first_failure";
+  std::filesystem::remove_all(dir);
+  // The first stem names a subdirectory that does not exist, so its file
+  // cannot be opened; the second would write fine.
+  const std::vector<FigureData> figures = {{"missing/first", {"x"}, {{"1"}}},
+                                           {"second", {"x"}, {{"2"}}}};
+  const auto written = export_figures(figures, dir);
+  ASSERT_FALSE(written.ok());
+  EXPECT_NE(written.error().message().find(dir + "/missing/first.csv"), std::string::npos)
+      << written.error().to_string();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/second.csv"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
