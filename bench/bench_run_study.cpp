@@ -1,10 +1,11 @@
-// End-to-end run_study throughput: the study over its shared LogIndex,
+// End-to-end run_study throughput: the log form, which builds the log's
+// LogIndex and runs the twelve analyses over it on the worker pool,
 // serial and parallel, on generated Tsubame-2/3 logs at 1x/10x/100x the
 // paper's failure counts.  Emits the standard google-benchmark output
 // (pass --benchmark_format=json for machine-readable results).  The
 // parallel dispatch only helps with >1 hardware thread, where the
-// critical path (index build + the longest single analysis) bounds the
-// speedup over the serial study.
+// critical path (the index build, which precedes the analyses, plus the
+// longest single analysis) bounds the speedup over the serial study.
 //
 // After the google-benchmark suite, main() gates the tsufail::obs dormant
 // overhead (DESIGN.md section 12): with instrumentation compiled in but
@@ -109,7 +110,7 @@ double measure_dormant_overhead(bench::PerfJson& perf) {
 
   // 2. Instrumented sites a study hits: spans recorded plus counter
   //    updates (study.runs + index.builds + index.records + one
-  //    tasks_run per task) in one traced run.
+  //    tasks_run per analysis) in one traced run.
   obs::reset_trace();
   obs::reset_metrics();
   obs::set_enabled(true);

@@ -1,100 +1,91 @@
 #include "analysis/study.h"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <utility>
-#include <vector>
 
-#include "analysis/executor.h"
-#include "data/log_index.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "util/parallel.h"
 
 namespace tsufail::analysis {
+namespace {
+
+/// Span name for one analysis ("study.tbf").  Interned only while obs is
+/// enabled, so the disabled path never allocates.
+const char* task_span_name(const char* analysis) {
+  if (!obs::enabled()) return nullptr;
+  return obs::intern((std::string("study.") + analysis).c_str());
+}
+
+/// Moves a successful analysis result into its report slot.
+template <typename T, typename Slot>
+Result<void> fill(Result<T> result, Slot& slot) {
+  if (!result.ok()) return result.error();
+  slot = std::move(result).value();
+  return {};
+}
+
+}  // namespace
 
 Result<StudyReport> run_study(const data::FailureLog& log, const StudyOptions& options) {
-  if (log.empty())
+  return run_study(data::LogIndex(log), options);
+}
+
+Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& options) {
+  if (index.empty())
     return Error(ErrorKind::kDomain, "run_study: empty log");
 
   OBS_SPAN("study.run");
   static obs::Counter runs = obs::counter("study.runs");
+  static obs::Counter tasks_run = obs::counter("study.tasks_run");
+  static obs::Counter tasks_failed = obs::counter("study.tasks_failed");
   runs.add();
 
+  // One task per analysis, in registration order.  Each task writes only
+  // its own report slot, so parallel runs do not race on the report.  A
+  // required analysis that fails fails the study; any other lands in
+  // StudyReport::skipped.
   StudyReport report;
-
-  // The index is built by the first task; every analysis depends on it,
-  // so the executor's publication order guarantees they see the build.
-  std::optional<data::LogIndex> index;
-
-  Executor executor;
-  const auto index_task = executor.add("index", [&]() -> Result<void> {
-    index.emplace(log);
-    return {};
-  });
-
-  // Registers one analysis over the shared index: on success the value
-  // moves into its report slot, on failure the error reaches the
-  // executor.  Tasks only touch their own slot, so parallel runs do not
-  // race on the report.
-  const auto add_analysis = [&](std::string name, auto analyze, auto& slot) {
-    return executor.add(
-        std::move(name),
-        [&index, analyze, &slot]() -> Result<void> {
-          auto result = analyze(*index);
-          if (!result.ok()) return result.error();
-          slot = std::move(result.value());
-          return {};
-        },
-        {index_task});
+  const struct {
+    const char* name;
+    bool required;
+    std::function<Result<void>()> run;
+  } tasks[] = {
+      {"categories", true, [&] { return fill(analyze_categories(index), report.categories); }},
+      {"software_loci", false,
+       [&] { return fill(analyze_software_loci(index), report.software_loci); }},
+      {"node_counts", true, [&] { return fill(analyze_node_counts(index), report.node_counts); }},
+      {"gpu_slots", false, [&] { return fill(analyze_gpu_slots(index), report.gpu_slots); }},
+      {"multi_gpu", false, [&] { return fill(analyze_multi_gpu(index), report.multi_gpu); }},
+      {"tbf", false, [&] { return fill(analyze_tbf(index), report.tbf); }},
+      {"tbf_by_category", false,
+       [&] { return fill(analyze_tbf_by_category(index), report.tbf_by_category); }},
+      {"multi_gpu_clustering", false,
+       [&] { return fill(analyze_multi_gpu_clustering(index), report.multi_gpu_clustering); }},
+      {"ttr", true, [&] { return fill(analyze_ttr(index), report.ttr); }},
+      {"ttr_by_category", false,
+       [&] { return fill(analyze_ttr_by_category(index), report.ttr_by_category); }},
+      {"seasonal", true, [&] { return fill(analyze_seasonal(index), report.seasonal); }},
+      {"perf_error_prop", true,
+       [&] { return fill(analyze_perf_error_prop(index), report.perf_error_prop); }},
   };
 
-  // Registration order mirrors the sequential study; required analyses
-  // abort the study on failure, the rest land in report.skipped.
-  std::vector<Executor::TaskId> required{index_task};
-  required.push_back(add_analysis(
-      "categories", [](const data::LogIndex& i) { return analyze_categories(i); },
-      report.categories));
-  add_analysis(
-      "software_loci", [](const data::LogIndex& i) { return analyze_software_loci(i); },
-      report.software_loci);
-  required.push_back(add_analysis(
-      "node_counts", [](const data::LogIndex& i) { return analyze_node_counts(i); },
-      report.node_counts));
-  add_analysis(
-      "gpu_slots", [](const data::LogIndex& i) { return analyze_gpu_slots(i); },
-      report.gpu_slots);
-  add_analysis(
-      "multi_gpu", [](const data::LogIndex& i) { return analyze_multi_gpu(i); },
-      report.multi_gpu);
-  add_analysis(
-      "tbf", [](const data::LogIndex& i) { return analyze_tbf(i); }, report.tbf);
-  add_analysis(
-      "tbf_by_category", [](const data::LogIndex& i) { return analyze_tbf_by_category(i); },
-      report.tbf_by_category);
-  add_analysis(
-      "multi_gpu_clustering",
-      [](const data::LogIndex& i) { return analyze_multi_gpu_clustering(i); },
-      report.multi_gpu_clustering);
-  required.push_back(add_analysis(
-      "ttr", [](const data::LogIndex& i) { return analyze_ttr(i); }, report.ttr));
-  add_analysis(
-      "ttr_by_category", [](const data::LogIndex& i) { return analyze_ttr_by_category(i); },
-      report.ttr_by_category);
-  required.push_back(add_analysis(
-      "seasonal", [](const data::LogIndex& i) { return analyze_seasonal(i); },
-      report.seasonal));
-  required.push_back(add_analysis(
-      "perf_error_prop", [](const data::LogIndex& i) { return analyze_perf_error_prop(i); },
-      report.perf_error_prop));
+  const auto errors = parallel_for(
+      std::size(tasks), options.jobs, [] { return 0; }, [&tasks](int, std::size_t t) {
+        obs::SpanScope span(task_span_name(tasks[t].name));
+        return tasks[t].run();
+      });
+  tasks_run.add(std::size(tasks));
+  tasks_failed.add(static_cast<std::uint64_t>(
+      std::count_if(errors.begin(), errors.end(), [](const auto& e) { return e.has_value(); })));
 
-  const auto outcomes = executor.run(options.jobs);
-
-  for (Executor::TaskId id : required) {
-    if (!outcomes[id].ok())
-      return outcomes[id].error->with_context("run_study: " + outcomes[id].name);
-  }
-  for (Executor::TaskId id = 0; id < outcomes.size(); ++id) {
-    const auto& outcome = outcomes[id];
-    if (outcome.ok()) continue;
-    report.skipped.push_back({outcome.name, *outcome.error});
+  for (std::size_t t = 0; t < std::size(tasks); ++t) {
+    if (!errors[t].has_value()) continue;
+    if (tasks[t].required)
+      return errors[t]->with_context(std::string("run_study: ") + tasks[t].name);
+    report.skipped.push_back({tasks[t].name, *errors[t]});
   }
   return report;
 }

@@ -1,13 +1,14 @@
 // StudyReport: every analysis in the paper, computed in one call.
 //
 // This is the convenience entry point for downstream users ("run the
-// DSN'21 study on my log").  The log is indexed once (data::LogIndex) and
-// the independent analyses are dispatched over it through the Executor,
-// optionally in parallel (StudyOptions::jobs); the assembled report is
-// identical for any thread count.  Analyses that are undefined for a
-// given log (e.g. multi-GPU clustering on a log with no multi-GPU
-// failures) are carried as std::optional and simply absent, with the
-// reason recorded in StudyReport::skipped.
+// DSN'21 study on my log").  The study reads one data::LogIndex; the
+// FailureLog form only indexes the log first.  The independent analyses
+// run on the library's worker pool (util/parallel.h), optionally in
+// parallel (StudyOptions::jobs); the assembled report is identical for
+// any thread count.  Analyses that are undefined for a given log (e.g.
+// multi-GPU clustering on a log with no multi-GPU failures) are carried
+// as std::optional and simply absent, with the reason recorded in
+// StudyReport::skipped.
 #pragma once
 
 #include <optional>
@@ -23,6 +24,7 @@
 #include "analysis/tbf.h"
 #include "analysis/temporal_cluster.h"
 #include "analysis/ttr.h"
+#include "data/log_index.h"
 
 namespace tsufail::analysis {
 
@@ -58,10 +60,14 @@ struct StudyReport {
   std::vector<SkippedAnalysis> skipped;
 };
 
-/// Runs the full study on one log.  Errors only on conditions that make
-/// the whole study meaningless (empty log, or a required analysis
-/// failing); per-analysis impossibilities yield absent optionals / empty
-/// vectors and an entry in StudyReport::skipped instead.
+/// Runs the full study on an indexed log.  Errors only on conditions that
+/// make the whole study meaningless (empty log, or a required analysis
+/// failing; the error names it); per-analysis impossibilities yield
+/// absent optionals / empty vectors and an entry in StudyReport::skipped
+/// instead.
+Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& options = {});
+
+/// Indexes `log` and runs the study on that index.
 Result<StudyReport> run_study(const data::FailureLog& log, const StudyOptions& options = {});
 
 }  // namespace tsufail::analysis

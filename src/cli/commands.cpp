@@ -100,6 +100,11 @@ Result<sim::MachineModel> resolve_model(const ParsedArgs& args) {
   return model;
 }
 
+/// The log every log-reading command takes; load_log sniffs which form.
+PositionalSpec log_positional() {
+  return {"log.csv", "failure log: tsufail CSV or a packed .tsnap snapshot", true};
+}
+
 OptionSpec strict_option() {
   return {"strict", "", "fail on the first malformed CSV row instead of skipping", {}};
 }
@@ -238,7 +243,7 @@ Result<void> run_simulate(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_analyze_parser() {
   ArgParser parser("analyze", "Run the full DSN'21 study on a failure log.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option(strict_option());
   parser.option(jobs_option());
   parser.option(trace_option());
@@ -541,7 +546,7 @@ Result<void> run_repairs(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_triage_parser() {
   ArgParser parser("triage", "Operator report: impact ranking and repeat-failure nodes.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option(strict_option());
   parser.option({"top", "N", "rows to show per section", std::string("10")});
   return parser;
@@ -605,7 +610,7 @@ Result<void> run_triage(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_figures_parser() {
   ArgParser parser("figures", "Export every paper-figure series for a log as CSV files.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"outdir", "DIR", "output directory", std::string("figures")});
   parser.option(strict_option());
   parser.option(jobs_option());
@@ -619,9 +624,9 @@ Result<void> run_figures(const ParsedArgs& args, std::ostream& out) {
   if (!outdir.ok()) return outdir.error();
   auto options = resolve_study_options(args);
   if (!options.ok()) return options.error();
-  auto study = analysis::run_study(log.value(), options.value());
-  if (!study.ok()) return study.error();
   const data::LogIndex index(log.value());
+  auto study = analysis::run_study(index, options.value());
+  if (!study.ok()) return study.error();
   const report::MachineInput machine{index, study.value()};
   std::size_t written = 0;
   for (const auto& entry : report::paper_figures()) {
@@ -637,7 +642,7 @@ Result<void> run_figures(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_checkpoint_parser() {
   ArgParser parser("checkpoint", "Young/Daly checkpoint plan from a log's measured MTBF.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"cost-hours", "H", "time to write one checkpoint", std::string("0.25")});
   parser.option(strict_option());
   return parser;
@@ -667,7 +672,7 @@ Result<void> run_checkpoint(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_spares_parser() {
   ArgParser parser("spares", "Spare-pool sizing for one failure category.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"category", "NAME", "failure category (e.g. GPU, SSD)", std::string("GPU")});
   parser.option({"lead-days", "D", "restock lead time in days", std::string("14")});
   parser.option({"target", "P", "max acceptable stockout probability", std::string("0.05")});
@@ -705,7 +710,7 @@ Result<void> run_spares(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_predict_parser() {
   ArgParser parser("predict", "Backtest node-failure predictors on a log.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"top-k", "K", "watchlist size", std::string("20")});
   parser.option({"warmup", "F", "fraction of the log used as warm-up", std::string("0.3")});
   parser.option(strict_option());
@@ -746,7 +751,7 @@ Result<void> run_predict(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_report_parser() {
   ArgParser parser("report", "Render the full study as a markdown report.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"out", "FILE", "write to a file instead of stdout", {}});
   parser.option({"title", "TEXT", "report title", {}});
   parser.option({"no-extensions", "", "omit survival/trends/racks sections", {}});
@@ -894,7 +899,7 @@ Result<void> run_unpack(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_trends_parser() {
   ArgParser parser("trends", "Rolling-window MTBF/MTTR trends over the system lifetime.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"window-days", "D", "rolling window length", std::string("60")});
   parser.option({"step-days", "D", "window step", std::string("30")});
   parser.option(strict_option());
@@ -941,7 +946,7 @@ Result<void> run_trends(const ParsedArgs& args, std::ostream& out) {
 
 ArgParser make_racks_parser() {
   ArgParser parser("racks", "Rack-level spatial distribution of failures.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"top", "N", "racks to list", std::string("10")});
   parser.option(strict_option());
   return parser;
@@ -981,7 +986,7 @@ ArgParser make_couplings_parser() {
   ArgParser parser("couplings",
                    "Cross-category lead-lag couplings: does a failure of one category raise "
                    "the short-term rate of another?");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"window-hours", "H", "post-event window", std::string("72")});
   parser.option({"min-events", "N", "ignore categories with fewer events", std::string("8")});
   parser.option({"top", "N", "pairs to show", std::string("10")});
@@ -1027,7 +1032,7 @@ ArgParser make_watch_parser() {
   ArgParser parser("watch",
                    "Replay a failure log through the streaming monitor, printing alerts and "
                    "periodic health summaries.");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option({"reorder-hours", "H", "reorder horizon of the event stream", std::string("24")});
   parser.option({"window-days", "D", "rolling MTBF/MTTR window length", std::string("60")});
   parser.option({"step-days", "D", "rolling window step", std::string("30")});
@@ -1231,7 +1236,7 @@ ArgParser make_profile_parser() {
   ArgParser parser("profile",
                    "Run the study under tracing and print the top spans by self time "
                    "(where the pipeline actually spends its wall clock).");
-  parser.positional({"log.csv", "failure log in tsufail CSV format", true});
+  parser.positional(log_positional());
   parser.option(jobs_option());
   parser.option({"runs", "N", "study repetitions to aggregate", std::string("1")});
   parser.option({"top", "N", "rows in the self-time table", std::string("15")});
@@ -1267,8 +1272,9 @@ Result<void> run_profile(const ParsedArgs& args, std::ostream& out) {
   if (!log.ok()) return log.error();
   auto options = resolve_study_options(args);
   if (!options.ok()) return options.error();
+  const data::LogIndex index(log.value());
   for (long long run = 0; run < runs.value(); ++run) {
-    auto study = analysis::run_study(log.value(), options.value());
+    auto study = analysis::run_study(index, options.value());
     if (!study.ok()) return study.error();
   }
   cli_span.stop();

@@ -1,6 +1,6 @@
 // LogIndex: a build-once, immutable indexed view over a FailureLog, and
-// the one input type of every analysis in src/analysis/ (run_study builds
-// it from a log as its first task).
+// the one input type of every analysis in src/analysis/, run_study
+// included.
 //
 // The index does the per-record work exactly once, so no analysis
 // re-scans, re-copies or re-sorts the record vector to carve out its

@@ -26,7 +26,8 @@ std::string md_rule(std::size_t columns) {
 
 Result<std::string> render_markdown_report(const data::FailureLog& log,
                                            const MarkdownOptions& options) {
-  auto study_result = analysis::run_study(log, analysis::StudyOptions{options.jobs});
+  const data::LogIndex index(log);  // one index for the study and the extensions
+  auto study_result = analysis::run_study(index, analysis::StudyOptions{options.jobs});
   if (!study_result.ok()) return study_result.error();
   const auto& s = study_result.value();
 
@@ -126,7 +127,6 @@ Result<std::string> render_markdown_report(const data::FailureLog& log,
   if (!options.include_extensions) return md;
 
   // --- extensions ------------------------------------------------------------------
-  const data::LogIndex index(log);  // shared by the extension analyzers
   if (auto survival = analysis::analyze_node_survival(index); survival.ok()) {
     md += "## Node survival\n\n";
     md += "- " + fmt_percent(100.0 * survival.value().fraction_never_failed, 1) +

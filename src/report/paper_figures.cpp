@@ -429,7 +429,7 @@ const sim::MachineModel& model_of(Machine machine) {
 Reproduction::Calibrated::Calibrated(Machine machine)
     : log(sim::generate_log(model_of(machine), kBenchSeed).value()),
       index(log),
-      study(analysis::run_study(log).value()) {
+      study(analysis::run_study(index).value()) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto seeded = sim::generate_log(model_of(machine), seed).value();
     seed_studies.push_back(analysis::run_study(seeded).value());

@@ -232,7 +232,7 @@ Result<FleetService::QueryResponse> FleetService::query(const std::string& tenan
 
   Result<std::string> text = [&]() -> Result<std::string> {
     if (key == kStudyKey) {
-      auto study = analysis::run_study(snapshot->log(), {config_.study_jobs});
+      auto study = analysis::run_study(snapshot->index(), {config_.study_jobs});
       if (!study.ok()) return study.error();
       return report::render_study_text(snapshot->log(), study.value());
     }

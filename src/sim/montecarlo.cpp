@@ -1,9 +1,6 @@
 #include "sim/montecarlo.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -11,6 +8,7 @@
 #include "obs/obs.h"
 #include "sim/generator.h"
 #include "stats/descriptive.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace tsufail::sim {
@@ -171,92 +169,62 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
 
   OBS_SPAN("sweep.run");
 
-  // One cell per (variant, replicate), flattened variant-major.  Workers
-  // claim cells off an atomic cursor but write only their own slot, so
-  // the assembled result is independent of scheduling.
+  // One cell per (variant, replicate), flattened variant-major.  Cells
+  // run on the worker pool and write only their own slot, so the
+  // assembled result is independent of scheduling.
   const std::size_t total = variants.size() * options.replicates;
   std::vector<std::optional<ReplicateResult>> cells(total);
-  std::vector<std::optional<Error>> cell_errors(total);
-  std::atomic<std::size_t> next_cell{0};
 
   static obs::Counter cells_counter = obs::counter("sweep.cells");
   static obs::Histogram cell_seconds =
       obs::histogram("sweep.cell_seconds", obs::time_buckets_seconds());
-
-  const auto worker = [&]() {
-    // Recycled across this worker's replicates: the record storage flows
-    // generate_log -> FailureLog -> take_records and back.
-    std::vector<data::FailureRecord> buffer;
-    for (std::size_t cell = next_cell.fetch_add(1); cell < total;
-         cell = next_cell.fetch_add(1)) {
-      const std::size_t variant = cell / options.replicates;
-      const std::size_t replicate = cell % options.replicates;
-      OBS_SPAN("sweep.cell");
-      const obs::Stopwatch cell_watch;
-      try {
-        ReplicateResult result;
-        result.replicate = replicate;
-        result.seed = replicate_seed(options.base_seed, replicate);
-        auto log = [&] {
-          OBS_SPAN("sweep.generate");
-          return generate_log(variants[variant].model, result.seed, std::move(buffer));
-        }();
-        if (!log.ok()) {
-          buffer = {};
-          cell_errors[cell] = log.error();
-          continue;
-        }
-        result.failures = log.value().size();
-        const ReplicateStage& stage =
-            variants[variant].stage ? variants[variant].stage : options.stage;
-        if (stage) {
-          auto samples = [&] {
-            OBS_SPAN("sweep.stage");
-            return stage(log.value(), result.seed);
-          }();
-          buffer = data::FailureLog::take_records(std::move(log).value());
-          if (!samples.ok()) {
-            cell_errors[cell] = samples.error();
-            continue;
-          }
-          result.metrics = std::move(samples.value());
-        } else {
-          auto study = [&] {
-            OBS_SPAN("sweep.analyze");
-            return analysis::run_study(log.value(), analysis::StudyOptions{1});
-          }();
-          buffer = data::FailureLog::take_records(std::move(log).value());
-          if (!study.ok()) {
-            cell_errors[cell] = study.error();
-            continue;
-          }
-          result.metrics = study_metrics(study.value());
-          if (options.keep_reports) result.report = std::move(study.value());
-        }
-        cells[cell] = std::move(result);
-        cells_counter.add();
-        if (obs::enabled()) cell_seconds.observe(cell_watch.seconds());
-      } catch (const std::exception& e) {
-        buffer = {};
-        cell_errors[cell] =
-            Error(ErrorKind::kInternal, std::string("uncaught exception: ") + e.what());
-      }
-    }
-  };
-
-  std::size_t workers =
-      options.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency()) : options.jobs;
-  workers = std::min(workers, total);
   static obs::Gauge workers_gauge = obs::gauge("sweep.workers");
-  workers_gauge.set(static_cast<double>(workers));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
-    for (auto& thread : threads) thread.join();
-  }
+  workers_gauge.set(static_cast<double>(worker_count(total, options.jobs)));
+
+  // Each worker's state is its recycled record storage, which flows
+  // generate_log -> FailureLog -> take_records and back between cells.
+  using RecordBuffer = std::vector<data::FailureRecord>;
+  const auto run_cell = [&](RecordBuffer& buffer, std::size_t cell) -> Result<void> {
+    const std::size_t variant = cell / options.replicates;
+    const std::size_t replicate = cell % options.replicates;
+    OBS_SPAN("sweep.cell");
+    const obs::Stopwatch cell_watch;
+    ReplicateResult result;
+    result.replicate = replicate;
+    result.seed = replicate_seed(options.base_seed, replicate);
+    auto log = [&] {
+      OBS_SPAN("sweep.generate");
+      return generate_log(variants[variant].model, result.seed, std::move(buffer));
+    }();
+    if (!log.ok()) return log.error();
+    result.failures = log.value().size();
+    const ReplicateStage& stage =
+        variants[variant].stage ? variants[variant].stage : options.stage;
+    if (stage) {
+      auto samples = [&] {
+        OBS_SPAN("sweep.stage");
+        return stage(log.value(), result.seed);
+      }();
+      buffer = data::FailureLog::take_records(std::move(log).value());
+      if (!samples.ok()) return samples.error();
+      result.metrics = std::move(samples.value());
+    } else {
+      auto study = [&] {
+        OBS_SPAN("sweep.analyze");
+        return analysis::run_study(log.value(), analysis::StudyOptions{1});
+      }();
+      buffer = data::FailureLog::take_records(std::move(log).value());
+      if (!study.ok()) return study.error();
+      result.metrics = study_metrics(study.value());
+      if (options.keep_reports) result.report = std::move(study.value());
+    }
+    cells[cell] = std::move(result);
+    cells_counter.add();
+    if (obs::enabled()) cell_seconds.observe(cell_watch.seconds());
+    return {};
+  };
+  const auto cell_errors =
+      parallel_for(total, options.jobs, [] { return RecordBuffer{}; }, run_cell);
 
   // First failing cell in deterministic (variant, replicate) order wins.
   for (std::size_t cell = 0; cell < total; ++cell) {

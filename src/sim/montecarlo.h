@@ -4,7 +4,8 @@
 // Every multi-replicate workload (ablation benches, what-if scaling
 // sweeps, calibration checks) wants the same loop: generate a log per
 // seed, run the full study, and average scalar metrics across replicates.
-// run_sweep fuses that loop and fans it across a thread pool:
+// run_sweep fuses that loop and fans it across the library's worker pool
+// (util/parallel.h):
 //
 //   * Determinism contract.  Replicate r of every variant is generated
 //     from replicate_seed(base_seed, r) — a splitmix-style fork of
@@ -14,16 +15,17 @@
 //     random numbers), which cancels sampling noise out of cross-variant
 //     deltas — exactly what the ablation bench compares.
 //
-//   * Fused pipeline.  Each worker generates, indexes, analyzes, and
-//     reduces a replicate in one pass on one thread, recycling the record
-//     allocation between replicates (generate_log's buffer overload +
-//     FailureLog::take_records).  Full StudyReports are only kept when
-//     SweepOptions::keep_reports asks for them; aggregate-only sweeps
-//     carry scalar metrics and drop everything else per replicate.
+//   * Fused pipeline.  Each worker generates, indexes, and analyzes a
+//     replicate in one pass on one thread, recycling the record
+//     allocation between its replicates as its per-worker state
+//     (generate_log's buffer overload + FailureLog::take_records).  Full
+//     StudyReports are only kept when SweepOptions::keep_reports asks for
+//     them; aggregate-only sweeps carry scalar metrics and drop
+//     everything else per replicate.
 //
 //   * Cross-replicate aggregates.  Per metric: mean, sample stddev, and
-//     a percentile-bootstrap CI of the mean from the deterministic
-//     sharded stats::bootstrap_ci (same bounds at any thread count).
+//     a percentile-bootstrap CI of the mean from stats::bootstrap_ci,
+//     seeded per (variant, metric), computed serially after the cells.
 #pragma once
 
 #include <cstdint>

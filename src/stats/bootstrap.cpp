@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -14,7 +12,7 @@ namespace tsufail::stats {
 namespace {
 
 /// Replicates per RNG shard.  The shard partition is a function of
-/// `replicates` alone, so the same draws happen at any thread count.
+/// `replicates` alone, so shard streams are fixed by the call.
 constexpr std::size_t kShardSize = 128;
 
 /// Shards per work unit: one per 64-bit lane of the stats::simd
@@ -30,7 +28,7 @@ constexpr std::size_t kLaneCount = simd::XoshiroLanes::kLanes;
 Result<ConfidenceInterval> bootstrap_ci(
     std::span<const double> sample,
     const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    std::size_t replicates, double level, std::size_t jobs) {
+    std::size_t replicates, double level) {
   if (sample.empty())
     return Error(ErrorKind::kDomain, "bootstrap_ci: empty sample");
   if (replicates == 0)
@@ -58,20 +56,18 @@ Result<ConfidenceInterval> bootstrap_ci(
   // uniform_index on its fork directly, then the value movement is a
   // contiguous gather per lane.  Same indices per shard, same statistic
   // slot per replicate — bit-identical resamples and CI bounds.
-  struct GroupScratch {
-    std::array<std::vector<std::uint32_t>, kLaneCount> indices;
-    std::vector<double> resample;
-    explicit GroupScratch(std::size_t n) : resample(n) {
-      for (auto& buf : indices) buf.resize(n);
-    }
-  };
-  const auto run_group = [&](std::size_t group, GroupScratch& scratch) {
+  std::array<std::vector<std::uint32_t>, kLaneCount> indices;
+  std::uint32_t* outs[kLaneCount];
+  for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
+    indices[lane].resize(n);
+    outs[lane] = indices[lane].data();
+  }
+  std::vector<double> resample(n);
+  for (std::size_t group = 0; group < group_count; ++group) {
     simd::XoshiroLanes lanes(rng, group * kLaneCount);
-    std::uint32_t* outs[kLaneCount];
     std::size_t lane_rows[kLaneCount];
     std::size_t rows = 0;
     for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
-      outs[lane] = scratch.indices[lane].data();
       const std::size_t begin = (group * kLaneCount + lane) * kShardSize;
       lane_rows[lane] = begin < replicates ? std::min(kShardSize, replicates - begin) : 0;
       rows = std::max(rows, lane_rows[lane]);
@@ -83,32 +79,10 @@ Result<ConfidenceInterval> bootstrap_ci(
       lanes.fill_indices(n, n, outs);
       for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
         if (row >= lane_rows[lane]) continue;
-        gather_into(sample, scratch.indices[lane], scratch.resample);
-        replicate_stats[(group * kLaneCount + lane) * kShardSize + row] =
-            statistic(scratch.resample);
+        gather_into(sample, indices[lane], resample);
+        replicate_stats[(group * kLaneCount + lane) * kShardSize + row] = statistic(resample);
       }
     }
-  };
-
-  std::size_t workers = jobs == 0 ? std::max(1u, std::thread::hardware_concurrency()) : jobs;
-  workers = std::min(workers, group_count);
-  if (workers <= 1) {
-    GroupScratch scratch(n);
-    for (std::size_t group = 0; group < group_count; ++group) run_group(group, scratch);
-  } else {
-    std::atomic<std::size_t> next_group{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
-        GroupScratch scratch(n);
-        for (std::size_t group = next_group.fetch_add(1); group < group_count;
-             group = next_group.fetch_add(1)) {
-          run_group(group, scratch);
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
   }
 
   sort_ascending(replicate_stats);
@@ -119,18 +93,16 @@ Result<ConfidenceInterval> bootstrap_ci(
 }
 
 Result<ConfidenceInterval> bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
-                                             std::size_t replicates, double level,
-                                             std::size_t jobs) {
+                                             std::size_t replicates, double level) {
   return bootstrap_ci(
-      sample, [](std::span<const double> s) { return mean(s); }, rng, replicates, level, jobs);
+      sample, [](std::span<const double> s) { return mean(s); }, rng, replicates, level);
 }
 
 Result<ConfidenceInterval> bootstrap_median_ci(std::span<const double> sample, Rng& rng,
-                                               std::size_t replicates, double level,
-                                               std::size_t jobs) {
+                                               std::size_t replicates, double level) {
   return bootstrap_ci(
       sample, [](std::span<const double> s) { return quantile(s, 0.5).value_or(0.0); }, rng,
-      replicates, level, jobs);
+      replicates, level);
 }
 
 }  // namespace tsufail::stats

@@ -579,10 +579,13 @@ void check_index_merge(Differ& d, const data::FailureLog& log, const data::LogIn
 /// Packs the log (with its index) into the columnar snapshot format,
 /// loads it back from the bytes, and demands the materialized records
 /// and the zero-copy-adopted index be bit-identical to the in-memory
-/// originals — the pack -> mmap-load -> analyze path must be
-/// indistinguishable from parse -> analyze.
+/// originals, and run_study over the adopted index match the reference
+/// study at every thread count — the pack -> mmap-load -> analyze path
+/// must be indistinguishable from parse -> analyze.
 void check_snapshot_roundtrip(Differ& d, const data::FailureLog& log,
-                              const data::LogIndex& index) {
+                              const data::LogIndex& index,
+                              const Result<analysis::StudyReport>& study_reference,
+                              const std::vector<std::size_t>& thread_counts) {
   d.set_tag("snapshot_roundtrip");
   const std::string bytes = data::pack_columnar(log, &index);
   auto loaded = data::ColumnarSnapshot::from_bytes(bytes);
@@ -646,6 +649,11 @@ void check_snapshot_roundtrip(Differ& d, const data::FailureLog& log,
                     got.positions_of(got_nodes[i]));
     }
   }
+
+  for (std::size_t jobs : thread_counts) {
+    d.set_tag("snapshot_roundtrip.run_study[jobs=" + std::to_string(jobs) + "]");
+    cmp_result(d, study_reference, analysis::run_study(got, analysis::StudyOptions{jobs}));
+  }
 }
 
 }  // namespace
@@ -665,13 +673,14 @@ OracleReport run_oracle(const data::FailureLog& log, const OracleOptions& option
   OracleReport report;
   Differ d(report.mismatches);
   const data::LogIndex index(log);
+  const auto study_reference = ref_run_study(log);
 
   // The serve delta-merge path must reproduce this index bit-for-bit.
   check_index_merge(d, log, index);
 
-  // The columnar pack -> load path must reproduce both the records and
-  // the index bit-for-bit.
-  check_snapshot_roundtrip(d, log, index);
+  // The columnar pack -> load path must reproduce the records and the
+  // index bit-for-bit, and the study over the adopted index.
+  check_snapshot_roundtrip(d, log, index, study_reference, options.thread_counts);
 
   // One analysis, two ways: the reference vs the LogIndex entry point.
   const auto check = [&](const std::string& name, auto ref_result, auto index_result) {
@@ -711,9 +720,8 @@ OracleReport run_oracle(const data::FailureLog& log, const OracleOptions& option
   check("category_burstiness", ref_category_burstiness(log),
         analysis::analyze_category_burstiness(index));
 
-  // The assembled study, serial reference vs the executor at every
-  // configured thread count.
-  const auto study_reference = ref_run_study(log);
+  // The assembled study, serial reference vs the log entry point at
+  // every configured thread count.
   for (std::size_t jobs : options.thread_counts) {
     d.set_tag("run_study[jobs=" + std::to_string(jobs) + "]");
     cmp_result(d, study_reference, analysis::run_study(log, analysis::StudyOptions{jobs}));

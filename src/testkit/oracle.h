@@ -2,7 +2,8 @@
 //
 // run_oracle() recomputes every analysis two ways — the naive reference
 // (reference.h) and the LogIndex entry point — plus run_study at several
-// thread counts, and structurally diffs the results.
+// thread counts (over the log, and over the index adopted from the log's
+// packed snapshot), and structurally diffs the results.
 // Exact fields (counts, enums, strings, orderings, identical-arithmetic
 // doubles) must match to <= 4 ULPs; reassociation-prone doubles (Welford
 // vs two-pass moments, chunked vs day-walk exposure, correlations over

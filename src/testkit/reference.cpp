@@ -619,7 +619,7 @@ Result<analysis::StudyReport> ref_run_study(const FailureLog& log) {
   analysis::StudyReport report;
 
   // Required analyses: a failure aborts the study with the task name as
-  // context, exactly as the executor-driven run_study reports it.
+  // context, exactly as the pooled run_study reports it.
   {
     auto categories = ref_categories(log);
     if (!categories.ok()) return categories.error().with_context("run_study: categories");

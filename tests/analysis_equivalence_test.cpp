@@ -1,9 +1,9 @@
 // Refactor-equivalence suite: the LogIndex-based analyses must be
 // bit-identical to the raw-log computation they replaced, the restricted
 // seasonal views must equal the whole-log analysis of their own sub-log,
-// every analysis entry point must take the index (and only run_study a
-// log), and run_study must assemble the exact same StudyReport at every
-// thread count.  All comparisons use EXPECT_EQ on doubles deliberately:
+// every analysis entry point must take the index (and only run_study
+// also a log), and run_study must assemble the exact same StudyReport at
+// every thread count.  All comparisons use EXPECT_EQ on doubles deliberately:
 // the refactor's contract is bit identity, not tolerance.
 #include <gtest/gtest.h>
 
@@ -410,7 +410,7 @@ TEST(GenerationComparison, EmptySideIsNamedInTheError) {
             "domain: newer system: analyze_perf_error_prop: empty log");
 }
 
-// ---- one input type: the index in, a log only into run_study -----------
+// ---- one input type: the index in, and a log also into run_study -------
 
 // Every public entry point of src/analysis/ except run_study, as a generic
 // callable that is invocable exactly when the call compiles.
@@ -460,7 +460,7 @@ static_assert(entry_points_taking<data::LogIndex>(kEntryPoints) ==
 static_assert(entry_points_taking<data::FailureLog>(kEntryPoints) == 0,
               "no analysis entry point besides run_study takes a const data::FailureLog&");
 static_assert(EntryPointTakes<data::FailureLog, decltype(kRunStudy)>);
-static_assert(!EntryPointTakes<data::LogIndex, decltype(kRunStudy)>);
+static_assert(EntryPointTakes<data::LogIndex, decltype(kRunStudy)>);
 
 // ---- run_study determinism across thread counts -------------------------
 

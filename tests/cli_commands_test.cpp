@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "report/paper_figures.h"
 
 namespace tsufail::cli {
@@ -397,6 +399,33 @@ TEST(Commands, ReportMarkdown) {
   EXPECT_EQ(first_line, "# Custom title");
   std::remove(path.c_str());
   std::remove(out_path.c_str());
+}
+
+/// Counter `name` from a `--metrics FILE.json` dump (0 when absent).
+std::uint64_t metrics_json_counter(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  std::stringstream json;
+  json << in.rdbuf();
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.str().find(key);
+  return at == std::string::npos ? 0 : std::stoull(json.str().substr(at + key.size()));
+}
+
+TEST(Commands, OneIndexBuildPerLoadedLog) {
+  // The report's study and its extension sections share one index.
+  const std::string path = temp_log_path("cli_one_index.csv");
+  const std::string metrics = temp_log_path("cli_one_index.json");
+  ASSERT_EQ(run({"simulate", path, "--machine", "t2", "--seed", "5"}).code, 0);
+  for (const char* command : {"report", "analyze"}) {
+    SCOPED_TRACE(command);
+    const auto result = run({command, path, "--metrics", metrics});
+    ASSERT_EQ(result.code, 0) << result.err;
+    EXPECT_EQ(metrics_json_counter(metrics, "index.builds"), 1u);
+  }
+  obs::set_enabled(false);
+  obs::reset_metrics();
+  std::remove(path.c_str());
+  std::remove(metrics.c_str());
 }
 
 TEST(Commands, CompareGenerations) {

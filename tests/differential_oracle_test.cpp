@@ -1,6 +1,6 @@
 // Differential verification: every analysis recomputed with the naive
 // O(n^2) reference and diffed against both the FailureLog and LogIndex
-// fast paths, plus run_study at 1/2/8 executor threads — over the edge
+// fast paths, plus run_study at 1/2/8 worker threads — over the edge
 // corpus, calibrated simulator logs, and random adversarial logs (ctest
 // label: property; TSUFAIL_TEST_SEED replays, TSUFAIL_TEST_ITERS deepens).
 #include <gtest/gtest.h>
@@ -52,7 +52,7 @@ TEST(DifferentialOracle, RandomLogsBothMachines) {
 
 TEST(DifferentialOracle, DenseTieHeavyLogs) {
   // Crank the adversarial knobs: everything simultaneous, clustered, and
-  // multi-GPU — the regime where index spans, tie-breaking, and executor
+  // multi-GPU — the regime where index spans, tie-breaking, and worker
   // scheduling are most likely to diverge.
   PropertyOptions options;
   options.gen.min_records = 32;

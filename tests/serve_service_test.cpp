@@ -11,6 +11,8 @@
 #include "analysis/query.h"
 #include "analysis/study.h"
 #include "data/log_io.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "report/study_text.h"
 #include "serve/cache.h"
 #include "serve/service.h"
@@ -108,6 +110,35 @@ TEST(FleetService, EpochMergedQueryMatchesBatchAnalyze) {
   EXPECT_EQ(stats.value().records, log.size());
   EXPECT_EQ(stats.value().sealed_pending, 0u);
   EXPECT_EQ(stats.value().stream.released, log.size());
+}
+
+TEST(FleetService, StudyQueryReadsTheSealedIndex) {
+  // A sealed epoch carries its index, so QUERY study builds none.
+  const auto log = generated(data::Machine::kTsubame2);
+  FleetService service(replay_service_config());
+  ASSERT_TRUE(service.open_tenant("t2", data::tsubame2_spec()).ok());
+  for (const auto& row : csv_rows(log)) ASSERT_TRUE(service.ingest_row("t2", row).ok()) << row;
+  ASSERT_TRUE(service.seal("t2").ok());
+
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  const auto builds = [] {
+    const obs::MetricsSnapshot metrics = obs::collect_metrics();
+    const auto* counter = metrics.find_counter("index.builds");
+    return counter == nullptr ? std::uint64_t{0} : counter->value;
+  };
+  const std::uint64_t before = builds();
+  const auto study = service.query("t2", "study");
+  const std::uint64_t after = builds();
+  const data::LogIndex control(log);  // a fresh build is counted
+  const std::uint64_t after_control = builds();
+  obs::set_enabled(false);
+  obs::reset_metrics();
+
+  ASSERT_TRUE(study.ok()) << study.error().to_string();
+  EXPECT_FALSE(study.value().cached);
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(after_control - after, 1u);
 }
 
 TEST(FleetService, EpochBumpInvalidatesCachedQueries) {

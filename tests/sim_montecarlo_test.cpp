@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/tsubame_models.h"
@@ -299,6 +301,33 @@ TEST(RunSweep, StageErrorNamesVariantAndReplicate) {
       << result.error().message();
   EXPECT_NE(result.error().message().find("stage exploded"), std::string::npos)
       << result.error().message();
+}
+
+TEST(RunSweep, ThrowingStageBecomesAnInternalErrorNamingTheCell) {
+  // Stages run on pool workers: whatever one throws, a std::exception or
+  // not, comes back as its cell's kInternal error instead of ending the
+  // process, and the worker goes on to its next cell.
+  const std::uint64_t poison = replicate_seed(42, 1);
+  for (const bool std_exception : {true, false}) {
+    SCOPED_TRACE(std_exception ? "std::runtime_error" : "int");
+    auto options = small_options(4);
+    options.stage = [poison, std_exception](
+                        const data::FailureLog&,
+                        std::uint64_t seed) -> Result<std::vector<MetricSample>> {
+      if (seed == poison) {
+        if (std_exception) throw std::runtime_error("stage blew up");
+        throw 7;
+      }
+      return std::vector<MetricSample>{{"fine", 1.0}};
+    };
+    const auto result = run_sweep(tsubame3_model(), options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().kind(), ErrorKind::kInternal);
+    EXPECT_EQ(result.error().message(),
+              "run_sweep: variant 'Tsubame-3' replicate 1: " +
+                  std::string(std_exception ? "task threw: stage blew up"
+                                            : "task threw a non-exception"));
+  }
 }
 
 TEST(RunSweep, StageSweepBitIdenticalAtAnyJobsCount) {
