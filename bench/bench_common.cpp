@@ -48,12 +48,6 @@ const data::FailureLog& bench_log(data::Machine machine) {
   return machine == data::Machine::kTsubame2 ? t2 : t3;
 }
 
-const data::LogIndex& bench_index(data::Machine machine) {
-  static const data::LogIndex t2(bench_log(data::Machine::kTsubame2));
-  static const data::LogIndex t3(bench_log(data::Machine::kTsubame3));
-  return machine == data::Machine::kTsubame2 ? t2 : t3;
-}
-
 void print_banner(const std::string& experiment, const std::string& paper_ref) {
   std::printf("================================================================\n");
   std::printf("%s\n", experiment.c_str());

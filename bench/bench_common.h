@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "data/log.h"
-#include "data/log_index.h"
 #include "obs/trace.h"
 #include "report/compare.h"
 #include "report/paper_figures.h"
@@ -27,10 +26,6 @@ using report::kBenchSeed;
 
 /// Calibrated synthetic log for one machine (generated once, cached).
 const data::FailureLog& bench_log(data::Machine machine);
-
-/// The index over bench_log(machine), which every analysis takes (built
-/// once, cached).
-const data::LogIndex& bench_index(data::Machine machine);
 
 /// Prints the standard bench banner: what is being reproduced and from what.
 void print_banner(const std::string& experiment, const std::string& paper_ref);

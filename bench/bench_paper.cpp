@@ -1,5 +1,6 @@
 // The paper reproduction: every figure, table and RQ4 result of the paper,
-// plus two extension figures, from one table (report::paper_figures()).
+// plus six extensions (racks, survival, the simulator's knob ablations and
+// the RQ5 implications), from one table (report::paper_figures()).
 //
 // Run it from the repository root with no arguments.  For each table
 // entry it writes figures/<stem>.csv, shows the figure as terminal text,
@@ -15,7 +16,8 @@ using namespace tsufail;
 
 int main() {
   bench::print_banner("bench_paper",
-                      "Figures 2-12, Table III and RQ4, plus rack and survival extensions");
+                      "Figures 2-12, Table III and RQ4, plus rack, survival, ablation and "
+                      "RQ5-implication extensions");
   const report::Reproduction repro;
   std::optional<Error> write_error;
   for (const auto& entry : report::paper_figures()) {

@@ -151,9 +151,6 @@ Result<ObsRequest> resolve_obs(const ParsedArgs& args) {
       return ok.error().with_context("--metrics");
   }
   if (request.any()) {
-    if (!obs::kCompiledIn)
-      return Error(ErrorKind::kInternal,
-                   "this build has TSUFAIL_OBS_DISABLE: --trace/--metrics cannot record");
     obs::reset_trace();
     obs::reset_metrics();
     obs::set_enabled(true);
@@ -627,7 +624,7 @@ Result<void> run_figures(const ParsedArgs& args, std::ostream& out) {
   const data::LogIndex index(log.value());
   auto study = analysis::run_study(index, options.value());
   if (!study.ok()) return study.error();
-  const report::MachineInput machine{index, study.value()};
+  const report::MachineInput machine{log.value(), index, study.value()};
   std::size_t written = 0;
   for (const auto& entry : report::paper_figures()) {
     const auto figures = report::extract_figures(entry, {&machine, 1});
@@ -1255,9 +1252,6 @@ Result<void> run_profile(const ParsedArgs& args, std::ostream& out) {
   if (!top.ok()) return top.error();
   if (runs.value() <= 0 || top.value() <= 0)
     return Error(ErrorKind::kDomain, "--runs and --top must be positive");
-  if (!obs::kCompiledIn)
-    return Error(ErrorKind::kInternal,
-                 "this build has TSUFAIL_OBS_DISABLE: profile cannot record spans");
 
   // profile records even without --trace/--metrics: the table *is* the
   // product here, so always reset and enable.
@@ -1359,9 +1353,6 @@ Result<void> run_serve(const ParsedArgs& args, std::ostream& out) {
     trace_path = args.get("trace").value();
     if (auto ok = validate_writable_path(*trace_path); !ok.ok())
       return ok.error().with_context("--trace");
-    if (!obs::kCompiledIn)
-      return Error(ErrorKind::kInternal,
-                   "this build has TSUFAIL_OBS_DISABLE: --trace cannot record");
     obs::reset_trace();
   }
 

@@ -12,10 +12,11 @@
 // whole-study run touches each record O(1) times.
 //
 // Invariants (asserted by tests/data_index_test.cpp):
-//   * positions are indices into records(), and every group span is
-//     strictly ascending — so iterating a span preserves time order;
-//   * hours()[i] == hours_between(spec().log_start, records()[i].time)
-//     and ttr()[i] == records()[i].ttr_hours, bit-identical;
+//   * positions are indices into the log's records (record(i)), and
+//     every group span is strictly ascending — so iterating a span
+//     preserves time order;
+//   * hours()[i] == hours_between(spec().log_start, record(i).time)
+//     and ttr()[i] == record(i).ttr_hours, bit-identical;
 //   * category/class/month/node groups partition the record positions;
 //   * multi_gpu() is a subset of gpu_attributed().
 //
@@ -44,10 +45,10 @@ class LogIndex {
   explicit LogIndex(const FailureLog& log);
   explicit LogIndex(const FailureLog&& log) = delete;
 
-  /// Delta-merge: indexes `log` — which must hold `base.log()`'s records
-  /// as an identical prefix (the append-only shape a sealed epoch
-  /// produces) — by copying `base`'s derived arrays and computing only
-  /// the appended suffix.  The result is bit-identical to
+  /// Delta-merge: indexes `log` — which must hold the records of
+  /// `base`'s log as an identical prefix (the append-only shape a sealed
+  /// epoch produces) — by copying `base`'s derived arrays and computing
+  /// only the appended suffix.  The result is bit-identical to
   /// `LogIndex(log)` built from scratch (asserted by
   /// tests/data_index_test.cpp and the differential oracle); both paths
   /// run through the same builder.  Precondition (REQUIREd):
@@ -69,17 +70,15 @@ class LogIndex {
   static Result<LogIndex> from_columnar(const FailureLog&& log,
                                         std::shared_ptr<const ColumnarSnapshot> snapshot) = delete;
 
-  const FailureLog& log() const noexcept { return *log_; }
   const MachineSpec& spec() const noexcept { return log_->spec(); }
   Machine machine() const noexcept { return log_->machine(); }
-  std::span<const FailureRecord> records() const noexcept { return log_->records(); }
   std::size_t size() const noexcept { return log_->size(); }
   bool empty() const noexcept { return log_->empty(); }
 
   /// Hours since spec().log_start per record, ascending, aligned with
-  /// records().
+  /// record positions.
   std::span<const double> hours() const noexcept { return hours_; }
-  /// TTR per record, aligned with records().
+  /// TTR per record, aligned with record positions.
   std::span<const double> ttr() const noexcept { return ttr_; }
 
   /// Record positions of one category, in time order.

@@ -8,7 +8,6 @@
 
 namespace tsufail::obs {
 
-#if !defined(TSUFAIL_OBS_DISABLE)
 namespace {
 // The runtime kill switch.  Relaxed is enough: enabling observability is
 // advisory (a span straddling the flip may or may not be recorded), and
@@ -18,7 +17,6 @@ std::atomic<bool> g_enabled{false};
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relaxed); }
-#endif
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(

@@ -3,13 +3,10 @@
 //
 // Design contract (DESIGN.md section 12):
 //
-//   * Two kill switches.  Compile-time: building with
-//     -DTSUFAIL_OBS_DISABLE turns OBS_SPAN into nothing and folds
-//     enabled() to a constant false.  Runtime (the default build):
-//     instrumentation is compiled in but dormant — every instrumented
-//     site costs one relaxed atomic load and a predictable branch until
-//     obs::set_enabled(true).  bench_run_study gates the dormant cost at
-//     < 1% of a study run.
+//   * One runtime kill switch.  Instrumentation is always compiled in
+//     but dormant: every instrumented site costs one relaxed atomic load
+//     and a predictable branch until obs::set_enabled(true).
+//     bench_run_study gates the dormant cost at < 1% of a study run.
 //
 //   * Scoped RAII tracing.  OBS_SPAN("name") records a completed span
 //     (name, start, end) into a per-thread lock-free-in-spirit ring
@@ -29,17 +26,9 @@
 
 namespace tsufail::obs {
 
-#if defined(TSUFAIL_OBS_DISABLE)
-/// False when the instrumentation layer was compiled out.
-inline constexpr bool kCompiledIn = false;
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-#else
-inline constexpr bool kCompiledIn = true;
 /// Runtime kill switch: one relaxed atomic load.  Off by default.
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
-#endif
 
 /// Monotonic nanoseconds (steady_clock).  The single clock path shared
 /// by spans, benches, and the CLI — no other component reads a clock.
@@ -120,13 +109,9 @@ class SpanScope {
 #define TSUFAIL_OBS_CAT2(a, b) a##b
 #define TSUFAIL_OBS_CAT(a, b) TSUFAIL_OBS_CAT2(a, b)
 
-#if defined(TSUFAIL_OBS_DISABLE)
-#define OBS_SPAN(name)
-#else
 /// Scoped trace span: OBS_SPAN("sweep.cell"); lives to the end of the
 /// enclosing block.  `name` must be a string literal or intern()ed.
 #define OBS_SPAN(name) \
   ::tsufail::obs::SpanScope TSUFAIL_OBS_CAT(obs_span_, __COUNTER__)(name)
-#endif
 
 }  // namespace tsufail::obs

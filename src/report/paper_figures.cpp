@@ -4,9 +4,15 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <utility>
 
 #include "analysis/node_survival.h"
 #include "analysis/rack_distribution.h"
+#include "ops/checkpoint.h"
+#include "ops/checkpoint_sim.h"
+#include "ops/job_impact.h"
+#include "predict/evaluate.h"
 #include "report/chart.h"
 #include "report/table.h"
 #include "sim/generator.h"
@@ -420,8 +426,199 @@ void survival_check(const MachineInput& m, std::string& notes, ComparisonSet& cm
           survival.failed_nodes_refail_faster ? 1.0 : 0.0, 0.01, "bool");
 }
 
+// Each fleetsim knob carries one paper observation; switching it off
+// should move its own signal and leave the others alone:
+//
+//   knob                  carries
+//   --------------------  -----------------------------------------
+//   node heterogeneity    Fig 4 repeat-failure node mass
+//   slot weights          Fig 5 non-uniform slot distribution
+//   burst arrivals        Fig 8 multi-GPU temporal clustering
+//   seasonal modulation   Fig 11 Tsubame-2 H2 repair slowdown
+//
+// Every variant replays the same replicate seeds (common random numbers),
+// so the off/full ratios compare like with like.
+sim::SweepResult run_knob_ablation() {
+  const auto without = [](std::string label, bool sim::SimKnobs::*knob) {
+    sim::SweepVariant v{std::move(label), sim::tsubame2_model(), {}};
+    if (knob != nullptr) v.model.knobs.*knob = false;
+    return v;
+  };
+  const std::vector<sim::SweepVariant> variants = {
+      without("full model", nullptr),
+      without("no node heterogeneity", &sim::SimKnobs::enable_node_heterogeneity),
+      without("no slot weights", &sim::SimKnobs::enable_slot_weights),
+      without("no burst arrivals", &sim::SimKnobs::enable_bursts),
+      without("no seasonal modulation", &sim::SimKnobs::enable_seasonal),
+  };
+  sim::SweepOptions options;
+  options.base_seed = kBenchSeed;
+  options.replicates = 5;
+  options.jobs = 0;
+  return sim::run_sweep(variants, options).value();
+}
+
+bool ablation_rows(const MachineInput& t2, const MachineInput&, Rows& out) {
+  if (t2.ablations == nullptr) return false;
+  for (const auto& v : t2.ablations->knob_sweep.variants) {
+    out.push_back({v.label, fmt(v.mean_of("percent_multi_failure_nodes"), 1),
+                   fmt(v.mean_of("slot_max_relative_excess"), 3),
+                   fmt(v.mean_of("multi_gpu_gap_cv"), 2), fmt(v.mean_of("h2_h1_ttr_ratio"), 2)});
+  }
+  return true;
+}
+
+void ablation_check(const MachineInput& t2, const MachineInput&, PaperCheck& out) {
+  const auto& variants = t2.ablations->knob_sweep.variants;
+  const auto ratio = [&](std::size_t ablated, const char* metric) {
+    return variants[ablated].mean_of(metric) / variants[0].mean_of(metric, 1.0);
+  };
+  auto& cmp = out.comparisons.emplace_back("ablation deltas (each knob owns its signal)");
+  cmp.add("heterogeneity knob cuts multi-failure mass (off/full < 0.85)", 0.55,
+          ratio(1, "percent_multi_failure_nodes"), 0.55, "x");
+  cmp.add("slot-weight knob owns slot imbalance (off/full)", 0.3,
+          ratio(2, "slot_max_relative_excess"), 0.9, "x");
+  cmp.add("burst knob owns gap over-dispersion (off/full)", 0.6, ratio(3, "multi_gpu_gap_cv"),
+          0.4, "x");
+  cmp.add("seasonal knob owns the H2 slowdown (off ~ 1.0)", 1.0,
+          variants[4].mean_of("h2_h1_ttr_ratio"), 0.2, "x");
+}
+
+// The paper's RQ5 close: "leveraging failure prediction to initiate
+// recovery proactively where possible."  The backtest replays each
+// predictor over a log and scores the watchlist it would have kept.
+constexpr double kPredictionWarmup = 0.3;
+
+/// The watchlist size of each machine's backtest, indexed by data::Machine.
+constexpr std::array<std::size_t, 2> kWatchlist = {50, 20};
+
+/// The built-in predictors on `m`'s log, by descending hit rate.
+Result<std::vector<predict::EvaluationReport>> backtest(const MachineInput& m) {
+  return predict::compare_predictors(m.log, kPredictionWarmup,
+                                     kWatchlist[static_cast<std::size_t>(m.machine())]);
+}
+
+/// The count predictor on a log without node heterogeneity: without
+/// spatial clustering the history signal should mostly vanish.
+predict::EvaluationReport uniform_control(const Ablations& ablations) {
+  auto counter = predict::make_count_predictor();
+  return predict::evaluate_predictor(ablations.uniform_t3, *counter, kPredictionWarmup,
+                                     kWatchlist[static_cast<std::size_t>(Machine::kTsubame3)])
+      .value();
+}
+
+void append_prediction(std::string machine, const predict::EvaluationReport& report, Rows& out) {
+  out.push_back({std::move(machine), report.predictor, std::to_string(report.top_k),
+                 fmt(100.0 * report.hit_rate_at_k, 1), fmt(report.lift_at_k, 1),
+                 fmt(report.mean_reciprocal_rank, 4)});
+}
+
+bool prediction_rows(const MachineInput& t2, const MachineInput& t3, Rows& out) {
+  if (t2.ablations == nullptr) return false;
+  const auto reports2 = backtest(t2);
+  const auto reports3 = backtest(t3);
+  if (!reports2.ok() || !reports3.ok()) return false;
+  for (const auto& report : reports2.value()) append_prediction(name_of(t2), report, out);
+  for (const auto& report : reports3.value()) append_prediction(name_of(t3), report, out);
+  append_prediction("Tsubame-3 (heterogeneity off)", uniform_control(*t2.ablations), out);
+  return true;
+}
+
+void prediction_check(const MachineInput& t2, const MachineInput& t3, PaperCheck& out) {
+  const auto best_hit = [](const MachineInput& m) {
+    return backtest(m).value().front().hit_rate_at_k;
+  };
+  auto& cmp = out.comparisons.emplace_back("prediction headlines");
+  cmp.add("T2 best watchlist(50/1408) hit rate", 0.55, best_hit(t2), 0.35, "frac");
+  cmp.add("T3 best watchlist(20/540) hit rate", 0.60, best_hit(t3), 0.35, "frac");
+  cmp.add("control lift collapses toward 1 (< 5x)", 1.0,
+          uniform_control(*t2.ablations).lift_at_k < 5.0 ? 1.0 : 0.0, 0.01, "bool");
+}
+
+/// Young/Daly checkpointing at a machine's MTBF: the analytic waste
+/// against a discrete-event simulation of a 5000 h job.
+struct CheckpointPlan {
+  double mtbf_hours = 0.0;
+  double interval_hours = 0.0;
+  double analytic_waste = 0.0;
+  double simulated_waste = 0.0;
+};
+
+constexpr double kCheckpointCostHours = 0.25;
+
+std::optional<CheckpointPlan> checkpoint_plan(const MachineInput& m) {
+  if (!m.study.tbf) return std::nullopt;
+  const double mtbf = m.study.tbf->exposure_mtbf_hours;
+  const auto tau = ops::daly_interval_hours(kCheckpointCostHours, mtbf);
+  if (!tau.ok()) return std::nullopt;
+  const auto analytic = ops::waste_fraction(kCheckpointCostHours, tau.value(), mtbf);
+  const auto simulated = ops::simulate_checkpointed_job_exponential(
+      {.work_hours = 5000.0, .interval_hours = tau.value(),
+       .checkpoint_cost_hours = kCheckpointCostHours},
+      mtbf, kBenchSeed, 48);
+  if (!analytic.ok() || !simulated.ok()) return std::nullopt;
+  return CheckpointPlan{mtbf, tau.value(), analytic.value(), simulated.value().waste_fraction};
+}
+
+void append_checkpoint(const MachineInput& m, const CheckpointPlan& plan, Rows& out) {
+  out.push_back({name_of(m), fmt(plan.mtbf_hours, 1), fmt(plan.interval_hours, 2),
+                 fmt(100.0 * plan.analytic_waste, 2), fmt(100.0 * plan.simulated_waste, 2)});
+}
+
+bool checkpoint_rows(const MachineInput& t2, const MachineInput& t3, Rows& out) {
+  const auto plan2 = checkpoint_plan(t2);
+  const auto plan3 = checkpoint_plan(t3);
+  if (!plan2 || !plan3) return false;
+  append_checkpoint(t2, *plan2, out);
+  append_checkpoint(t3, *plan3, out);
+  return true;
+}
+
+void checkpoint_check(const MachineInput& t2, const MachineInput& t3, PaperCheck& out) {
+  auto& cmp = out.comparisons.emplace_back("analytic model vs simulation");
+  for (const MachineInput* m : {&t2, &t3}) {
+    const auto plan = checkpoint_plan(*m).value();
+    cmp.add(std::string(name_of(*m)) + " simulated waste", plan.analytic_waste,
+            plan.simulated_waste, 0.25, "frac");
+  }
+}
+
+/// One job mix replayed on every machine's failures, so goodput connects
+/// MTBF to useful work done.
+Result<ops::JobImpactResult> job_impact(const MachineInput& m) {
+  const ops::JobMixSpec mix{.jobs = 5000, .max_nodes = 32, .mean_duration_hours = 24.0};
+  return ops::replay_job_impact(m.log, mix, kBenchSeed);
+}
+
+void append_job_impact(const MachineInput& m, const ops::JobImpactResult& impact, Rows& out) {
+  out.push_back({name_of(m), fmt(100.0 * impact.interrupted_fraction, 1),
+                 fmt(100.0 * impact.goodput_no_ckpt, 2), fmt(100.0 * impact.goodput_ckpt, 2)});
+}
+
+bool job_impact_rows(const MachineInput& t2, const MachineInput& t3, Rows& out) {
+  const auto impact2 = job_impact(t2);
+  const auto impact3 = job_impact(t3);
+  if (!impact2.ok() || !impact3.ok()) return false;
+  append_job_impact(t2, impact2.value(), out);
+  append_job_impact(t3, impact3.value(), out);
+  return true;
+}
+
+void job_impact_check(const MachineInput& t2, const MachineInput& t3, PaperCheck& out) {
+  const double goodput2 = job_impact(t2).value().goodput_no_ckpt;
+  const double goodput3 = job_impact(t3).value().goodput_no_ckpt;
+  auto& cmp = out.comparisons.emplace_back("job-impact headlines");
+  cmp.add("T3 goodput exceeds T2 goodput", 1.0, goodput3 > goodput2 ? 1.0 : 0.0, 0.01, "bool");
+}
+
 const sim::MachineModel& model_of(Machine machine) {
   return machine == Machine::kTsubame2 ? sim::tsubame2_model() : sim::tsubame3_model();
+}
+
+sim::MachineModel uniform_tsubame3() {
+  auto model = sim::tsubame3_model();
+  model.knobs.enable_node_heterogeneity = false;
+  return model;
 }
 
 }  // namespace
@@ -439,8 +636,9 @@ Reproduction::Calibrated::Calibrated(Machine machine)
 Reproduction::Reproduction()
     : t2_(Machine::kTsubame2),
       t3_(Machine::kTsubame3),
-      inputs_{{{t2_.index, t2_.study, t2_.seed_studies},
-               {t3_.index, t3_.study, t3_.seed_studies}}} {}
+      ablations_{run_knob_ablation(), sim::generate_log(uniform_tsubame3(), kBenchSeed).value()},
+      inputs_{{{t2_.log, t2_.index, t2_.study, t2_.seed_studies, &ablations_},
+               {t3_.log, t3_.index, t3_.study, t3_.seed_studies, &ablations_}}} {}
 
 std::span<const PaperFigure> paper_figures() {
   static const std::vector<PaperFigure> kTable = {
@@ -506,6 +704,25 @@ std::span<const PaperFigure> paper_figures() {
        .stems = {"ext_survival_t2", "ext_survival_t3"},
        .columns = {"curve", "time_hours", "survival"}, .rows = survival_rows,
        .check = survival_check},
+      {.title = "ablation: the Tsubame-2 model with each fleetsim knob off (extension)",
+       .stems = {"ext_ablation", "ext_ablation"},
+       .columns = {"variant", "multi_failure_node_percent", "slot_imbalance",
+                   "multi_gpu_gap_cv", "h2_h1_ttr_ratio"},
+       .view = View::kTable, .pair_rows = ablation_rows, .pair_check = ablation_check},
+      {.title = "prediction: node-failure watchlist backtest (RQ5 implication)",
+       .stems = {"ext_prediction", "ext_prediction"},
+       .columns = {"machine", "predictor", "watchlist", "hit_rate_percent", "lift", "mrr"},
+       .view = View::kTable, .pair_rows = prediction_rows, .pair_check = prediction_check},
+      {.title = "checkpointing: Young/Daly analytic waste vs simulation (RQ5 implication)",
+       .stems = {"ext_checkpoint", "ext_checkpoint"},
+       .columns = {"machine", "mtbf_hours", "daly_interval_hours", "analytic_waste_percent",
+                   "simulated_waste_percent"},
+       .view = View::kTable, .pair_rows = checkpoint_rows, .pair_check = checkpoint_check},
+      {.title = "job impact: one job mix replayed on both fleets (RQ5 implication)",
+       .stems = {"ext_job_impact", "ext_job_impact"},
+       .columns = {"machine", "interrupted_percent", "goodput_no_ckpt_percent",
+                   "goodput_ckpt_4h_percent"},
+       .view = View::kTable, .pair_rows = job_impact_rows, .pair_check = job_impact_check},
   };
   return kTable;
 }

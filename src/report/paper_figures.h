@@ -1,13 +1,15 @@
 // The paper's figures as one table.
 //
-// One entry per figure, table or RQ4 result of the paper, plus two
-// extension figures (rack concentration, node survival).  An entry names
-// the figures/ file each machine writes, its CSV columns, how its rows
-// come out of a machine's StudyReport and LogIndex, how the terminal shows
-// them, and the notes and paper-vs-measured comparisons the reproduction
-// prints.  bench_paper walks the table over both calibrated logs (a
-// Reproduction) and writes the committed figures/*.csv; `tsufail figures`
-// walks it over the one log a user gives it.
+// One entry per figure, table or RQ4 result of the paper, plus six
+// extensions: rack concentration, node survival, the simulator's knob
+// ablations, and the RQ5 implications (failure prediction, checkpoint
+// waste, job goodput).  An entry names the figures/ file each machine
+// writes, its CSV columns, how its rows come out of a machine's log,
+// index and StudyReport, how the terminal shows them, and the notes and
+// paper-vs-measured comparisons the reproduction prints.  bench_paper
+// walks the table over both calibrated logs (a Reproduction) and writes
+// the committed figures/*.csv; `tsufail figures` walks it over the one
+// log a user gives it.
 #pragma once
 
 #include <array>
@@ -22,19 +24,34 @@
 #include "data/log_index.h"
 #include "report/compare.h"
 #include "report/figure_export.h"
+#include "sim/montecarlo.h"
 
 namespace tsufail::report {
 
 /// The seed of the calibrated logs the reproduction measures.
 inline constexpr std::uint64_t kBenchSeed = 20210607;  // DSN 2021 vintage
 
-/// One machine's input to the table: a log's index and the study run on it.
+/// The calibrated models with fleetsim knobs switched off, which two
+/// extension entries read beside the logs.
+struct Ablations {
+  /// The Tsubame-2 model, then each of four knobs off, over 5 replicates.
+  sim::SweepResult knob_sweep;
+  /// A Tsubame-3 log without node heterogeneity: the prediction control.
+  data::FailureLog uniform_t3;
+};
+
+/// One machine's input to the table: a log, its index and the study run
+/// on it.
 struct MachineInput {
+  const data::FailureLog& log;
   const data::LogIndex& index;
   const analysis::StudyReport& study;
   /// The calibrated model's studies at seeds 1-8, which the Fig 3, 9 and 12
   /// comparisons average over; empty for a user's log.
   std::span<const analysis::StudyReport> seed_studies = {};
+  /// The calibrated models' ablations, shared by both machines; null for
+  /// a user's log.
+  const Ablations* ablations = nullptr;
 
   data::Machine machine() const noexcept { return index.spec().machine; }
 };
@@ -42,9 +59,11 @@ struct MachineInput {
 /// The machines one walk reads, Tsubame-2 first.
 using Machines = std::span<const MachineInput>;
 
-/// Both calibrated models at kBenchSeed, each with its seed-1..8 studies.
-/// The constructor generates and studies the 18 logs; it throws
-/// std::runtime_error if one fails to generate or study.
+/// Both calibrated models at kBenchSeed, each with its seed-1..8 studies,
+/// and their Ablations.  The constructor generates and studies the 18
+/// logs and runs the ablations; it throws std::runtime_error if one fails.
+/// The ablation sweep runs on every hardware thread; its means are
+/// bit-identical at any thread count.
 class Reproduction {
  public:
   Reproduction();
@@ -63,6 +82,7 @@ class Reproduction {
     std::vector<analysis::StudyReport> seed_studies;
   };
   Calibrated t2_, t3_;
+  Ablations ablations_;
   std::array<MachineInput, 2> inputs_;
 };
 

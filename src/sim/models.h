@@ -96,7 +96,8 @@ struct RootLocusEntry {
   double weight = 1.0;
 };
 
-/// Feature switches for ablation studies (bench_ablation_sim).
+/// Feature switches for ablation studies (the ext_ablation entry of
+/// report/paper_figures.cpp).
 struct SimKnobs {
   bool enable_bursts = true;            ///< temporal clustering of bursty categories
   bool enable_node_heterogeneity = true;///< non-uniform per-node hazard

@@ -1,7 +1,7 @@
 // sim::montecarlo — deterministic sharded Monte Carlo engine for
 // multi-replicate fleet studies.
 //
-// Every multi-replicate workload (ablation benches, what-if scaling
+// Every multi-replicate workload (knob ablations, what-if scaling
 // sweeps, calibration checks) wants the same loop: generate a log per
 // seed, run the full study, and average scalar metrics across replicates.
 // run_sweep fuses that loop and fans it across the library's worker pool
@@ -13,7 +13,7 @@
 //     own result slot, so the SweepResult is bit-identical at any `jobs`
 //     count.  All variants share the same per-replicate seed set (common
 //     random numbers), which cancels sampling noise out of cross-variant
-//     deltas — exactly what the ablation bench compares.
+//     deltas — exactly what the knob ablations compare.
 //
 //   * Fused pipeline.  Each worker generates, indexes, and analyzes a
 //     replicate in one pass on one thread, recycling the record

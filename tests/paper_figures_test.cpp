@@ -44,9 +44,9 @@ TEST(PaperFigures, StemsMatchTheCommittedFilesOneToOne) {
     }
   }
   EXPECT_EQ(stems, csv_stems(TSUFAIL_FIGURES_DIR));
-  EXPECT_EQ(stems.size(), 27u);
+  EXPECT_EQ(stems.size(), 31u);
   EXPECT_EQ(std::distance(fs::directory_iterator(TSUFAIL_FIGURES_DIR), fs::directory_iterator()),
-            27);
+            31);
 }
 
 TEST(PaperFigures, BenchSeedRegeneratesEveryCommittedFile) {
@@ -62,7 +62,7 @@ TEST(PaperFigures, BenchSeedRegeneratesEveryCommittedFile) {
       EXPECT_EQ(read_file(dir / name), read_file(fs::path(TSUFAIL_FIGURES_DIR) / name)) << name;
     }
   }
-  EXPECT_EQ(files, 27u);
+  EXPECT_EQ(files, 31u);
   fs::remove_all(dir);
 }
 
@@ -75,7 +75,7 @@ TEST(PaperFigures, EveryComparisonIsWithinTolerance) {
       EXPECT_TRUE(set.all_within_tolerance()) << set.render();
     }
   }
-  EXPECT_EQ(sets, 27u);
+  EXPECT_EQ(sets, 31u);
 }
 
 TEST(PaperFigures, OneMachineWalkDrawsItsOwnStemsAndSkipsCrossMachineEntries) {
@@ -89,6 +89,8 @@ TEST(PaperFigures, OneMachineWalkDrawsItsOwnStemsAndSkipsCrossMachineEntries) {
   EXPECT_FALSE(drawn.contains("fig02a_categories_t2"));
   EXPECT_FALSE(drawn.contains("rq4_component_mtbf"));
   EXPECT_FALSE(drawn.contains("rq4_perf_error_prop"));
+  for (const char* stem : {"ext_ablation", "ext_prediction", "ext_checkpoint", "ext_job_impact"})
+    EXPECT_FALSE(drawn.contains(stem)) << stem;
   EXPECT_EQ(drawn.size(), 14u);
 }
 
