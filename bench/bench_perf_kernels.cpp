@@ -109,19 +109,6 @@ void BM_QuantileSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantileSweep)->Range(1 << 10, 1 << 20);
 
-void BM_EcdfEvaluateMany(benchmark::State& state) {
-  const auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
-  const auto ecdf = stats::Ecdf::create(sample).value();
-  const auto queries = random_sample(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> out(queries.size());
-  for (auto _ : state) {
-    ecdf.evaluate_many(queries, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EcdfEvaluateMany)->Range(1 << 10, 1 << 20);
-
 void BM_WeibullFit(benchmark::State& state) {
   Rng rng(7);
   std::vector<double> sample(static_cast<std::size_t>(state.range(0)));

@@ -1,9 +1,6 @@
 #include "analysis/rolling.h"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "stats/simd.h"
 
 namespace tsufail::analysis {
 
@@ -27,28 +24,21 @@ Result<RollingTrends> analyze_rolling_trends(const data::LogIndex& index, double
   trends.window_hours = window_hours;
   trends.step_hours = step_hours;
 
-  // All window bounds up front, so the per-window binary searches run as
-  // two lane-parallel batches (stats::simd) instead of 2 searches per
-  // window: lo = first event >= start (lower_bound), hi = first event >
-  // end (upper_bound) — the same positions the per-window searches found.
-  std::vector<double> starts, ends;
   for (double start = 0.0; start + window_hours <= total_hours + 1e-9; start += step_hours) {
-    starts.push_back(start);
-    ends.push_back(start + window_hours);
-  }
-  std::vector<std::uint32_t> lo_counts(starts.size()), hi_counts(starts.size());
-  stats::simd::lower_bound_many(event_hours, starts, lo_counts);
-  stats::simd::upper_bound_many(event_hours, ends, hi_counts);
-
-  for (std::size_t w = 0; w < starts.size(); ++w) {
+    const double end = start + window_hours;
+    // Events in [start, end]: the first event >= start up to the first > end.
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(event_hours.begin(), event_hours.end(), start) - event_hours.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::upper_bound(event_hours.begin(), event_hours.end(), end) - event_hours.begin());
     RollingWindow window;
-    window.center_hours = (starts[w] + ends[w]) / 2.0;
-    window.failures = hi_counts[w] - lo_counts[w];
+    window.center_hours = (start + end) / 2.0;
+    window.failures = hi - lo;
     // Left-to-right accumulation, deliberately NOT a prefix-sum subtraction:
     // prefix[hi] - prefix[lo] reassociates the additions and would break
     // bit-identity with the original per-window sweep.
     double ttr_sum = 0.0;
-    for (std::size_t i = lo_counts[w]; i < hi_counts[w]; ++i) ttr_sum += ttr[i];
+    for (std::size_t i = lo; i < hi; ++i) ttr_sum += ttr[i];
     window.failures_per_day = static_cast<double>(window.failures) / window_days;
     if (window.failures > 0) {
       window.mtbf_hours = window_hours / static_cast<double>(window.failures);

@@ -16,9 +16,9 @@ Result<TimePoint> parse_legacy_time(std::string_view date, std::string_view time
   const auto date_parts = split(trim(date), '/');
   if (date_parts.size() != 3)
     return Error(ErrorKind::kParse, "legacy date must be D/M/Y: '" + std::string(date) + "'");
-  auto day = parse_int(trim(date_parts[0]));
-  auto month = parse_int(trim(date_parts[1]));
-  auto year = parse_int(trim(date_parts[2]));
+  auto day = parse_int32(trim(date_parts[0]));
+  auto month = parse_int32(trim(date_parts[1]));
+  auto year = parse_int32(trim(date_parts[2]));
   if (!day.ok() || !month.ok() || !year.ok())
     return Error(ErrorKind::kParse, "legacy date must be numeric: '" + std::string(date) + "'");
   if (year.value() < 1000)
@@ -27,14 +27,13 @@ Result<TimePoint> parse_legacy_time(std::string_view date, std::string_view time
   const auto time_parts = split(trim(time_of_day), ':');
   if (time_parts.size() != 2)
     return Error(ErrorKind::kParse, "legacy time must be HH:MM: '" + std::string(time_of_day) + "'");
-  auto hour = parse_int(trim(time_parts[0]));
-  auto minute = parse_int(trim(time_parts[1]));
+  auto hour = parse_int32(trim(time_parts[0]));
+  auto minute = parse_int32(trim(time_parts[1]));
   if (!hour.ok() || !minute.ok())
     return Error(ErrorKind::kParse, "legacy time must be numeric: '" + std::string(time_of_day) + "'");
 
-  CivilDateTime civil{static_cast<int>(year.value()), static_cast<int>(month.value()),
-                      static_cast<int>(day.value()), static_cast<int>(hour.value()),
-                      static_cast<int>(minute.value()), 0};
+  CivilDateTime civil{year.value(), month.value(), day.value(), hour.value(), minute.value(),
+                      0};
   if (auto valid = validate_civil(civil); !valid.ok()) return valid.error();
   return TimePoint::from_civil(civil);
 }
@@ -48,9 +47,9 @@ Result<std::vector<int>> parse_legacy_slots(std::string_view text) {
     part = trim(part);
     if (part.size() < 2 || (part.front() != 'G' && part.front() != 'g'))
       return Error(ErrorKind::kParse, "legacy slot must look like G0: '" + std::string(part) + "'");
-    auto slot = parse_int(part.substr(1));
+    auto slot = parse_int32(part.substr(1));
     if (!slot.ok()) return slot.error().with_context("legacy slot");
-    slots.push_back(static_cast<int>(slot.value()));
+    slots.push_back(slot.value());
   }
   return slots;
 }

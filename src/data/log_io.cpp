@@ -58,9 +58,9 @@ Result<std::pair<Machine, FailureRecord>> parse_record_fields(const CsvRecordVie
 
   const std::string_view* node_text = field(kNode);
   if (node_text == nullptr) return missing(kNode);
-  auto node = parse_int(trim(*node_text));
+  auto node = parse_int32(trim(*node_text));
   if (!node.ok()) return node.error().with_context("node");
-  record.node = static_cast<int>(node.value());
+  record.node = node.value();
 
   const std::string_view* category_text = field(kCategory);
   if (category_text == nullptr) return missing(kCategory);
@@ -135,9 +135,9 @@ Result<std::vector<int>> parse_gpu_slots(std::string_view text) {
   slots.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '|')) + 1);
   for (std::size_t start = 0;;) {
     const std::size_t bar = text.find('|', start);
-    auto value = parse_int(trim(text.substr(start, bar - start)));
+    auto value = parse_int32(trim(text.substr(start, bar - start)));
     if (!value.ok()) return value.error().with_context("gpu_slots");
-    slots.push_back(static_cast<int>(value.value()));
+    slots.push_back(value.value());
     if (bar == std::string_view::npos) return slots;
     start = bar + 1;
   }

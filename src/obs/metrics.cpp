@@ -620,6 +620,13 @@ Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
     const auto type = types.find(family);
     if (type == types.end()) return fail("series '" + series + "' has no TYPE declaration");
     const bool is_bucket = type->second == "histogram" && series.ends_with("_bucket");
+    // Counters, buckets and _count are stored as uint64_t; a value outside
+    // [0, 2^64) (NaN and infinities included) has no such representation.
+    const bool is_count =
+        type->second == "counter" || is_bucket ||
+        (type->second == "histogram" && series.ends_with("_count"));
+    if (is_count && !(value.value() >= 0.0 && value.value() < 0x1p64))
+      return fail("count '" + value_text + "' of '" + series + "' is outside [0, 2^64)");
     if (is_bucket) {
       if (labels.find("le=\"") == std::string::npos)
         return fail("histogram bucket without le label");

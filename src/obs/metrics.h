@@ -184,9 +184,10 @@ std::string prometheus_text(const MetricsSnapshot& snapshot);
 
 /// Structural validation of a Prometheus text exposition: every sample
 /// line parses, every series was declared by a preceding TYPE line,
-/// histogram bucket series are cumulative, and exemplar annotations only
-/// appear on bucket series with hex trace ids and parseable values.
-/// Used by tests and the `obs_check` CI tool.
+/// counter, `_bucket` and `_count` values lie in [0, 2^64) (NaN and
+/// infinities rejected), histogram bucket series are cumulative, and
+/// exemplar annotations only appear on bucket series with hex trace ids
+/// and parseable values.  Used by tests and the `obs_check` CI tool.
 struct PrometheusCheck {
   std::size_t samples = 0;
   std::size_t families = 0;

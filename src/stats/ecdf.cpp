@@ -5,7 +5,6 @@
 
 #include "stats/descriptive.h"
 #include "stats/kernels.h"
-#include "stats/simd.h"
 
 namespace tsufail::stats {
 
@@ -28,15 +27,6 @@ double Ecdf::evaluate(double x) const noexcept {
   return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
-void Ecdf::evaluate_many(std::span<const double> xs, std::span<double> out) const noexcept {
-  // upper_bound counts are exact integers and IEEE division is correctly
-  // rounded, so batching changes neither — out[i] == evaluate(xs[i])
-  // bit-for-bit at every dispatch level.
-  std::vector<std::uint32_t> counts(xs.size());
-  simd::upper_bound_many(sorted_, xs, counts);
-  simd::counts_to_fractions(counts, static_cast<double>(sorted_.size()), out);
-}
-
 Result<double> Ecdf::quantile(double q) const {
   if (!(q >= 0.0 && q <= 1.0))
     return Error(ErrorKind::kDomain, "Ecdf::quantile level must be in [0,1]");
@@ -45,20 +35,6 @@ Result<double> Ecdf::quantile(double q) const {
   auto rank = static_cast<std::size_t>(std::ceil(q * n));
   rank = std::min(rank, sorted_.size());
   return sorted_[rank - 1];
-}
-
-Result<std::vector<double>> Ecdf::quantile_many(std::span<const double> qs) const {
-  for (const double q : qs) {
-    if (!(q >= 0.0 && q <= 1.0))
-      return Error(ErrorKind::kDomain, "Ecdf::quantile level must be in [0,1]");
-  }
-  // quantile_indices reproduces quantile()'s rank arithmetic exactly
-  // (its lower clamp to rank 1 covers the q == 0 -> front() case).
-  std::vector<std::uint32_t> ranks(qs.size());
-  simd::quantile_indices(qs, sorted_.size(), ranks);
-  std::vector<double> out(qs.size());
-  simd::gather(sorted_, ranks, out);
-  return out;
 }
 
 std::vector<std::pair<double, double>> Ecdf::curve(std::size_t points) const {

@@ -29,20 +29,9 @@ class Ecdf {
   /// F(x) = P[X <= x], the right-continuous empirical CDF.
   double evaluate(double x) const noexcept;
 
-  /// Batched evaluate: out[i] = evaluate(xs[i]) for every query, via the
-  /// stats::simd lane-parallel binary search (4 queries per AVX2
-  /// iteration) — bit-identical to the one-at-a-time path.
-  /// Precondition: out.size() == xs.size().
-  void evaluate_many(std::span<const double> xs, std::span<double> out) const noexcept;
-
   /// Smallest sample value v with F(v) >= q (empirical quantile,
   /// inverse-CDF definition). Errors: q outside [0, 1].
   Result<double> quantile(double q) const;
-
-  /// Batched quantile: the rank arithmetic runs 4-wide and the sorted
-  /// sample is fetched with one vector gather — each result bit-identical
-  /// to quantile(qs[i]).  Errors: any q outside [0, 1].
-  Result<std::vector<double>> quantile_many(std::span<const double> qs) const;
 
   /// The underlying ascending-sorted sample.
   std::span<const double> sorted() const noexcept { return sorted_; }

@@ -9,8 +9,7 @@
 // every arithmetic operation happens in the same order with the same
 // operands as the scalar loop it replaced, so the golden report
 // snapshots and the differential oracle's ULP tiers stay green.
-// bench_kernels reports single-core elements/s for the SIMD kernels behind
-// them at every dispatch level; bench_perf_kernels times the sorts.
+// bench_perf_kernels times the sorts.
 #pragma once
 
 #include <cstddef>

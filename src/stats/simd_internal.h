@@ -1,17 +1,22 @@
-// Internal wiring between the stats::simd dispatch wrappers (simd.cpp)
-// and the separately-compiled AVX2 translation unit (simd_avx2.cpp,
-// built with -mavx2 when the compiler supports it).  Not installed;
-// include only from those two files.
+// Internal wiring between XoshiroLanes::fill_indices (simd.cpp) and the
+// separately-compiled AVX2 translation unit (simd_avx2.cpp, built with
+// -mavx2 when the compiler supports it).  Not installed; include only
+// from those two files.
 #pragma once
 
 #include "stats/simd.h"
 
 namespace tsufail::stats::simd::detail {
 
-/// The AVX2 numeric-kernel table, or nullptr when this binary was
-/// compiled without AVX2 support.  Entries left null by the AVX2 TU
-/// (none today) fall back per-kernel to the scalar twin in simd.cpp.
-const NumericKernels* avx2_numeric_kernels() noexcept;
+/// Advances the four lanes of `state` `count` steps each, writing
+/// Lemire-bounded indices; `threshold` = (2^64 - n) % n precomputed by
+/// the caller.
+using XoshiroFill = void (*)(XoshiroState& state, std::uint64_t n, std::uint64_t threshold,
+                             std::size_t count, std::uint32_t* const* outs) noexcept;
+
+/// The AVX2 fill kernel, or nullptr when this binary was compiled
+/// without AVX2 support.
+XoshiroFill avx2_xoshiro_kernel() noexcept;
 
 /// One scalar xoshiro256** step on column `lane` of the word-major state
 /// block.  Shared by the scalar fill kernel and the AVX2 TU's rare

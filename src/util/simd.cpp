@@ -5,10 +5,6 @@
 
 #include "util/simd_internal.h"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace tsufail::simd {
 namespace {
 
@@ -44,83 +40,18 @@ std::size_t scalar_count_byte(const char* p, std::size_t n, char c) noexcept {
 constexpr ByteKernels kScalarByteKernels{scalar_find_byte, scalar_mask_any_of4,
                                          scalar_count_byte};
 
-// --- SSE2 byte kernels --------------------------------------------------
-//
-// 16-byte blocks: compare-equal per lane, movemask to a 16-bit mask, then
-// count-trailing-zeros for the first hit.  Tails shorter than one block
-// fall back to the scalar loop (never reads past the buffer).
-
-#if defined(__SSE2__)
-
-std::size_t sse2_find_byte(const char* p, std::size_t n, char c) noexcept {
-  const __m128i needle = _mm_set1_epi8(c);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi8(block, needle));
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
-  }
-  return i + scalar_find_byte(p + i, n - i, c);
-}
-
-std::uint64_t sse2_mask_any_of4(const char* p, std::size_t n, char c0, char c1, char c2,
-                                char c3) noexcept {
-  const __m128i n0 = _mm_set1_epi8(c0);
-  const __m128i n1 = _mm_set1_epi8(c1);
-  const __m128i n2 = _mm_set1_epi8(c2);
-  const __m128i n3 = _mm_set1_epi8(c3);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i hit = _mm_or_si128(
-        _mm_or_si128(_mm_cmpeq_epi8(block, n0), _mm_cmpeq_epi8(block, n1)),
-        _mm_or_si128(_mm_cmpeq_epi8(block, n2), _mm_cmpeq_epi8(block, n3)));
-    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(_mm_movemask_epi8(hit))) << i;
-  }
-  if (i < n) mask |= scalar_mask_any_of4(p + i, n - i, c0, c1, c2, c3) << i;
-  return mask;
-}
-
-std::size_t sse2_count_byte(const char* p, std::size_t n, char c) noexcept {
-  const __m128i needle = _mm_set1_epi8(c);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi8(block, needle));
-    count += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  return count + scalar_count_byte(p + i, n - i, c);
-}
-
-constexpr ByteKernels kSse2ByteKernels{sse2_find_byte, sse2_mask_any_of4, sse2_count_byte};
-
-#endif  // __SSE2__
-
 // --- Level selection ----------------------------------------------------
 
 Level hardware_level() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports runs CPUID once and caches inside libgcc.
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
-}
-
-Level compiled_level() noexcept {
-  if (detail::avx2_byte_kernels() != nullptr) return Level::kAvx2;
-#if defined(__SSE2__)
-  return Level::kSse2;
-#else
-  return Level::kScalar;
-#endif
 }
 
 Level clamp_to_supported(Level level) noexcept {
-  const Level cap = supported_level();
-  return static_cast<int>(level) > static_cast<int>(cap) ? cap : level;
+  return level > supported_level() ? supported_level() : level;
 }
 
 /// -1 = not yet selected; otherwise the int value of the active Level.
@@ -142,7 +73,6 @@ Level select_initial_level() noexcept {
 const char* level_name(Level level) noexcept {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
   }
   return "unknown";
@@ -151,8 +81,6 @@ const char* level_name(Level level) noexcept {
 bool parse_level(std::string_view name, Level& out) noexcept {
   if (name == "scalar") {
     out = Level::kScalar;
-  } else if (name == "sse2") {
-    out = Level::kSse2;
   } else if (name == "avx2") {
     out = Level::kAvx2;
   } else {
@@ -162,11 +90,8 @@ bool parse_level(std::string_view name, Level& out) noexcept {
 }
 
 Level supported_level() noexcept {
-  static const Level kSupported = [] {
-    const Level hw = hardware_level();
-    const Level compiled = compiled_level();
-    return static_cast<int>(hw) < static_cast<int>(compiled) ? hw : compiled;
-  }();
+  static const Level kSupported =
+      detail::avx2_byte_kernels() != nullptr ? hardware_level() : Level::kScalar;
   return kSupported;
 }
 
@@ -187,25 +112,13 @@ Level set_active_level(Level level) noexcept {
 
 std::vector<Level> available_levels() {
   std::vector<Level> levels{Level::kScalar};
-  if (supported_level() >= Level::kSse2) levels.push_back(Level::kSse2);
-  if (supported_level() >= Level::kAvx2) levels.push_back(Level::kAvx2);
+  if (supported_level() == Level::kAvx2) levels.push_back(Level::kAvx2);
   return levels;
 }
 
 const ByteKernels& byte_kernels(Level level) noexcept {
-  switch (clamp_to_supported(level)) {
-    case Level::kAvx2:
-      if (const ByteKernels* avx2 = detail::avx2_byte_kernels()) return *avx2;
-      [[fallthrough]];
-    case Level::kSse2:
-#if defined(__SSE2__)
-      return kSse2ByteKernels;
-#else
-      [[fallthrough]];
-#endif
-    case Level::kScalar:
-      break;
-  }
+  // kAvx2 survives the clamp only when the AVX2 table was compiled in.
+  if (clamp_to_supported(level) == Level::kAvx2) return *detail::avx2_byte_kernels();
   return kScalarByteKernels;
 }
 

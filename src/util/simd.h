@@ -1,18 +1,21 @@
 // Runtime SIMD dispatch and byte-scanning kernels.
 //
-// One process-wide dispatch level — scalar, SSE2, or AVX2 — is selected
-// once at startup: the CPU is probed (CPUID via the compiler builtins),
-// the result is clamped to what this binary was actually compiled with,
-// and an optional TSUFAIL_SIMD=scalar|sse2|avx2 environment override
-// (itself clamped to hardware support) lets tests and benches pin the
-// level.  Every explicit-SIMD kernel in the library — the byte scanners
-// below, the numeric kernels in stats::simd — routes through this single
-// level, so `TSUFAIL_SIMD=scalar tsufail ...` exercises the portable
-// fallback end to end and `tsufail --version` can state which paths a
-// box will take.
+// One process-wide dispatch level — scalar or AVX2 — is selected once at
+// startup: the CPU is probed (CPUID via the compiler builtins), the result
+// is clamped to what this binary was actually compiled with, and an
+// optional TSUFAIL_SIMD=scalar|avx2 environment override (itself clamped
+// to hardware support) lets tests and benches pin the level.  Every
+// explicit-SIMD kernel in the library — the byte scanners below and the
+// 4-lane xoshiro fill in stats::simd — routes through this single level,
+// so `TSUFAIL_SIMD=scalar tsufail ...` exercises the portable fallback
+// end to end and `tsufail --version` can state which paths a box will
+// take.
+//
+// A kernel has an AVX2 version only when its calls times its kernel
+// speedup show up in an end-to-end benchmark metric (DESIGN.md §16).
 //
 // The byte kernels live here (not in stats) because the CSV tokenizer is
-// part of tsufail_util, the lowest library in the stack: a 16/32-byte
+// part of tsufail_util, the lowest library in the stack: a 32-byte
 // compare + movemask block scan shared by the CSV parser and the serve
 // line-protocol framer.
 //
@@ -20,7 +23,7 @@
 // results at every dispatch level.  The dispatch-equivalence suite
 // (tests/stats_simd_test.cpp) enforces this on adversarial inputs, and
 // CI runs one job with TSUFAIL_SIMD=scalar plus one -march=x86-64-v3
-// build so all levels stay honest.
+// build so both levels stay honest.
 #pragma once
 
 #include <cstddef>
@@ -30,14 +33,13 @@
 
 namespace tsufail::simd {
 
-/// Dispatch levels, ordered: a level implies all the ones below it.
+/// Dispatch levels, ordered: a level implies the ones below it.
 enum class Level {
   kScalar = 0,  ///< portable C++ loops, no vector instructions required
-  kSse2 = 1,    ///< 128-bit integer/double lanes (baseline on x86-64)
-  kAvx2 = 2,    ///< 256-bit lanes, vpgather, 4-wide double math
+  kAvx2 = 1,    ///< 256-bit lanes
 };
 
-/// Human-readable level name: "scalar", "sse2", "avx2".
+/// Human-readable level name: "scalar", "avx2".
 const char* level_name(Level level) noexcept;
 
 /// Parses a level name (as accepted in TSUFAIL_SIMD). Returns false on an

@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <charconv>
+#include <limits>
 
 namespace tsufail {
 namespace {
@@ -67,6 +68,15 @@ Result<long long> parse_int(std::string_view text) {
   if (ec != std::errc{} || ptr != end)
     return Error(ErrorKind::kParse, "not an integer: '" + std::string(text) + "'");
   return value;
+}
+
+Result<int> parse_int32(std::string_view text) {
+  auto value = parse_int(text);
+  if (!value.ok()) return value.error();
+  if (value.value() < std::numeric_limits<int>::min() ||
+      value.value() > std::numeric_limits<int>::max())
+    return Error(ErrorKind::kParse, "integer out of range: '" + std::string(text) + "'");
+  return static_cast<int>(value.value());
 }
 
 Result<double> parse_double(std::string_view text) {

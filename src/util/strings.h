@@ -27,6 +27,10 @@ bool iequals(std::string_view text, std::string_view other) noexcept;
 /// Strict full-string integer parse (optional sign, no whitespace).
 Result<long long> parse_int(std::string_view text);
 
+/// parse_int for a value stored as an int: a value outside int's range
+/// is an error naming it, never a wrapped int.
+Result<int> parse_int32(std::string_view text);
+
 /// Strict full-string floating-point parse.
 Result<double> parse_double(std::string_view text);
 

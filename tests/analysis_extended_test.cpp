@@ -101,6 +101,21 @@ TEST(RollingTrends, WindowBookkeeping) {
   EXPECT_TRUE(saw_two);
 }
 
+TEST(RollingTrends, WindowsHoldEventsOnBothBounds) {
+  // Events exactly 30 and 90 days after the log start, 60-day windows
+  // every 30 days: a window [start, start + 60 d] counts an event on its
+  // start and one on its end.
+  const TimePoint begin = data::tsubame2_spec().log_start;
+  const auto log = t2_log({rec(1, format_time(begin.plus_hours(30.0 * 24.0)).c_str()),
+                           rec(2, format_time(begin.plus_hours(90.0 * 24.0)).c_str())});
+  auto trends = analyze_rolling_trends(data::LogIndex(log), 60.0, 30.0);
+  ASSERT_TRUE(trends.ok());
+  const auto& windows = trends.value().windows;
+  ASSERT_GE(windows.size(), 5u);
+  const std::size_t want[] = {1, 2, 1, 1, 0};
+  for (std::size_t w = 0; w < 5; ++w) EXPECT_EQ(windows[w].failures, want[w]) << "window " << w;
+}
+
 TEST(RollingTrends, Errors) {
   const auto log = t2_log({rec(1, "2012-02-01")});
   const data::LogIndex index(log);

@@ -266,6 +266,33 @@ TEST(ReadLog, RowErrorTextsAndLineNumbers) {
   }
 }
 
+TEST(ReadLog, IdsOutsideIntAreRowErrors) {
+  // 4294968188 = 2^32 + 892 and 4294967297 = 2^32 + 1 would wrap to a
+  // valid node and slot if narrowed unchecked.
+  const std::string csv = std::string(kHeader) +
+                          "Tsubame-2,2012-06-01 10:00:00,5,GPU,20.5,0,\n"
+                          "Tsubame-2,2012-06-02 10:00:00,4294968188,GPU,20.5,0,\n"
+                          "Tsubame-2,2012-06-03 10:00:00,5,GPU,20.5,0|4294967297,\n"
+                          "Tsubame-2,2012-06-04 10:00:00,-2147483649,GPU,20.5,0,\n";
+  auto strict = read_log_csv(csv, ReadPolicy::kStrict);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.error().message(), "line 3: node: integer out of range: '4294968188'");
+
+  auto lenient = read_log_csv(csv, ReadPolicy::kLenient);
+  ASSERT_TRUE(lenient.ok());
+  EXPECT_EQ(lenient.value().log.size(), 1u);
+  const std::vector<std::pair<std::size_t, std::string>> expected = {
+      {3, "parse: node: integer out of range: '4294968188'"},
+      {4, "parse: gpu_slots: integer out of range: '4294967297'"},
+      {5, "parse: node: integer out of range: '-2147483649'"},
+  };
+  ASSERT_EQ(lenient.value().row_errors.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(lenient.value().row_errors[i].line_number, expected[i].first);
+    EXPECT_EQ(lenient.value().row_errors[i].message, expected[i].second);
+  }
+}
+
 TEST(ReadLog, StructuralErrorOutranksRowAndHeaderErrors) {
   // A file that is not well-formed CSV fails as such, even when a bad row
   // or a missing column comes before the structural fault.

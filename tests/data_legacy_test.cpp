@@ -56,11 +56,16 @@ TEST(LegacyImport, LenientSkipsBadLines) {
       "09/06/2018;13:45;rXXn11;GPU;1.25;G0\n"      // bad node name
       "09/06/2018;13:45;r02n11;Warp;1.25;G0\n"     // unknown category
       "09/06/2018;13:45;r02n11;GPU;oops;G0\n"      // bad downtime
-      "09/06/2018;13:45;r02n11;GPU;1.25;G9\n";     // slot out of range
+      "09/06/2018;13:45;r02n11;GPU;1.25;G9\n"      // slot out of range
+      "09/06/2018;13:45;r02n11;GPU;1.25;G4294967296\n"  // slot outside int (wraps to 0)
+      "09/06/4294969314;13:45;r02n11;GPU;1.25;G0\n";    // year outside int (wraps to 2018)
   auto report = import_legacy_v1(text, ReadPolicy::kLenient);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().log.size(), 1u);
-  EXPECT_EQ(report.value().row_errors.size(), 5u);
+  ASSERT_EQ(report.value().row_errors.size(), 7u);
+  EXPECT_EQ(report.value().row_errors[5].line_number, 8u);
+  EXPECT_NE(report.value().row_errors[5].message.find("'4294967296'"), std::string::npos);
+  EXPECT_NE(report.value().row_errors[6].message.find("4294969314"), std::string::npos);
 }
 
 TEST(LegacyImport, StrictFailsOnFirstBadLine) {

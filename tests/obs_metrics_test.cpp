@@ -283,5 +283,46 @@ TEST_F(MetricsTest, ValidatorRejectsUndeclaredAndNonCumulative) {
   EXPECT_FALSE(check_prometheus_text(non_cumulative).ok());
 }
 
+TEST(PrometheusText, CountsOutsideUint64AreRejectedBeforeAnyCast) {
+  // A scraped page is outside input: counter, bucket and _count values
+  // become uint64_t, so anything outside [0, 2^64) must fail the check
+  // (and the parser, which relies on it) instead of being cast.
+  for (const char* bad : {"-1", "-0.5", "nan", "inf", "-inf", "1e300", "18446744073709551616"}) {
+    const std::string counter = std::string("# TYPE x counter\nx ") + bad + "\n";
+    const auto check = check_prometheus_text(counter);
+    ASSERT_FALSE(check.ok()) << bad;
+    EXPECT_EQ(check.error().kind(), ErrorKind::kValidation);
+    EXPECT_EQ(check.error().message(), "prometheus line 2: count '" + std::string(bad) +
+                                           "' of 'x' is outside [0, 2^64)");
+    EXPECT_FALSE(parse_prometheus_text(counter).ok()) << bad;
+  }
+  const std::string bucket =
+      "# TYPE h histogram\n"
+      "h_bucket{le=\"1\"} 1e300\n"
+      "h_bucket{le=\"+Inf\"} 1e300\n"
+      "h_sum 1\n"
+      "h_count 3\n";
+  EXPECT_FALSE(check_prometheus_text(bucket).ok());
+  EXPECT_FALSE(parse_prometheus_text(bucket).ok());
+  const std::string count =
+      "# TYPE h histogram\n"
+      "h_bucket{le=\"+Inf\"} 3\n"
+      "h_sum 1\n"
+      "h_count -1\n";
+  EXPECT_FALSE(check_prometheus_text(count).ok());
+  EXPECT_FALSE(parse_prometheus_text(count).ok());
+
+  // The largest double below 2^64 still fits; gauges and _sum are
+  // doubles, so negatives and NaN stay valid there.
+  const auto top = parse_prometheus_text("# TYPE x counter\nx 18446744073709549568\n");
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top.value().counters.size(), 1u);
+  EXPECT_EQ(top.value().counters[0].value, 18446744073709549568u);
+  EXPECT_TRUE(check_prometheus_text("# TYPE g gauge\ng -1\n# TYPE f gauge\nf nan\n").ok());
+  EXPECT_TRUE(check_prometheus_text(
+                  "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 0\nh_sum -2.5\nh_count 0\n")
+                  .ok());
+}
+
 }  // namespace
 }  // namespace tsufail::obs

@@ -206,6 +206,8 @@ TEST(FleetService, BadRowsAreCountedAndNeverPoisonThePipeline) {
       "not,a,record",                         // short row
       "tsubame-9,2012-01-01 00:00:00,1,gpu,1.0,0,unknown",  // bad machine
       "tsubame-2,not-a-time,1,gpu,1.0,0,unknown",           // bad field
+      "tsubame-2,2012-01-01 00:00:00,4294968188,gpu,1.0,0,unknown",  // node outside int
+      "tsubame-2,2012-01-01 00:00:00,1,gpu,1.0,0|4294967297,unknown",  // slot outside int
   };
   // Interleave garbage with real traffic: every bad row errors, counts,
   // and leaves the stream untouched.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "stats/distribution.h"
+#include "stats/kernels.h"
 #include "util/rng.h"
 
 namespace tsufail::stats {
@@ -99,6 +100,13 @@ TEST(KsStatistic, SymmetricInArguments) {
   auto b = Ecdf::create(y);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(ks_statistic(a.value(), b.value()), ks_statistic(b.value(), a.value()));
+}
+
+TEST(KsStatistic, AllTiesAndEmptySamples) {
+  const std::vector<double> ties_a(64, 3.5), ties_b(17, 3.5);
+  EXPECT_EQ(0.0, ks_distance_sorted(ties_a, ties_b));
+  EXPECT_EQ(0.0, ks_distance_sorted(std::span<const double>{}, ties_b));
+  EXPECT_EQ(0.0, ks_distance_sorted(ties_a, std::span<const double>{}));
 }
 
 TEST(KsAgainstModel, ExponentialSampleMatchesItsModel) {

@@ -49,6 +49,13 @@ TEST(ParseInt, StrictFullString) {
   EXPECT_FALSE(parse_int("42x").ok());
   EXPECT_FALSE(parse_int(" 42").ok());
   EXPECT_FALSE(parse_int("4.2").ok());
+
+  EXPECT_EQ(parse_int32("2147483647").value(), 2147483647);
+  EXPECT_EQ(parse_int32("-2147483648").value(), -2147483647 - 1);
+  EXPECT_EQ(parse_int32("2147483648").error().message(), "integer out of range: '2147483648'");
+  EXPECT_FALSE(parse_int32("-2147483649").ok());
+  EXPECT_FALSE(parse_int32("4294967297").ok());  // would wrap to 1
+  EXPECT_FALSE(parse_int32("x").ok());
 }
 
 TEST(ParseDouble, StrictFullString) {
