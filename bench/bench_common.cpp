@@ -5,7 +5,6 @@
 #include <fstream>
 #include <thread>
 
-#include "obs/obs.h"
 #include "sim/generator.h"
 #include "util/build_info.h"
 #include "util/simd.h"
@@ -16,29 +15,6 @@ namespace {
 int g_mismatches = 0;
 
 }  // namespace
-
-double single_core_ops_per_s() {
-  static const double kOpsPerSecond = [] {
-    // splitmix64 mixing: integer-only, branch-free, not vectorizable into
-    // triviality, and the final fold keeps the optimizer honest.
-    constexpr std::uint64_t kIterations = 1u << 25;
-    std::uint64_t state = kBenchSeed;
-    obs::Stopwatch timer;
-    std::uint64_t fold = 0;
-    for (std::uint64_t i = 0; i < kIterations; ++i) {
-      state += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = state;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      fold ^= z ^ (z >> 31);
-    }
-    const double seconds = timer.seconds();
-    // The fold must escape, or the loop is dead code.
-    if (fold == 0x5ca1ab1e) std::printf("\n");
-    return seconds > 0.0 ? static_cast<double>(kIterations) / seconds : 0.0;
-  }();
-  return kOpsPerSecond;
-}
 
 const data::FailureLog& bench_log(data::Machine machine) {
   static const data::FailureLog t2 =
@@ -96,9 +72,6 @@ std::string PerfJson::render() const {
   json += ",\n  \"env_simd_dispatch\": \"" +
           std::string(simd::level_name(simd::active_level())) + "\"";
   json += ",\n  \"env_simd_supported\": \"" + build.simd_supported + "\"";
-  std::snprintf(buffer, sizeof buffer, "%.17g", single_core_ops_per_s());
-  json += ",\n  \"env_single_core_ops_per_s\": ";
-  json += buffer;
   json += "\n}\n";
   return json;
 }

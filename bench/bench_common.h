@@ -37,13 +37,6 @@ void print_comparisons(const report::ComparisonSet& set);
 /// this from main() so CI can gate on reproduction quality.
 int exit_code();
 
-/// Measured single-core throughput baseline: a fixed integer-mixing loop
-/// timed on the calling thread, in operations per second.  Memoized per
-/// process (~tens of milliseconds on first call).  Dividing a bench's
-/// throughput numbers by this baseline makes BENCH_*.json comparable
-/// across hosts of different speeds.
-double single_core_ops_per_s();
-
 /// Machine-readable perf record: collects named numeric/string fields and
 /// writes them as `BENCH_<name>.json` next to the printed tables, so the
 /// perf trajectory (wall time, replicates/sec, thread count) is trackable
@@ -52,9 +45,8 @@ double single_core_ops_per_s();
 ///
 /// Every rendered record automatically carries a bench-environment block
 /// (`env_hw_threads`, `env_compiler`, `env_build_type`, `env_flags`,
-/// `env_simd_dispatch`, `env_simd_supported`,
-/// `env_single_core_ops_per_s`), so results from different machines or
-/// build configurations are never compared blind.
+/// `env_simd_dispatch`, `env_simd_supported`), so results from different
+/// machines or build configurations are never compared blind.
 class PerfJson {
  public:
   explicit PerfJson(std::string name) : name_(std::move(name)) {}

@@ -1,5 +1,6 @@
 #include "cli/args.h"
 
+#include <filesystem>
 #include <fstream>
 
 #include "util/strings.h"
@@ -9,10 +10,13 @@ namespace tsufail::cli {
 Result<void> validate_writable_path(const std::string& path) {
   if (path.empty())
     return Error(ErrorKind::kValidation, "output path is empty");
-  // Append mode creates a missing file but leaves an existing one intact.
-  std::ofstream probe(path, std::ios::binary | std::ios::app);
-  if (!probe)
+  // Append mode leaves an existing file intact.  A file the probe had to
+  // create is removed again, so a run that fails later leaves nothing.
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::binary | std::ios::app))
     return Error(ErrorKind::kIo, "cannot open '" + path + "' for writing");
+  if (!existed) std::filesystem::remove(path, ec);
   return {};
 }
 
@@ -49,6 +53,11 @@ ArgParser& ArgParser::positional(PositionalSpec spec) {
   return *this;
 }
 
+ArgParser& ArgParser::passthrough(PositionalSpec spec) {
+  passthrough_ = std::move(spec);
+  return *this;
+}
+
 Result<ParsedArgs> ArgParser::parse(const std::vector<std::string>& args) const {
   ParsedArgs parsed;
 
@@ -61,6 +70,11 @@ Result<ParsedArgs> ArgParser::parse(const std::vector<std::string>& args) const 
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string_view token = args[i];
+    if (token == "--") {
+      auto& rest = passthrough_.has_value() ? parsed.passthrough_ : parsed.positionals_;
+      rest.insert(rest.end(), args.begin() + static_cast<std::ptrdiff_t>(i) + 1, args.end());
+      break;
+    }
     if (token.rfind("--", 0) == 0) {
       token.remove_prefix(2);
       std::string name(token);
@@ -104,6 +118,8 @@ Result<ParsedArgs> ArgParser::parse(const std::vector<std::string>& args) const 
   if (parsed.positionals_.size() > positionals_.size())
     return Error(ErrorKind::kParse, "unexpected extra argument '" +
                                         parsed.positionals_[positionals_.size()] + "'");
+  if (passthrough_.has_value() && parsed.passthrough_.empty())
+    return Error(ErrorKind::kParse, "missing required argument -- <" + passthrough_->name + ">");
   return parsed;
 }
 
@@ -113,10 +129,13 @@ std::string ArgParser::help() const {
     out += positional.required ? " <" + positional.name + ">" : " [" + positional.name + "]";
   }
   if (!options_.empty()) out += " [options]";
+  if (passthrough_.has_value()) out += " -- <" + passthrough_->name + ">";
   out += "\n\n" + description_ + "\n";
-  if (!positionals_.empty()) {
+  std::vector<PositionalSpec> arguments = positionals_;
+  if (passthrough_.has_value()) arguments.push_back(*passthrough_);
+  if (!arguments.empty()) {
     out += "\narguments:\n";
-    for (const auto& positional : positionals_) {
+    for (const auto& positional : arguments) {
       out += "  " + positional.name + "  " + positional.help + "\n";
     }
   }

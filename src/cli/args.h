@@ -2,7 +2,8 @@
 //
 // Deliberately small: long options only (--name value / --name=value /
 // boolean --flag), typed accessors with defaults, positional arguments,
-// and generated --help text.  No external dependency.
+// "--" as the end of options, and generated --help text.  No external
+// dependency.
 #pragma once
 
 #include <map>
@@ -48,16 +49,22 @@ class ParsedArgs {
 
   const std::vector<std::string>& positionals() const noexcept { return positionals_; }
 
+  /// The tokens after "--", verbatim, for a parser that declared
+  /// ArgParser::passthrough(); empty otherwise.
+  const std::vector<std::string>& passthrough() const noexcept { return passthrough_; }
+
  private:
   friend class ArgParser;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
+  std::vector<std::string> passthrough_;
 };
 
 /// Checks that `path` can be opened for writing *now*, without
-/// truncating an existing file.  Commands that produce a file at the end
-/// of a long run (--trace, --metrics) call this up front so a typo'd
-/// directory fails in milliseconds, not after the sweep.
+/// truncating an existing file or leaving a new one behind.  Commands
+/// that produce a file at the end of a long run (--trace, --metrics) call
+/// this up front so a typo'd directory fails in milliseconds, not after
+/// the sweep.
 Result<void> validate_writable_path(const std::string& path);
 
 class ArgParser {
@@ -67,10 +74,15 @@ class ArgParser {
 
   ArgParser& option(OptionSpec spec);
   ArgParser& positional(PositionalSpec spec);
+  /// Declares a required command line after "--" that this command hands
+  /// on (ParsedArgs::passthrough()).  Without it, tokens after "--" are
+  /// positionals.
+  ArgParser& passthrough(PositionalSpec spec);
 
-  /// Parses argv (excluding the program/command tokens).
-  /// Errors: unknown option, missing value, missing required positional,
-  /// or excess positionals.
+  /// Parses argv (excluding the program/command tokens).  "--" ends the
+  /// options: every later token is taken verbatim.
+  /// Errors: unknown option, missing value, missing required positional
+  /// or pass-through command, or excess positionals.
   Result<ParsedArgs> parse(const std::vector<std::string>& args) const;
 
   /// Usage text for --help.
@@ -81,6 +93,7 @@ class ArgParser {
   std::string description_;
   std::vector<OptionSpec> options_;
   std::vector<PositionalSpec> positionals_;
+  std::optional<PositionalSpec> passthrough_;
 };
 
 }  // namespace tsufail::cli

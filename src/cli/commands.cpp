@@ -114,48 +114,16 @@ OptionSpec jobs_option() {
           std::string("1")};
 }
 
-// --- observability plumbing -------------------------------------------
+// --- the front door -------------------------------------------------------
 //
-// Commands that can run long accept --trace FILE (Chrome-trace JSON for
-// Perfetto) and --metrics FILE (.json -> JSON, anything else ->
-// Prometheus text).  resolve_obs() validates both paths up front and, if
-// either was given, clears the recorders and flips the runtime switch;
-// write_obs_outputs() snapshots and writes after the run.
+// dispatch() and profile run every command through run_command(), the one
+// place that switches observability for a command.  The commands the table
+// marks `traced` take --trace FILE (Chrome-trace JSON for Perfetto) and
+// --metrics FILE (.json -> JSON, anything else -> Prometheus text).
 
 OptionSpec trace_option() {
   return {"trace", "FILE",
           "record spans and write a Chrome-trace JSON (open in ui.perfetto.dev)", {}};
-}
-
-OptionSpec metrics_option() {
-  return {"metrics", "FILE",
-          "write a metrics snapshot (.json extension = JSON, otherwise Prometheus text)", {}};
-}
-
-struct ObsRequest {
-  std::optional<std::string> trace_path;
-  std::optional<std::string> metrics_path;
-  bool any() const noexcept { return trace_path.has_value() || metrics_path.has_value(); }
-};
-
-Result<ObsRequest> resolve_obs(const ParsedArgs& args) {
-  ObsRequest request;
-  if (args.has("trace")) request.trace_path = args.get("trace").value();
-  if (args.has("metrics")) request.metrics_path = args.get("metrics").value();
-  if (request.trace_path.has_value()) {
-    if (auto ok = validate_writable_path(*request.trace_path); !ok.ok())
-      return ok.error().with_context("--trace");
-  }
-  if (request.metrics_path.has_value()) {
-    if (auto ok = validate_writable_path(*request.metrics_path); !ok.ok())
-      return ok.error().with_context("--metrics");
-  }
-  if (request.any()) {
-    obs::reset_trace();
-    obs::reset_metrics();
-    obs::set_enabled(true);
-  }
-  return request;
 }
 
 Result<void> write_text_file(const std::string& path, const std::string& text) {
@@ -168,34 +136,73 @@ Result<void> write_text_file(const std::string& path, const std::string& text) {
   return {};
 }
 
-bool has_json_extension(const std::string& path) {
-  return path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-}
-
-Result<void> write_obs_outputs(const ObsRequest& request, std::ostream& out) {
-  if (!request.any()) return {};
-  if (request.trace_path.has_value()) {
+/// Writes the --trace and --metrics files a traced command was given.
+Result<void> write_obs_outputs(const ParsedArgs& args, std::ostream& out) {
+  if (args.has("trace")) {
+    const std::string path = args.get("trace").value();
     const auto snapshot = obs::collect_trace();
-    if (auto w = write_text_file(*request.trace_path, obs::chrome_trace_json(snapshot));
-        !w.ok())
+    if (auto w = write_text_file(path, obs::chrome_trace_json(snapshot)); !w.ok())
       return w.error().with_context("--trace");
     out << "wrote trace (" << snapshot.span_count() << " spans, "
         << snapshot.threads.size() << " threads";
     if (snapshot.dropped_total() > 0) out << ", " << snapshot.dropped_total() << " dropped";
-    out << ") to " << *request.trace_path << "\n";
+    out << ") to " << path << "\n";
   }
-  if (request.metrics_path.has_value()) {
+  if (args.has("metrics")) {
+    const std::string path = args.get("metrics").value();
     const auto snapshot = obs::collect_metrics();
-    const std::string text = has_json_extension(*request.metrics_path)
-                                 ? obs::metrics_json(snapshot)
-                                 : obs::prometheus_text(snapshot);
-    if (auto w = write_text_file(*request.metrics_path, text); !w.ok())
-      return w.error().with_context("--metrics");
+    const std::string text =
+        path.ends_with(".json") ? obs::metrics_json(snapshot) : obs::prometheus_text(snapshot);
+    if (auto w = write_text_file(path, text); !w.ok()) return w.error().with_context("--metrics");
     out << "wrote metrics (" << snapshot.counters.size() << " counters, "
         << snapshot.gauges.size() << " gauges, " << snapshot.histograms.size()
-        << " histograms) to " << *request.metrics_path << "\n";
+        << " histograms) to " << path << "\n";
   }
   return {};
+}
+
+const Command* find_command(std::string_view name) {
+  for (const auto& command : commands()) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
+/// The command's parser, with --trace and --metrics for traced commands.
+ArgParser parser_for(const Command& command) {
+  ArgParser parser = command.make_parser();
+  if (command.traced) {
+    parser.option(trace_option());
+    parser.option({"metrics", "FILE",
+                   "write a metrics snapshot (.json extension = JSON, otherwise Prometheus text)",
+                   {}});
+  }
+  return parser;
+}
+
+/// Runs `command` inside a `cli.<name>` span (free while obs is off).
+/// For --trace/--metrics it checks both paths first, clears the recorders
+/// and switches obs on unless obs is on already, and writes both files
+/// after a successful run.  The obs switch is restored on every path.
+Result<void> run_command(const Command& command, const ParsedArgs& args, std::ostream& out) {
+  const bool observed = command.traced && (args.has("trace") || args.has("metrics"));
+  for (const std::string flag : {"trace", "metrics"}) {
+    if (!observed || !args.has(flag)) continue;
+    if (auto ok = validate_writable_path(args.get(flag).value()); !ok.ok())
+      return ok.error().with_context("--" + flag);
+  }
+  const bool was_enabled = obs::enabled();
+  if (observed && !was_enabled) {
+    obs::reset_trace();
+    obs::reset_metrics();
+    obs::set_enabled(true);
+  }
+  obs::SpanScope span(obs::enabled() ? obs::intern(("cli." + command.name).c_str()) : nullptr);
+  Result<void> result = command.run(args, out);
+  span.stop();
+  if (result.ok() && observed) result = write_obs_outputs(args, out);
+  obs::set_enabled(was_enabled);
+  return result;
 }
 
 Result<analysis::StudyOptions> resolve_study_options(const ParsedArgs& args) {
@@ -243,15 +250,10 @@ ArgParser make_analyze_parser() {
   parser.positional(log_positional());
   parser.option(strict_option());
   parser.option(jobs_option());
-  parser.option(trace_option());
-  parser.option(metrics_option());
   return parser;
 }
 
 Result<void> run_analyze(const ParsedArgs& args, std::ostream& out) {
-  auto obs_request = resolve_obs(args);
-  if (!obs_request.ok()) return obs_request.error();
-  obs::SpanScope cli_span("cli.analyze");
   auto log = load_log(args);
   if (!log.ok()) return log.error();
   auto options = resolve_study_options(args);
@@ -259,8 +261,7 @@ Result<void> run_analyze(const ParsedArgs& args, std::ostream& out) {
   auto study = analysis::run_study(log.value(), options.value());
   if (!study.ok()) return study.error();
   out << report::render_study_text(log.value(), study.value());
-  cli_span.stop();
-  return write_obs_outputs(obs_request.value(), out);
+  return {};
 }
 
 // --- sweep ------------------------------------------------------------------
@@ -285,8 +286,6 @@ ArgParser make_sweep_parser() {
   parser.option({"level", "P", "confidence level for the aggregate CIs", std::string("0.95")});
   parser.option({"quick", "", "smoke preset: 4 replicates (overrides --replicates)", {}});
   parser.option({"all-metrics", "", "print every aggregate, including per-category ones", {}});
-  parser.option(trace_option());
-  parser.option(metrics_option());
   parser.option({"no-bursts", "", "disable temporal burst clustering", {}});
   parser.option({"no-heterogeneity", "", "disable the lemon-node hazard mix", {}});
   parser.option({"no-slot-weights", "", "disable non-uniform GPU slot selection", {}});
@@ -295,9 +294,6 @@ ArgParser make_sweep_parser() {
 }
 
 Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
-  auto obs_request = resolve_obs(args);
-  if (!obs_request.ok()) return obs_request.error();
-  obs::SpanScope cli_span("cli.sweep");
   auto model = resolve_model(args);
   if (!model.ok()) return model.error();
   auto replicates_arg = args.get_int("replicates");
@@ -388,8 +384,7 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
     }
     out << table.render();
   }
-  cli_span.stop();
-  return write_obs_outputs(obs_request.value(), out);
+  return {};
 }
 
 // --- repairs ----------------------------------------------------------------
@@ -444,8 +439,6 @@ ArgParser make_repairs_parser() {
                  std::string("400")});
   parser.option({"failures", "N", "override the calibrated failure count (sweep mode)", {}});
   parser.option(strict_option());
-  parser.option(trace_option());
-  parser.option(metrics_option());
   parser.option({"no-bursts", "", "disable temporal burst clustering (sweep mode)", {}});
   parser.option({"no-heterogeneity", "", "disable the lemon-node hazard mix (sweep mode)", {}});
   parser.option({"no-slot-weights", "", "disable non-uniform GPU slot selection (sweep mode)", {}});
@@ -454,9 +447,6 @@ ArgParser make_repairs_parser() {
 }
 
 Result<void> run_repairs(const ParsedArgs& args, std::ostream& out) {
-  auto obs_request = resolve_obs(args);
-  if (!obs_request.ok()) return obs_request.error();
-  obs::SpanScope cli_span("cli.repairs");
   auto policies = resolve_repair_policies(args);
   if (!policies.ok()) return policies.error();
   auto seed = args.get_int("seed");
@@ -502,8 +492,7 @@ Result<void> run_repairs(const ParsedArgs& args, std::ostream& out) {
                      report::fmt(goodput, 5)});
     }
     out << table.render();
-    cli_span.stop();
-    return write_obs_outputs(obs_request.value(), out);
+    return {};
   }
 
   // Sweep mode: score each policy over seeded replicates of the model.
@@ -535,8 +524,7 @@ Result<void> run_repairs(const ParsedArgs& args, std::ostream& out) {
   auto sweep = ops::run_repair_policy_sweep(model.value(), std::move(policies).value(), options);
   if (!sweep.ok()) return sweep.error();
   out << report::render_repair_comparison(sweep.value(), base.value(), options.sweep);
-  cli_span.stop();
-  return write_obs_outputs(obs_request.value(), out);
+  return {};
 }
 
 // --- triage -----------------------------------------------------------------
@@ -754,15 +742,10 @@ ArgParser make_report_parser() {
   parser.option({"no-extensions", "", "omit survival/trends/racks sections", {}});
   parser.option(strict_option());
   parser.option(jobs_option());
-  parser.option(trace_option());
-  parser.option(metrics_option());
   return parser;
 }
 
 Result<void> run_report(const ParsedArgs& args, std::ostream& out) {
-  auto obs_request = resolve_obs(args);
-  if (!obs_request.ok()) return obs_request.error();
-  obs::SpanScope cli_span("cli.report");
   auto log = load_log(args);
   if (!log.ok()) return log.error();
   auto study_options = resolve_study_options(args);
@@ -785,8 +768,7 @@ Result<void> run_report(const ParsedArgs& args, std::ostream& out) {
   } else {
     out << markdown.value();
   }
-  cli_span.stop();
-  return write_obs_outputs(obs_request.value(), out);
+  return {};
 }
 
 // --- import ----------------------------------------------------------------
@@ -1051,15 +1033,10 @@ ArgParser make_watch_parser() {
                  "summary reports the objective's burn state",
                  std::string("512")});
   parser.option(strict_option());
-  parser.option(trace_option());
-  parser.option(metrics_option());
   return parser;
 }
 
 Result<void> run_watch(const ParsedArgs& args, std::ostream& out) {
-  auto obs_request = resolve_obs(args);
-  if (!obs_request.ok()) return obs_request.error();
-  obs::SpanScope cli_span("cli.watch");
   auto log = load_log(args);
   if (!log.ok()) return log.error();
   auto reorder = args.get_double("reorder-hours");
@@ -1223,62 +1200,64 @@ Result<void> run_watch(const ParsedArgs& args, std::ostream& out) {
   for (const auto& status : slo.evaluate(obs::now_ns()))
     out << "slo " << status.objective << ": " << obs::slo_state_name(status.state) << " ("
         << status.reason << ")\n";
-  cli_span.stop();
-  return write_obs_outputs(obs_request.value(), out);
+  return {};
 }
 
 // --- profile ----------------------------------------------------------------
 
 ArgParser make_profile_parser() {
   ArgParser parser("profile",
-                   "Run the study under tracing and print the top spans by self time "
-                   "(where the pipeline actually spends its wall clock).");
-  parser.positional(log_positional());
-  parser.option(jobs_option());
-  parser.option({"runs", "N", "study repetitions to aggregate", std::string("1")});
+                   "Run any command with spans on, discarding its output, and print the share "
+                   "of cli.<command> its child spans cover, then the spans by self time.");
+  parser.option({"runs", "N", "times to run the command", std::string("1")});
   parser.option({"top", "N", "rows in the self-time table", std::string("15")});
-  parser.option(strict_option());
-  parser.option(trace_option());
-  parser.option(metrics_option());
+  parser.passthrough({"command", "the command line to profile, e.g. analyze log.csv --jobs 4",
+                      true});
   return parser;
 }
 
 Result<void> run_profile(const ParsedArgs& args, std::ostream& out) {
-  auto obs_request = resolve_obs(args);
-  if (!obs_request.ok()) return obs_request.error();
   auto runs = args.get_int("runs");
   if (!runs.ok()) return runs.error();
   auto top = args.get_int("top");
   if (!top.ok()) return top.error();
   if (runs.value() <= 0 || top.value() <= 0)
     return Error(ErrorKind::kDomain, "--runs and --top must be positive");
+  const std::vector<std::string>& line = args.passthrough();
+  const Command* command = find_command(line.front());
+  if (command == nullptr)
+    return Error(ErrorKind::kNotFound, "unknown command '" + line.front() + "'");
+  auto parsed = parser_for(*command).parse({line.begin() + 1, line.end()});
+  if (!parsed.ok()) return parsed.error().with_context(command->name);
 
-  // profile records even without --trace/--metrics: the table *is* the
-  // product here, so always reset and enable.
-  if (!obs_request.value().any()) {
-    obs::reset_trace();
-    obs::reset_metrics();
-    obs::set_enabled(true);
-  }
-  obs::SpanScope cli_span("cli.profile");
-
-  auto log = load_log(args);
-  if (!log.ok()) return log.error();
-  auto options = resolve_study_options(args);
-  if (!options.ok()) return options.error();
-  const data::LogIndex index(log.value());
+  // With obs already on, run_command leaves the recorders alone, so the
+  // table (and any --trace file the command writes) covers every run.
+  obs::reset_trace();
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  std::ostream discarded(nullptr);
   for (long long run = 0; run < runs.value(); ++run) {
-    auto study = analysis::run_study(index, options.value());
-    if (!study.ok()) return study.error();
+    if (auto result = run_command(*command, parsed.value(), discarded); !result.ok())
+      return result;
   }
-  cli_span.stop();
 
   const auto snapshot = obs::collect_trace();
-  out << "profile: " << log.value().size() << " failures, " << runs.value() << " run"
-      << (runs.value() == 1 ? "" : "s") << ", jobs " << options.value().jobs << ", "
-      << snapshot.span_count() << " spans\n\n";
-  out << obs::profile_table(obs::profile(snapshot), static_cast<std::size_t>(top.value()));
-  return write_obs_outputs(obs_request.value(), out);
+  const auto entries = obs::profile(snapshot);
+  out << "profile:";
+  for (const auto& token : line) out << " " << token;
+  out << " (" << runs.value() << " run" << (runs.value() == 1 ? "" : "s") << ", "
+      << snapshot.span_count() << " spans";
+  if (snapshot.dropped_total() > 0) out << ", " << snapshot.dropped_total() << " dropped";
+  out << ")\n";
+  const std::string root = "cli." + command->name;
+  for (const auto& entry : entries) {
+    if (entry.name != root || entry.total_ns == 0) continue;
+    const double total = static_cast<double>(entry.total_ns);
+    out << "child spans cover " << report::fmt_percent(100.0 * (1.0 - entry.self_ns / total), 1)
+        << " of " << root << " (" << report::fmt(total * 1e-9, 3) << " s)\n";
+  }
+  out << "\n" << obs::profile_table(entries, static_cast<std::size_t>(top.value()));
+  return {};
 }
 
 // --- serve ------------------------------------------------------------------
@@ -1540,13 +1519,13 @@ Result<void> run_compare(const ParsedArgs& args, std::ostream& out) {
 const std::vector<Command>& commands() {
   static const std::vector<Command> kCommands = {
       {"simulate", "generate a calibrated synthetic log", make_simulate_parser, run_simulate},
-      {"analyze", "run the full DSN'21 study on a log", make_analyze_parser, run_analyze},
+      {"analyze", "run the full DSN'21 study on a log", make_analyze_parser, run_analyze, true},
       {"sweep", "multi-replicate Monte Carlo study with aggregate CIs", make_sweep_parser,
-       run_sweep_command},
+       run_sweep_command, true},
       {"repairs", "repair-policy comparison: discrete-event shop vs sampled TTR",
-       make_repairs_parser, run_repairs},
+       make_repairs_parser, run_repairs, true},
       {"triage", "operator impact report", make_triage_parser, run_triage},
-      {"report", "full study as markdown", make_report_parser, run_report},
+      {"report", "full study as markdown", make_report_parser, run_report, true},
       {"figures", "export figure series as CSV", make_figures_parser, run_figures},
       {"checkpoint", "checkpoint plan from measured MTBF", make_checkpoint_parser,
        run_checkpoint},
@@ -1556,12 +1535,12 @@ const std::vector<Command>& commands() {
       {"pack", "pack a log into a columnar snapshot (.tsnap)", make_pack_parser, run_pack},
       {"unpack", "expand a snapshot back to canonical CSV", make_unpack_parser, run_unpack},
       {"trends", "rolling MTBF/MTTR trends over lifetime", make_trends_parser, run_trends},
-      {"watch", "live-replay a log through the streaming monitor", make_watch_parser, run_watch},
+      {"watch", "live-replay a log through the streaming monitor", make_watch_parser, run_watch,
+       true},
       {"serve", "multi-tenant fleet service (ingest + cached queries)", make_serve_parser,
        run_serve},
       {"top", "live SLO/tenant dashboard for a serve daemon", make_top_parser, run_top},
-      {"profile", "span self-time profile of the study pipeline", make_profile_parser,
-       run_profile},
+      {"profile", "span self-time profile of any command", make_profile_parser, run_profile},
       {"racks", "rack-level spatial distribution", make_racks_parser, run_racks},
       {"couplings", "cross-category lead-lag couplings", make_couplings_parser, run_couplings},
       {"compare", "cross-generation comparison", make_compare_parser, run_compare},
@@ -1573,14 +1552,17 @@ int dispatch(const std::vector<std::string>& argv, std::ostream& out, std::ostre
   const auto print_overview = [&](std::ostream& stream) {
     stream << "tsufail - failure & repair analysis for multi-GPU supercomputers\n\n"
            << "usage: tsufail <command> [args]\n\ncommands:\n";
+    std::string traced;
     for (const auto& command : commands()) {
       stream << "  " << command.name;
       stream << std::string(command.name.size() < 12 ? 12 - command.name.size() : 1, ' ');
       stream << command.summary << "\n";
+      if (command.traced) traced += (traced.empty() ? "" : "/") + command.name;
     }
-    stream << "\nprofiling: analyze/report/sweep/watch/profile accept --trace FILE "
-              "(Chrome-trace JSON\nfor ui.perfetto.dev) and --metrics FILE (.json = JSON, "
-              "otherwise Prometheus text).\n";
+    stream << "\nprofiling: " << traced
+           << " accept --trace FILE (Chrome-trace JSON\nfor ui.perfetto.dev) and --metrics FILE "
+              "(.json = JSON, otherwise Prometheus text);\n'tsufail profile -- <command> "
+              "[args]' shows where any command spends its time.\n";
     stream << "\nrun 'tsufail <command> --help' for per-command options.\n";
   };
 
@@ -1594,32 +1576,32 @@ int dispatch(const std::vector<std::string>& argv, std::ostream& out, std::ostre
     return 0;
   }
 
-  for (const auto& command : commands()) {
-    if (command.name != argv[0]) continue;
-    const ArgParser parser = command.make_parser();
-    const std::vector<std::string> rest(argv.begin() + 1, argv.end());
-    for (const auto& token : rest) {
-      if (token == "--help") {
-        out << parser.help();
-        return 0;
-      }
-    }
-    auto parsed = parser.parse(rest);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error().to_string() << "\n\n" << parser.help();
-      return 2;
-    }
-    auto result = command.run(parsed.value(), out);
-    if (!result.ok()) {
-      err << "error: " << result.error().to_string() << "\n";
-      return 1;
-    }
-    return 0;
+  const Command* command = find_command(argv[0]);
+  if (command == nullptr) {
+    err << "unknown command '" << argv[0] << "'\n\n";
+    print_overview(err);
+    return 2;
   }
-
-  err << "unknown command '" << argv[0] << "'\n\n";
-  print_overview(err);
-  return 2;
+  const ArgParser parser = parser_for(*command);
+  const std::vector<std::string> rest(argv.begin() + 1, argv.end());
+  for (const auto& token : rest) {
+    if (token == "--") break;
+    if (token == "--help") {
+      out << parser.help();
+      return 0;
+    }
+  }
+  auto parsed = parser.parse(rest);
+  if (!parsed.ok()) {
+    err << "error: " << parsed.error().to_string() << "\n\n" << parser.help();
+    return 2;
+  }
+  auto result = run_command(*command, parsed.value(), out);
+  if (!result.ok()) {
+    err << "error: " << result.error().to_string() << "\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace tsufail::cli

@@ -2,19 +2,8 @@
 //
 // Each subcommand is a pure function from parsed arguments to text on a
 // stream, so the whole tool is unit-testable without spawning processes.
-//
-//   tsufail simulate   generate a calibrated synthetic log as CSV
-//   tsufail analyze    run the full DSN'21 study on a log
-//   tsufail sweep      multi-replicate Monte Carlo study with aggregate CIs
-//   tsufail triage     operator report: impact ranking, repeat nodes
-//   tsufail figures    export all figure series as CSV
-//   tsufail checkpoint Young/Daly checkpoint plan from measured MTBF
-//   tsufail spares     spare-pool sizing for one category
-//   tsufail predict    node-failure prediction backtest
-//   tsufail compare    two-generation comparison of two logs
-//   tsufail watch      live-replay a log through the streaming monitor
-//   tsufail pack       pack a log into a columnar .tsnap snapshot
-//   tsufail unpack     expand a snapshot back to canonical CSV
+// commands() lists them with their one-line summaries (`tsufail --help`
+// prints that list).
 //
 // Every log-consuming command accepts .csv and .tsnap inputs
 // interchangeably (sniffed by magic, not extension), and
@@ -37,6 +26,9 @@ struct Command {
   ArgParser (*make_parser)();
   /// Executes with already-parsed args, writing human output to `out`.
   Result<void> (*run)(const ParsedArgs& args, std::ostream& out);
+  /// Takes --trace FILE and --metrics FILE, which dispatch adds to the
+  /// parser, checks before the run and writes after it.
+  bool traced = false;
 };
 
 /// All registered subcommands, in help order.
@@ -45,6 +37,8 @@ const std::vector<Command>& commands();
 /// Top-level entry: dispatches `argv` (without the program name) to a
 /// subcommand; handles "help", "--help", and unknown commands.  Returns
 /// the process exit code and writes all output/errors to the streams.
+/// Every command runs inside a `cli.<command>` span; dispatch leaves the
+/// obs switch as it found it.
 int dispatch(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err);
 
 }  // namespace tsufail::cli

@@ -4,12 +4,13 @@
 #include <array>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/trace.h"
@@ -554,12 +555,23 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
+namespace {
+
+struct PrometheusRead {
   PrometheusCheck check;
+  MetricsSnapshot snapshot;
+};
+
+/// One walk over a Prometheus exposition: validates every line (the rules
+/// PrometheusCheck documents) and rebuilds the snapshot it encodes.
+Result<PrometheusRead> read_prometheus_text(std::string_view text) {
+  PrometheusRead read;
+  PrometheusCheck& check = read.check;
+  MetricsSnapshot& snapshot = read.snapshot;
   // name -> declared type; histogram series must resolve through their
   // _bucket/_sum/_count suffixes.
   std::unordered_map<std::string, std::string> types;
-  std::unordered_map<std::string, std::uint64_t> last_bucket;  ///< cumulative monotonicity
+  std::unordered_map<std::string, std::size_t> histogram_slot;  ///< family -> snapshot index
   std::size_t line_number = 0;
   std::size_t position = 0;
   while (position < text.size()) {
@@ -597,8 +609,9 @@ Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
     if (space == std::string_view::npos || space + 1 >= sample.size())
       return fail("sample line has no value");
     const std::string value_text(sample.substr(space + 1));
-    auto value = parse_double(value_text);
-    if (!value.ok()) return fail("unparseable value '" + value_text + "'");
+    auto parsed_value = parse_double(value_text);
+    if (!parsed_value.ok()) return fail("unparseable value '" + value_text + "'");
+    const double value = parsed_value.value();
     std::string series(sample.substr(0, space));
     std::string labels;
     if (const std::size_t brace = series.find('{'); brace != std::string::npos) {
@@ -607,47 +620,74 @@ Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
       series.resize(brace);
     }
     std::string family = series;
-    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
-      const std::string_view sv(suffix);
-      if (family.size() > sv.size() && family.ends_with(sv)) {
-        const std::string candidate = family.substr(0, family.size() - sv.size());
-        if (types.contains(candidate) && types[candidate] == "histogram") {
-          family = candidate;
+    std::string_view suffix;
+    for (const std::string_view candidate : {"_bucket", "_sum", "_count"}) {
+      if (family.size() > candidate.size() && family.ends_with(candidate)) {
+        const std::string base = family.substr(0, family.size() - candidate.size());
+        if (const auto it = types.find(base); it != types.end() && it->second == "histogram") {
+          family = base;
+          suffix = candidate;
           break;
         }
       }
     }
     const auto type = types.find(family);
     if (type == types.end()) return fail("series '" + series + "' has no TYPE declaration");
-    const bool is_bucket = type->second == "histogram" && series.ends_with("_bucket");
     // Counters, buckets and _count are stored as uint64_t; a value outside
     // [0, 2^64) (NaN and infinities included) has no such representation.
-    const bool is_count =
-        type->second == "counter" || is_bucket ||
-        (type->second == "histogram" && series.ends_with("_count"));
-    if (is_count && !(value.value() >= 0.0 && value.value() < 0x1p64))
+    const bool is_count = type->second == "counter" || suffix == "_bucket" || suffix == "_count";
+    if (is_count && !(value >= 0.0 && value < 0x1p64))
       return fail("count '" + value_text + "' of '" + series + "' is outside [0, 2^64)");
-    if (is_bucket) {
-      if (labels.find("le=\"") == std::string::npos)
-        return fail("histogram bucket without le label");
-      auto& previous = last_bucket[family];
-      const auto count = static_cast<std::uint64_t>(value.value());
-      if (count < previous) return fail("bucket counts for " + family + " not cumulative");
-      previous = count;
+    if (type->second == "counter") {
+      snapshot.counters.push_back({series, static_cast<std::uint64_t>(value)});
+    } else if (type->second == "gauge") {
+      snapshot.gauges.push_back({series, value});
+    } else if (suffix.empty()) {
+      return Error(ErrorKind::kParse, "prometheus parse: unclassifiable series '" + series + "'");
+    }
+    HistogramValue* h = nullptr;
+    if (!suffix.empty()) {
+      auto [slot, inserted] = histogram_slot.try_emplace(family, snapshot.histograms.size());
+      if (inserted) snapshot.histograms.emplace_back().name = family;
+      h = &snapshot.histograms[slot->second];
+    }
+    if (suffix == "_sum") h->sum = value;
+    if (suffix == "_count") h->count = static_cast<std::uint64_t>(value);
+    if (suffix == "_bucket") {
+      // Exposition order gives buckets ascending, so the cumulative counts
+      // un-difference in one pass.
+      const std::size_t le = labels.find("le=\"");
+      if (le == std::string::npos) return fail("histogram bucket without le label");
+      const auto total = static_cast<std::uint64_t>(value);
+      const std::uint64_t previous =
+          std::accumulate(h->counts.begin(), h->counts.end(), std::uint64_t{0});
+      if (total < previous) return fail("bucket counts for " + family + " not cumulative");
+      h->counts.push_back(total - previous);
+      const std::string bound = labels.substr(le + 4, labels.find('"', le + 4) - le - 4);
+      if (bound != "+Inf") {
+        auto parsed_bound = parse_double(bound);
+        if (!parsed_bound.ok())
+          return Error(ErrorKind::kParse,
+                       "prometheus parse: bad le bound '" + bound + "' for " + family);
+        h->bounds.push_back(parsed_bound.value());
+      }
     }
     if (!exemplar_text.empty()) {
       // OpenMetrics-style: `# {trace_id="<hex>"} <value>` — bucket
       // series only.
-      if (!is_bucket) return fail("exemplar on non-bucket series '" + series + "'");
+      if (suffix != "_bucket") return fail("exemplar on non-bucket series '" + series + "'");
       if (exemplar_text.front() != '{') return fail("exemplar missing label set");
       const std::size_t close = exemplar_text.find('}');
       if (close == std::string_view::npos) return fail("unterminated exemplar label set");
       const std::string_view exemplar_labels = exemplar_text.substr(1, close - 1);
-      const std::string_view exemplar_value =
-          close + 2 <= exemplar_text.size() ? exemplar_text.substr(close + 2)
-                                            : std::string_view{};
-      if (!parse_double(std::string(exemplar_value)).ok())
-        return fail("unparseable exemplar value '" + std::string(exemplar_value) + "'");
+      const std::string exemplar_value(
+          close + 2 <= exemplar_text.size() ? exemplar_text.substr(close + 2) : std::string_view{});
+      auto parsed_exemplar = parse_double(exemplar_value);
+      if (!parsed_exemplar.ok())
+        return fail("unparseable exemplar value '" + exemplar_value + "'");
+      HistogramValue::Exemplar exemplar;
+      exemplar.bucket = h->counts.size() - 1;
+      exemplar.value = parsed_exemplar.value();
       for (std::string_view label : split(exemplar_labels, ',')) {
         if (label.empty()) continue;
         const std::size_t equals = label.find("=\"");
@@ -660,16 +700,17 @@ Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
             if (!std::isxdigit(static_cast<unsigned char>(c)))
               return fail("exemplar trace_id '" + std::string(id) + "' is not hex");
           }
+          if (id.size() > 16)
+            return fail("exemplar trace_id '" + std::string(id) + "' is longer than 16 hex digits");
+          std::from_chars(id.data(), id.data() + id.size(), exemplar.trace_id, 16);
           check.exemplar_trace_ids.emplace_back(id);
         }
       }
+      h->exemplars.push_back(exemplar);
       ++check.exemplars;
     }
-    for (char c : family) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == ':';
-      if (!ok) return fail("invalid character in metric name '" + family + "'");
-    }
+    if (prometheus_name(family) != family)
+      return fail("invalid character in metric name '" + family + "'");
     ++check.samples;
   }
   if (check.families == 0)
@@ -678,114 +719,25 @@ Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
   check.exemplar_trace_ids.erase(
       std::unique(check.exemplar_trace_ids.begin(), check.exemplar_trace_ids.end()),
       check.exemplar_trace_ids.end());
-  return check;
-}
-
-Result<MetricsSnapshot> parse_prometheus_text(std::string_view text) {
-  auto checked = check_prometheus_text(text);
-  if (!checked.ok()) return checked.error();
-
-  MetricsSnapshot snapshot;
-  std::unordered_map<std::string, std::string> types;
-  // Histogram families under (re)construction: exposition order gives
-  // buckets ascending, so cumulative counts un-difference in one pass.
-  std::unordered_map<std::string, std::size_t> histogram_index;
-  std::unordered_map<std::string, std::uint64_t> histogram_cumulative;
-  std::size_t position = 0;
-  while (position < text.size()) {
-    std::size_t end = text.find('\n', position);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(position, end - position);
-    position = end + 1;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      const std::vector<std::string_view> parts = split(line, ' ');
-      if (parts.size() >= 4 && parts[1] == "TYPE") types[std::string(parts[2])] = parts[3];
-      continue;
-    }
-    std::string_view sample = line;
-    std::string_view exemplar_text;
-    if (const std::size_t hash = line.find(" # "); hash != std::string_view::npos) {
-      sample = line.substr(0, hash);
-      exemplar_text = line.substr(hash + 3);
-    }
-    const std::size_t space = sample.rfind(' ');
-    const double value = parse_double(std::string(sample.substr(space + 1))).value();
-    std::string series(sample.substr(0, space));
-    std::string labels;
-    if (const std::size_t brace = series.find('{'); brace != std::string::npos) {
-      labels = series.substr(brace + 1, series.size() - brace - 2);
-      series.resize(brace);
-    }
-
-    const auto direct = types.find(series);
-    if (direct != types.end() && direct->second == "counter") {
-      snapshot.counters.push_back({series, static_cast<std::uint64_t>(value)});
-      continue;
-    }
-    if (direct != types.end() && direct->second == "gauge") {
-      snapshot.gauges.push_back({series, value});
-      continue;
-    }
-    // Histogram series: resolve the family through the suffix.
-    std::string family;
-    std::string_view suffix;
-    for (const char* candidate : {"_bucket", "_sum", "_count"}) {
-      const std::string_view sv(candidate);
-      if (series.size() > sv.size() && series.ends_with(sv)) {
-        const std::string base = series.substr(0, series.size() - sv.size());
-        if (const auto it = types.find(base); it != types.end() && it->second == "histogram") {
-          family = base;
-          suffix = sv;
-          break;
-        }
-      }
-    }
-    if (family.empty())
-      return Error(ErrorKind::kParse, "prometheus parse: unclassifiable series '" + series + "'");
-    auto [slot, inserted] = histogram_index.try_emplace(family, snapshot.histograms.size());
-    if (inserted) snapshot.histograms.push_back({});
-    HistogramValue& h = snapshot.histograms[slot->second];
-    h.name = family;
-    if (suffix == "_sum") {
-      h.sum = value;
-    } else if (suffix == "_count") {
-      h.count = static_cast<std::uint64_t>(value);
-    } else {
-      const std::size_t le = labels.find("le=\"");
-      const std::size_t le_end = labels.find('"', le + 4);
-      const std::string bound = labels.substr(le + 4, le_end - le - 4);
-      auto& cumulative = histogram_cumulative[family];
-      const auto total = static_cast<std::uint64_t>(value);
-      h.counts.push_back(total - cumulative);
-      cumulative = total;
-      if (bound != "+Inf") {
-        auto parsed_bound = parse_double(bound);
-        if (!parsed_bound.ok())
-          return Error(ErrorKind::kParse,
-                       "prometheus parse: bad le bound '" + bound + "' for " + family);
-        h.bounds.push_back(parsed_bound.value());
-      }
-      if (!exemplar_text.empty()) {
-        HistogramValue::Exemplar exemplar;
-        exemplar.bucket = h.counts.size() - 1;
-        const std::size_t close = exemplar_text.find('}');
-        exemplar.value = parse_double(std::string(exemplar_text.substr(close + 2))).value();
-        const std::size_t id = exemplar_text.find("trace_id=\"");
-        if (id != std::string_view::npos) {
-          const std::size_t id_end = exemplar_text.find('"', id + 10);
-          exemplar.trace_id = std::strtoull(
-              std::string(exemplar_text.substr(id + 10, id_end - id - 10)).c_str(), nullptr, 16);
-        }
-        h.exemplars.push_back(exemplar);
-      }
-    }
-  }
   const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
   std::sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);
   std::sort(snapshot.histograms.begin(), snapshot.histograms.end(), by_name);
-  return snapshot;
+  return read;
+}
+
+}  // namespace
+
+Result<PrometheusCheck> check_prometheus_text(std::string_view text) {
+  auto read = read_prometheus_text(text);
+  if (!read.ok()) return read.error();
+  return std::move(read.value().check);
+}
+
+Result<MetricsSnapshot> parse_prometheus_text(std::string_view text) {
+  auto read = read_prometheus_text(text);
+  if (!read.ok()) return read.error();
+  return std::move(read.value().snapshot);
 }
 
 }  // namespace tsufail::obs

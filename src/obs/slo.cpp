@@ -9,6 +9,13 @@
 namespace tsufail::obs {
 namespace {
 
+constexpr std::uint64_t kFastWindowNs = 300ull * 1'000'000'000ull;   ///< 5 minutes
+constexpr std::uint64_t kSlowWindowNs = 3600ull * 1'000'000'000ull;  ///< 1 hour
+/// SRE-book paging thresholds for a 30d SLO period: 14.4x burn over 5m /
+/// 6x over 1h both consume >= 2% / 5% of the monthly budget.
+constexpr double kFastBurnThreshold = 14.4;
+constexpr double kSlowBurnThreshold = 6.0;
+
 std::string format_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.6g", value);
@@ -34,8 +41,6 @@ std::string_view slo_state_name(SloState state) noexcept {
   return "OK";
 }
 
-SloEngine::SloEngine(SloConfig config) : config_(config) {}
-
 void SloEngine::add_objective(SloObjective objective) {
   std::lock_guard lock(mutex_);
   auto it = std::lower_bound(tracked_.begin(), tracked_.end(), objective.name,
@@ -47,14 +52,6 @@ void SloEngine::add_objective(SloObjective objective) {
     return;
   }
   tracked_.insert(it, Tracked{std::move(objective), {}, {}});
-}
-
-void SloEngine::remove_objective(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = std::lower_bound(
-      tracked_.begin(), tracked_.end(), name,
-      [](const Tracked& t, std::string_view n) { return t.objective.name < n; });
-  if (it != tracked_.end() && it->objective.name == name) tracked_.erase(it);
 }
 
 std::size_t SloEngine::objective_count() const {
@@ -113,7 +110,7 @@ void SloEngine::tick(const MetricsSnapshot& snapshot, std::uint64_t now_ns) {
     }
     tracked.ring.push_back(std::move(entry));
     const std::uint64_t horizon =
-        config_.slow_window_ns + config_.fast_window_ns;  // keep one baseline past the window
+        kSlowWindowNs + kFastWindowNs;  // keep one baseline past the window
     while (tracked.ring.size() > 2 &&
            tracked.ring[1].t_ns + horizon < now_ns)
       tracked.ring.pop_front();
@@ -168,8 +165,8 @@ SloStatus SloEngine::evaluate_one(const Tracked& tracked, std::uint64_t now_ns) 
     return total > 0.0 ? bad / total : 0.0;
   };
 
-  const Entry& fast_base = baseline_for(config_.fast_window_ns);
-  const Entry& slow_base = baseline_for(config_.slow_window_ns);
+  const Entry& fast_base = baseline_for(kFastWindowNs);
+  const Entry& slow_base = baseline_for(kSlowWindowNs);
   double fast_rate = 0.0;
   double slow_rate = 0.0;
   const double fast_fraction = window_fraction(fast_base, &fast_rate);
@@ -178,8 +175,8 @@ SloStatus SloEngine::evaluate_one(const Tracked& tracked, std::uint64_t now_ns) 
   status.fast_burn = fast_fraction / budget;
   status.slow_burn = slow_fraction / budget;
 
-  const bool fast_hot = status.fast_burn >= config_.fast_burn_threshold;
-  const bool slow_hot = status.slow_burn >= config_.slow_burn_threshold;
+  const bool fast_hot = status.fast_burn >= kFastBurnThreshold;
+  const bool slow_hot = status.slow_burn >= kSlowBurnThreshold;
   status.state = fast_hot && slow_hot ? SloState::kBurning
                  : fast_hot || slow_hot ? SloState::kDegraded
                                         : SloState::kOk;

@@ -74,25 +74,13 @@ struct SloStatus {
   std::string reason;       ///< human-readable one-liner
 };
 
-struct SloConfig {
-  std::uint64_t fast_window_ns = 300ull * 1'000'000'000ull;   ///< 5 minutes
-  std::uint64_t slow_window_ns = 3600ull * 1'000'000'000ull;  ///< 1 hour
-  /// SRE-book paging thresholds for a 30d SLO period: 14.4x burn over
-  /// 5m / 6x over 1h both consume >= 2% / 5% of the monthly budget.
-  double fast_burn_threshold = 14.4;
-  double slow_burn_threshold = 6.0;
-};
-
 /// The engine.  Thread-safe: tick() runs on the owner's cadence thread
 /// while evaluate()/statuses serve concurrent readers.
 class SloEngine {
  public:
-  explicit SloEngine(SloConfig config = {});
-
   /// Adds or replaces (by name) an objective.  The ring restarts for a
   /// replaced objective.
   void add_objective(SloObjective objective);
-  void remove_objective(std::string_view name);
   std::size_t objective_count() const;
 
   /// Appends one ring entry per objective from `snapshot`, pruning
@@ -103,8 +91,6 @@ class SloEngine {
   /// Evaluates every objective against the ring as of `now_ns`,
   /// ascending by objective name.  O(objectives).
   std::vector<SloStatus> evaluate(std::uint64_t now_ns) const;
-
-  const SloConfig& config() const noexcept { return config_; }
 
  private:
   struct Entry {
@@ -122,7 +108,6 @@ class SloEngine {
 
   SloStatus evaluate_one(const Tracked& tracked, std::uint64_t now_ns) const;
 
-  const SloConfig config_;
   mutable std::mutex mutex_;
   std::vector<Tracked> tracked_;  ///< ascending by objective name
 };

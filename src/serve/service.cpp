@@ -51,6 +51,12 @@ obs::Counter& dropped_series() {
 /// sync with Tenant's constructor).
 constexpr std::size_t kSeriesPerTenant = 7;
 
+// The default objectives' fixed targets (see SloTargets).
+constexpr double kQueryBudget = 0.01;
+constexpr double kCacheMissBudget = 0.9;
+constexpr double kStalenessCeilingSeconds = 600.0;
+constexpr double kStalenessBudget = 0.1;
+
 constexpr std::string_view kStudyKey = "study";
 constexpr std::string_view kStudySummary =
     "full analyze report (byte-identical to `tsufail analyze`)";
@@ -58,37 +64,23 @@ constexpr std::string_view kStudySummary =
 }  // namespace
 
 FleetService::FleetService(ServiceConfig config)
-    : config_(config), cache_(config.cache_capacity), slo_(config.slo.windows) {
+    : config_(config), cache_(config.cache_capacity) {
   query_seconds();  // register eagerly so the first SLO ticks see the histogram
-  const SloTargets& targets = config_.slo;
-  if (targets.query_p99_seconds > 0.0) {
-    obs::SloObjective objective;
-    objective.name = "serve.query.p99";
-    objective.kind = obs::SloKind::kLatencyQuantile;
-    objective.metric = "serve.query.seconds";
-    objective.threshold = targets.query_p99_seconds;
-    objective.quantile = 0.99;
-    objective.budget = targets.query_budget;
-    slo_.add_objective(std::move(objective));
-  }
-  if (targets.cache_miss_budget > 0.0) {
-    obs::SloObjective objective;
-    objective.name = "serve.query.cache_miss_ratio";
-    objective.kind = obs::SloKind::kErrorRatio;
-    objective.metric = "serve.query.cache_misses";
-    objective.denominator = "serve.query.requests";
-    objective.budget = targets.cache_miss_budget;
-    slo_.add_objective(std::move(objective));
-  }
-  if (targets.min_ingest_per_s > 0.0) {
-    obs::SloObjective objective;
-    objective.name = "serve.ingest.throughput";
-    objective.kind = obs::SloKind::kThroughputMin;
-    objective.metric = "serve.ingest.events";
-    objective.threshold = targets.min_ingest_per_s;
-    objective.budget = 0.1;
-    slo_.add_objective(std::move(objective));
-  }
+  obs::SloObjective latency;
+  latency.name = "serve.query.p99";
+  latency.kind = obs::SloKind::kLatencyQuantile;
+  latency.metric = "serve.query.seconds";
+  latency.threshold = config_.slo.query_p99_seconds;
+  latency.quantile = 0.99;
+  latency.budget = kQueryBudget;
+  slo_.add_objective(std::move(latency));
+  obs::SloObjective misses;
+  misses.name = "serve.query.cache_miss_ratio";
+  misses.kind = obs::SloKind::kErrorRatio;
+  misses.metric = "serve.query.cache_misses";
+  misses.denominator = "serve.query.requests";
+  misses.budget = kCacheMissBudget;
+  slo_.add_objective(std::move(misses));
 }
 
 Result<void> FleetService::open_tenant(const std::string& name, const data::MachineSpec& spec) {
@@ -126,15 +118,13 @@ Result<void> FleetService::open_tenant(const std::string& name, const data::Mach
     // Watermark-staleness objective over the tenant's staleness gauge
     // (refreshed by slo_tick): released records must become queryable
     // within the ceiling.
-    if (config_.slo.staleness_ceiling_s > 0.0) {
-      obs::SloObjective objective;
-      objective.name = "serve.tenant." + name + ".staleness";
-      objective.kind = obs::SloKind::kStalenessMax;
-      objective.metric = "serve.tenant." + name + ".staleness";
-      objective.threshold = config_.slo.staleness_ceiling_s;
-      objective.budget = config_.slo.staleness_budget;
-      slo_.add_objective(std::move(objective));
-    }
+    obs::SloObjective objective;
+    objective.name = "serve.tenant." + name + ".staleness";
+    objective.kind = obs::SloKind::kStalenessMax;
+    objective.metric = "serve.tenant." + name + ".staleness";
+    objective.threshold = kStalenessCeilingSeconds;
+    objective.budget = kStalenessBudget;
+    slo_.add_objective(std::move(objective));
   }
   tenants_gauge().set(static_cast<double>(tenants_.size()));
   return {};

@@ -14,6 +14,9 @@
 namespace tsufail::serve {
 namespace {
 
+/// Alert transitions kept for the ALERTS query (oldest dropped).
+constexpr std::size_t kAlertHistory = 64;
+
 // Global aggregates across every tenant (the per-tenant series are
 // registered dynamically per Tenant when enabled).
 obs::Counter& ingest_events() {
@@ -106,11 +109,8 @@ Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::Machi
   if (config.alerts) {
     auto monitor = stream::HealthMonitor::create(spec);
     if (!monitor.ok()) return monitor.error().with_context("tenant monitor");
-    const std::size_t expected = config.expected_failures > 0
-                                     ? config.expected_failures
-                                     : stream::paper_expected_failures(spec);
     auto engine = stream::AlertEngine::create(
-        stream::default_rules(spec, {expected, config.burst_threshold}));
+        stream::default_rules(spec, stream::paper_expected_failures(spec)));
     if (!engine.ok()) return engine.error().with_context("tenant alert engine");
     tenant->monitor_.emplace(std::move(monitor).value());
     tenant->engine_.emplace(std::move(engine).value());
@@ -266,7 +266,7 @@ void Tenant::consume_released() {
           if (cleared_counter_.has_value()) cleared_counter_->add();
         }
         alert_history_.push_back(std::move(alert));
-        while (alert_history_.size() > config_.alert_history) alert_history_.pop_front();
+        while (alert_history_.size() > kAlertHistory) alert_history_.pop_front();
       }
     }
     if (sealed_pending_.empty()) pending_since_ns_ = obs::now_ns();

@@ -48,15 +48,9 @@ struct TenantConfig {
   /// Register per-tenant obs counters/gauges (serve.tenant.<name>.*).
   /// Global serve.* aggregates are always maintained.
   bool per_tenant_metrics = true;
-  /// Run the default alert rule set over the released stream.
+  /// Run the default alert rule set over the released stream, calibrated
+  /// to the paper's failure count for the machine.
   bool alerts = true;
-  /// Calibration for the alert baselines (0 = the paper's count for the
-  /// machine, via stream::paper_expected_failures).
-  std::size_t expected_failures = 0;
-  /// Multi-GPU burst threshold for the shared rule set.
-  double burst_threshold = 3.0;
-  /// Alert transitions kept for the ALERTS query (oldest dropped).
-  std::size_t alert_history = 64;
   /// Root directory for columnar epoch segments ("" = in-memory only).
   /// When set, every sealed epoch N atomically writes
   /// <data_dir>/<tenant>/epoch-N.tsnap (records-only columnar snapshot,

@@ -57,6 +57,27 @@ TEST(ArgParser, Errors) {
   EXPECT_FALSE(bad_int.value().get_int("count").ok());
 }
 
+TEST(ArgParser, DoubleDashEndsOptions) {
+  auto parsed = demo_parser().parse({"--count", "3", "--", "--verbose"});
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().positionals(), (std::vector<std::string>{"--verbose"}));
+  EXPECT_FALSE(parsed.value().flag("verbose"));
+
+  ArgParser wrapper("wrap", "Runs another command.");
+  wrapper.option({"runs", "N", "repetitions", std::string("1")});
+  wrapper.passthrough({"command", "the command line to run", true});
+  auto wrapped = wrapper.parse({"--runs", "2", "--", "analyze", "x.csv", "--jobs", "4"});
+  ASSERT_TRUE(wrapped.ok());
+  EXPECT_EQ(wrapped.value().get_int("runs").value(), 2);
+  EXPECT_TRUE(wrapped.value().positionals().empty());
+  EXPECT_EQ(wrapped.value().passthrough(),
+            (std::vector<std::string>{"analyze", "x.csv", "--jobs", "4"}));
+  EXPECT_FALSE(wrapper.parse({"--runs", "2"}).ok());        // no command
+  EXPECT_FALSE(wrapper.parse({"--runs", "2", "--"}).ok());  // empty command
+  EXPECT_FALSE(wrapper.parse({"analyze", "--", "x"}).ok()); // positional before --
+  EXPECT_NE(wrapper.help().find("usage: tsufail wrap [options] -- <command>"), std::string::npos);
+}
+
 TEST(ArgParser, DoubleAccessor) {
   ArgParser parser("d", "doubles");
   parser.option({"ratio", "X", "a ratio", std::string("0.5")});

@@ -12,6 +12,7 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "report/paper_figures.h"
 
 namespace tsufail::cli {
@@ -422,10 +423,164 @@ TEST(Commands, OneIndexBuildPerLoadedLog) {
     ASSERT_EQ(result.code, 0) << result.err;
     EXPECT_EQ(metrics_json_counter(metrics, "index.builds"), 1u);
   }
-  obs::set_enabled(false);
-  obs::reset_metrics();
   std::remove(path.c_str());
   std::remove(metrics.c_str());
+}
+
+// --- the front door: --trace/--metrics and profile ------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(FrontDoor, TracedCommandLeavesObsOff) {
+  const std::string path = temp_log_path("cli_obs_off.csv");
+  const std::string metrics = temp_log_path("cli_obs_off.json");
+  ASSERT_EQ(run({"simulate", path, "--machine", "t2", "--seed", "5"}).code, 0);
+  const auto result = run({"analyze", path, "--metrics", metrics});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_FALSE(obs::enabled());
+  std::remove(path.c_str());
+  std::remove(metrics.c_str());
+}
+
+TEST(FrontDoor, FailedCommandLeavesNoOutputFiles) {
+  const std::string trace = temp_log_path("cli_failed_trace.json");
+  const std::string metrics = temp_log_path("cli_failed_metrics.prom");
+  std::remove(trace.c_str());
+  std::remove(metrics.c_str());
+  const auto result =
+      run({"analyze", "/no/such/log.csv", "--trace", trace, "--metrics", metrics});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_FALSE(std::filesystem::exists(trace));
+  EXPECT_FALSE(std::filesystem::exists(metrics));
+  // An existing file at the path keeps its bytes.
+  std::ofstream(trace, std::ios::binary) << "keep";
+  EXPECT_EQ(run({"analyze", "/no/such/log.csv", "--trace", trace}).code, 1);
+  EXPECT_EQ(read_file(trace), "keep");
+  std::remove(trace.c_str());
+}
+
+TEST(FrontDoor, EveryTracedCommandWritesValidFilesWithItsCliSpan) {
+  const std::string path = temp_log_path("cli_traced.csv");
+  const std::string trace = temp_log_path("cli_traced_trace.json");
+  const std::string metrics = temp_log_path("cli_traced_metrics.prom");
+  ASSERT_EQ(run({"simulate", path, "--machine", "t2", "--seed", "5"}).code, 0);
+  const std::vector<std::vector<std::string>> lines = {
+      {"analyze", path},
+      {"report", path, "--no-extensions"},
+      {"sweep", "--machine", "t2", "--quick"},
+      {"repairs", "--machine", "t2", "--quick", "--mix-jobs", "50"},
+      {"watch", path, "--summary-every", "0"}};
+  for (auto line : lines) {
+    SCOPED_TRACE(line[0]);
+    line.insert(line.end(), {"--trace", trace, "--metrics", metrics});
+    const auto result = run(line);
+    ASSERT_EQ(result.code, 0) << result.err;
+    EXPECT_NE(result.out.find("wrote trace ("), std::string::npos);
+    EXPECT_NE(result.out.find("wrote metrics ("), std::string::npos);
+    const auto spans = obs::check_chrome_trace(read_file(trace));
+    ASSERT_TRUE(spans.ok()) << spans.error().to_string();
+    bool has_cli_span = false;
+    for (const auto& [name, count] : spans.value().spans_by_name)
+      has_cli_span |= name == "cli." + line[0] && count == 1;
+    EXPECT_TRUE(has_cli_span);
+    const auto exposition = obs::check_prometheus_text(read_file(metrics));
+    EXPECT_TRUE(exposition.ok()) << exposition.error().to_string();
+  }
+  std::remove(path.c_str());
+  std::remove(trace.c_str());
+  std::remove(metrics.c_str());
+}
+
+TEST(FrontDoor, UntracedCommandRejectsTrace) {
+  const auto result = run({"pack", "in.csv", "out.tsnap", "--trace", "x"});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_NE(result.err.find("unknown option --trace"), std::string::npos);
+}
+
+TEST(Dispatch, OverviewListsTheTracedCommands) {
+  const auto result = run({"--help"});
+  const std::size_t at = result.out.find("profiling: ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string traced = result.out.substr(at, result.out.find(" accept", at) - at);
+  for (const char* name : {"analyze", "report", "sweep", "repairs", "watch"})
+    EXPECT_NE(traced.find(name), std::string::npos) << name;
+}
+
+TEST(Dispatch, HelpAfterDoubleDashIsAnArgument) {
+  const auto result = run({"analyze", "--", "--help"});
+  EXPECT_EQ(result.code, 1);  // "--help" is the log path here
+  EXPECT_EQ(result.out.find("usage: tsufail analyze"), std::string::npos);
+  EXPECT_NE(result.err.find("--help"), std::string::npos);
+}
+
+/// The count column of `span`'s row in profile's table (0 when absent).
+unsigned long long profile_count(const std::string& text, const std::string& span) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    unsigned long long count = 0;
+    if (fields >> name >> count && name == span) return count;
+  }
+  return 0;
+}
+
+TEST(Profile, WrapsAnyCommand) {
+  const std::string path = temp_log_path("cli_profile.csv");
+  const std::string snapshot = temp_log_path("cli_profile.tsnap");
+  const std::string trace = temp_log_path("cli_profile_trace.json");
+  ASSERT_EQ(run({"simulate", path, "--machine", "t2", "--seed", "5"}).code, 0);
+
+  const auto once = run({"profile", "--", "analyze", path, "--jobs", "2"});
+  ASSERT_EQ(once.code, 0) << once.err;
+  EXPECT_EQ(once.out.find("MTBF:"), std::string::npos);  // analyze's own text is discarded
+  for (const char* span : {"cli.analyze", "csv.read", "study.run"})
+    EXPECT_EQ(profile_count(once.out, span), 1u) << span;
+  const std::string cover = "child spans cover ";
+  const std::size_t at = once.out.find(cover);
+  ASSERT_NE(at, std::string::npos);
+  const double percent = std::stod(once.out.substr(at + cover.size()));
+  EXPECT_GT(percent, 0.0);
+  EXPECT_LE(percent, 100.0);
+  EXPECT_NE(once.out.find("% of cli.analyze"), std::string::npos);
+
+  // The table and a --trace file given to the command both cover every run.
+  const auto thrice = run({"profile", "--runs", "3", "--", "analyze", path, "--trace", trace});
+  ASSERT_EQ(thrice.code, 0) << thrice.err;
+  EXPECT_EQ(profile_count(thrice.out, "cli.analyze"), 3u);
+  const auto spans = obs::check_chrome_trace(read_file(trace));
+  ASSERT_TRUE(spans.ok()) << spans.error().to_string();
+  std::size_t cli_spans = 0;
+  for (const auto& [name, count] : spans.value().spans_by_name) {
+    if (name == "cli.analyze") cli_spans = count;
+  }
+  EXPECT_EQ(cli_spans, 3u);
+  EXPECT_FALSE(obs::enabled());
+
+  // A command without --trace of its own.
+  const auto pack = run({"profile", "--", "pack", path, snapshot});
+  ASSERT_EQ(pack.code, 0) << pack.err;
+  EXPECT_EQ(profile_count(pack.out, "cli.pack"), 1u);
+  EXPECT_EQ(profile_count(pack.out, "columnar.pack"), 1u);
+  std::remove(path.c_str());
+  std::remove(snapshot.c_str());
+  std::remove(trace.c_str());
+}
+
+TEST(Profile, FailsWithTheCommandsError) {
+  const auto direct = run({"analyze", "/no/such/log.csv"});
+  const auto profiled = run({"profile", "--", "analyze", "/no/such/log.csv"});
+  EXPECT_EQ(profiled.code, 1);
+  EXPECT_EQ(profiled.err, direct.err);
+  EXPECT_EQ(run({"profile"}).code, 2);
+  EXPECT_EQ(run({"profile", "--runs", "2", "--"}).code, 2);
+  EXPECT_EQ(run({"profile", "--", "frobnicate"}).code, 1);
 }
 
 TEST(Commands, CompareGenerations) {

@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/trace.h"
 
 namespace tsufail::obs {
 namespace {
@@ -271,6 +274,71 @@ TEST_F(MetricsTest, AdvancingTheWindowRetiresStaleExemplars) {
   EXPECT_EQ(exemplar->window, next);
 }
 
+TEST_F(MetricsTest, PrometheusTextParsesBackFieldForField) {
+  counter("pin_requests").add(7);
+  counter("pin_untouched");  // registered, never updated: reports 0
+  gauge("pin_depth").set(-2.5);
+  gauge("pin_ratio").set(0.1);
+  const double latency_bounds[] = {0.001, 0.1, 1.0};
+  Histogram latency = histogram("pin_latency", latency_bounds, ExemplarMode::kMaxPerBucket);
+  Histogram sizes = histogram("pin_sizes", std::vector<double>{10.0, 100.0});
+  {
+    SpanScope span("pin.query");  // exemplars take the innermost span's trace id
+    latency.observe(0.05);
+    latency.observe(0.07);
+    latency.observe(3.0);
+  }
+  latency.observe(0.0005);  // outside any span: trace id 0
+  sizes.observe(5.0);
+  sizes.observe(500.0);
+
+  // Only this test's metrics: the registry is process-global, and other
+  // names ('.'-separated) come back sanitized.
+  MetricsSnapshot pinned;
+  const MetricsSnapshot all = collect_metrics();
+  const auto ours = [](const auto& metric) { return metric.name.starts_with("pin_"); };
+  std::copy_if(all.counters.begin(), all.counters.end(), std::back_inserter(pinned.counters), ours);
+  std::copy_if(all.gauges.begin(), all.gauges.end(), std::back_inserter(pinned.gauges), ours);
+  std::copy_if(all.histograms.begin(), all.histograms.end(),
+               std::back_inserter(pinned.histograms), ours);
+  ASSERT_EQ(pinned.counters.size(), 2u);
+  ASSERT_EQ(pinned.gauges.size(), 2u);
+  ASSERT_EQ(pinned.histograms.size(), 2u);
+  ASSERT_EQ(pinned.histograms[0].exemplars.size(), 3u);
+
+  const auto parsed = parse_prometheus_text(prometheus_text(pinned));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  const MetricsSnapshot& back = parsed.value();
+  ASSERT_EQ(back.counters.size(), pinned.counters.size());
+  for (std::size_t i = 0; i < pinned.counters.size(); ++i) {
+    EXPECT_EQ(back.counters[i].name, pinned.counters[i].name);
+    EXPECT_EQ(back.counters[i].value, pinned.counters[i].value);
+  }
+  ASSERT_EQ(back.gauges.size(), pinned.gauges.size());
+  for (std::size_t i = 0; i < pinned.gauges.size(); ++i) {
+    EXPECT_EQ(back.gauges[i].name, pinned.gauges[i].name);
+    EXPECT_EQ(back.gauges[i].value, pinned.gauges[i].value);
+  }
+  ASSERT_EQ(back.histograms.size(), pinned.histograms.size());
+  for (std::size_t i = 0; i < pinned.histograms.size(); ++i) {
+    const HistogramValue& want = pinned.histograms[i];
+    const HistogramValue& got = back.histograms[i];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.bounds, want.bounds);
+    EXPECT_EQ(got.counts, want.counts);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.sum, want.sum);
+    ASSERT_EQ(got.exemplars.size(), want.exemplars.size());
+    for (std::size_t e = 0; e < want.exemplars.size(); ++e) {
+      EXPECT_EQ(got.exemplars[e].bucket, want.exemplars[e].bucket);
+      EXPECT_EQ(got.exemplars[e].value, want.exemplars[e].value);
+      EXPECT_EQ(got.exemplars[e].trace_id, want.exemplars[e].trace_id);
+      EXPECT_EQ(got.exemplars[e].window, 0u);  // the exposition carries no window
+    }
+  }
+}
+
 TEST_F(MetricsTest, ValidatorRejectsUndeclaredAndNonCumulative) {
   EXPECT_FALSE(check_prometheus_text("undeclared_metric 1\n").ok());
   const std::string non_cumulative =
@@ -322,6 +390,27 @@ TEST(PrometheusText, CountsOutsideUint64AreRejectedBeforeAnyCast) {
   EXPECT_TRUE(check_prometheus_text(
                   "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 0\nh_sum -2.5\nh_count 0\n")
                   .ok());
+}
+
+TEST(PrometheusText, ExemplarTraceIdsLongerThan16HexDigitsAreRejected) {
+  // trace_id_hex always writes 16 digits, so a longer id names no span
+  // (and would overflow the parsed uint64_t).
+  const std::string long_id =
+      "# TYPE h histogram\n"
+      "h_bucket{le=\"+Inf\"} 1 # {trace_id=\"10000000000000000\"} 0.5\n"
+      "h_sum 0.5\n"
+      "h_count 1\n";
+  const auto long_check = check_prometheus_text(long_id);
+  ASSERT_FALSE(long_check.ok());
+  EXPECT_EQ(long_check.error().message(),
+            "prometheus line 2: exemplar trace_id '10000000000000000' is longer than 16 hex "
+            "digits");
+  EXPECT_FALSE(parse_prometheus_text(long_id).ok());
+  std::string sixteen = long_id;
+  sixteen.erase(sixteen.find("10000000000000000"), 1);
+  const auto parsed = parse_prometheus_text(sixteen);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().histograms[0].exemplars[0].trace_id, 0ull);
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
 // bench_diff — compare fresh BENCH_*.json perf records against committed
 // baselines (bench/baselines/*.json).
 //
+// Only ratios a bench measured within one run are compared: fields named
+// `*_speedup_x` (a SIMD level against scalar on one thread) and `*_ratio`
+// (e.g. snapshot load against an in-memory rebuild, timed in alternating
+// pairs).  Both sides of such a ratio ran on the same host in the same
+// process, so host speed cancels out.  Absolute throughputs (`*_per_s`)
+// move with the host and are printed for reference, not compared.
+//
 // Every bench record carries an env block (compiler, build type, SIMD
-// dispatch, measured single-core ops/s), so the comparison is
-// env-aware: throughput fields are normalized by each side's
-// env_single_core_ops_per_s before the ratio is taken, which removes
-// most host-speed skew; and when the envs differ structurally
-// (different compiler / build type / SIMD level) every finding is
-// downgraded to informational, because the numbers are not commensurate.
+// dispatch); when the envs differ, every finding is downgraded to
+// informational, because the numbers are not commensurate.
 //
 // Usage: bench_diff <baseline-dir> <fresh-dir> [--threshold F]
 //
-//   threshold (default 0.30): a normalized throughput ratio below
-//   1-threshold is a REGRESSION, above 1+threshold an IMPROVEMENT.
+//   threshold (default 0.30): a fresh/base ratio below 1-threshold is a
+//   REGRESSION, above 1+threshold an IMPROVEMENT.
 //
 // Exit code: 1 if any REGRESSION was found under a matching env,
 // 0 otherwise (missing baselines and env mismatches never fail — CI
@@ -106,11 +109,9 @@ std::map<std::string, BenchRecord> load_dir(const std::string& dir) {
   return records;
 }
 
-/// True for fields where higher is better and host speed matters
-/// (throughputs); these get single-core normalization.
-bool is_throughput_field(const std::string& key) {
-  return key.size() > 6 && key.compare(key.size() - 6, 6, "_per_s") == 0 &&
-         key.rfind("env_", 0) != 0;
+/// True for ratios measured within one run, where higher is better.
+bool is_within_run_ratio(const std::string& key) {
+  return key.ends_with("_speedup_x") || key.ends_with("_ratio");
 }
 
 std::string env_string(const BenchRecord& record, const char* key) {
@@ -155,38 +156,37 @@ int main(int argc, char** argv) {
     const bool env_match = env_string(base, "env_compiler") == env_string(now, "env_compiler") &&
                            env_string(base, "env_build_type") == env_string(now, "env_build_type") &&
                            env_string(base, "env_simd_dispatch") == env_string(now, "env_simd_dispatch");
-    const auto base_core = base.numbers.find("env_single_core_ops_per_s");
-    const auto now_core = now.numbers.find("env_single_core_ops_per_s");
-    const bool normalizable = base_core != base.numbers.end() && base_core->second > 0.0 &&
-                              now_core != now.numbers.end() && now_core->second > 0.0;
-    // Host speed ratio: >1 means the fresh host is faster, so raw fresh
-    // throughputs are discounted by it before comparing.
-    const double host_ratio = normalizable ? now_core->second / base_core->second : 1.0;
-
-    std::printf("[%s] env %s (compiler %s/%s, simd %s/%s, host-speed %.2fx)\n", name.c_str(),
+    std::printf("[%s] env %s (compiler %s/%s, build %s/%s, simd %s/%s)\n", name.c_str(),
                 env_match ? "match" : "MISMATCH — informational only",
                 env_string(base, "env_compiler").c_str(), env_string(now, "env_compiler").c_str(),
+                env_string(base, "env_build_type").c_str(),
+                env_string(now, "env_build_type").c_str(),
                 env_string(base, "env_simd_dispatch").c_str(),
-                env_string(now, "env_simd_dispatch").c_str(), host_ratio);
+                env_string(now, "env_simd_dispatch").c_str());
 
     for (const auto& [key, base_value] : base.numbers) {
-      if (!is_throughput_field(key)) continue;
       const auto now_value = now.numbers.find(key);
-      if (now_value == now.numbers.end() || base_value <= 0.0) continue;
+      if (now_value == now.numbers.end()) continue;
+      if (key.ends_with("_per_s")) {
+        std::printf("  %-44s base %12.4g  fresh %12.4g  (throughput, not compared)\n",
+                    key.c_str(), base_value, now_value->second);
+        continue;
+      }
+      if (!is_within_run_ratio(key) || base_value <= 0.0) continue;
       ++compared;
-      const double ratio = (now_value->second / base_value) / host_ratio;
+      const double ratio = now_value->second / base_value;
       const char* verdict = "ok";
       if (ratio < 1.0 - threshold) {
-        verdict = env_match ? "REGRESSION" : "regression (env mismatch, not gating)";
+        verdict = env_match ? "REGRESSION" : "regression (env mismatch, informational)";
         if (env_match) ++regressions;
       } else if (ratio > 1.0 + threshold) {
         verdict = "IMPROVEMENT";
       }
-      std::printf("  %-44s base %12.4g  fresh %12.4g  norm-ratio %5.2f  %s\n", key.c_str(),
+      std::printf("  %-44s base %12.4g  fresh %12.4g  ratio %5.2f  %s\n", key.c_str(),
                   base_value, now_value->second, ratio, verdict);
     }
   }
-  std::printf("bench_diff: %d throughput fields compared, %d regressions (threshold %.0f%%)\n",
+  std::printf("bench_diff: %d within-run ratios compared, %d regressions (threshold %.0f%%)\n",
               compared, regressions, threshold * 100.0);
   return regressions > 0 ? 1 : 0;
 }
