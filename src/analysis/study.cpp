@@ -46,8 +46,10 @@ Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& o
   // One task per analysis, in registration order.  Each task writes only
   // its own report slot, so parallel runs do not race on the report.  A
   // required analysis that fails fails the study; any other lands in
-  // StudyReport::skipped.
+  // StudyReport::skipped.  A scalars-only study fits no family and ranks
+  // no loci: its software_loci task returns at once.
   StudyReport report;
+  const bool fit_family = !options.scalars_only;
   const struct {
     const char* name;
     bool required;
@@ -55,16 +57,19 @@ Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& o
   } tasks[] = {
       {"categories", true, [&] { return fill(analyze_categories(index), report.categories); }},
       {"software_loci", false,
-       [&] { return fill(analyze_software_loci(index), report.software_loci); }},
+       [&]() -> Result<void> {
+         if (options.scalars_only) return {};
+         return fill(analyze_software_loci(index), report.software_loci);
+       }},
       {"node_counts", true, [&] { return fill(analyze_node_counts(index), report.node_counts); }},
       {"gpu_slots", false, [&] { return fill(analyze_gpu_slots(index), report.gpu_slots); }},
       {"multi_gpu", false, [&] { return fill(analyze_multi_gpu(index), report.multi_gpu); }},
-      {"tbf", false, [&] { return fill(analyze_tbf(index), report.tbf); }},
+      {"tbf", false, [&] { return fill(analyze_tbf(index, fit_family), report.tbf); }},
       {"tbf_by_category", false,
        [&] { return fill(analyze_tbf_by_category(index), report.tbf_by_category); }},
       {"multi_gpu_clustering", false,
        [&] { return fill(analyze_multi_gpu_clustering(index), report.multi_gpu_clustering); }},
-      {"ttr", true, [&] { return fill(analyze_ttr(index), report.ttr); }},
+      {"ttr", true, [&] { return fill(analyze_ttr(index, fit_family), report.ttr); }},
       {"ttr_by_category", false,
        [&] { return fill(analyze_ttr_by_category(index), report.ttr_by_category); }},
       {"seasonal", true, [&] { return fill(analyze_seasonal(index), report.seasonal); }},

@@ -34,6 +34,12 @@ struct StudyOptions {
   /// hardware thread, n > 1 uses n workers.  The report is bit-identical
   /// for every value.
   std::size_t jobs = 1;
+  /// Compute only what the scalar summaries of a report read (the Monte
+  /// Carlo sweep's study_metrics): leave out the TBF and TTR family fits
+  /// (tbf->best_family and ttr.best_family stay empty) and the
+  /// software-loci ranking (software_loci stays empty).  Every other
+  /// field is the same as in the full study.
+  bool scalars_only = false;
 };
 
 /// An optional analysis that could not be computed for this log, and why.

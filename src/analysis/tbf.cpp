@@ -11,7 +11,8 @@ namespace {
 
 /// Core TBF computation over an ascending event-hour sample (every
 /// LogIndex hour stream is ascending: spans preserve time order).
-Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const double> hours) {
+Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const double> hours,
+                                 bool fit_family = true) {
   if (hours.size() < 2)
     return Error(ErrorKind::kDomain,
                  "TBF needs at least 2 failures, have " + std::to_string(hours.size()));
@@ -30,6 +31,7 @@ Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const 
   result.summary = summary.value();
   result.p75_hours = result.summary.p75;
 
+  if (!fit_family) return result;
   // Simultaneous failures produce zero gaps; family fitting requires
   // positive support, so fit on the positive sub-sample — the suffix past
   // the zeros, since the sorted gaps are non-negative.
@@ -44,8 +46,8 @@ Result<TbfResult> tbf_from_hours(const data::MachineSpec& spec, std::span<const 
 
 }  // namespace
 
-Result<TbfResult> analyze_tbf(const data::LogIndex& index) {
-  return tbf_from_hours(index.spec(), index.hours());
+Result<TbfResult> analyze_tbf(const data::LogIndex& index, bool fit_family) {
+  return tbf_from_hours(index.spec(), index.hours(), fit_family);
 }
 
 Result<TbfResult> analyze_tbf_category(const data::LogIndex& index, data::Category category) {

@@ -30,8 +30,10 @@ struct TbfResult {
   std::optional<stats::FamilyChoice> best_family;  ///< best-fit family, if fittable
 };
 
-/// System-wide TBF. Errors: fewer than 2 failures.
-Result<TbfResult> analyze_tbf(const data::LogIndex& index);
+/// System-wide TBF.  `fit_family = false` skips the family selection and
+/// leaves best_family empty; every other field is unchanged.
+/// Errors: fewer than 2 failures.
+Result<TbfResult> analyze_tbf(const data::LogIndex& index, bool fit_family = true);
 
 /// TBF restricted to one category's event stream.
 /// Errors: fewer than 2 failures of that category.

@@ -8,7 +8,7 @@
 namespace tsufail::analysis {
 namespace {
 
-Result<TtrResult> ttr_from_values(std::vector<double> values) {
+Result<TtrResult> ttr_from_values(std::vector<double> values, bool fit_family = true) {
   if (values.empty())
     return Error(ErrorKind::kDomain, "TTR analysis needs at least one failure");
   TtrResult result;
@@ -22,6 +22,7 @@ Result<TtrResult> ttr_from_values(std::vector<double> values) {
   auto summary = stats::summarize(sorted);
   if (!summary.ok()) return summary.error();
   result.summary = summary.value();
+  if (!fit_family) return result;
 
   // Family fitting requires positive support: the suffix past the
   // zero-TTR records (repair times are non-negative).
@@ -36,9 +37,9 @@ Result<TtrResult> ttr_from_values(std::vector<double> values) {
 
 }  // namespace
 
-Result<TtrResult> analyze_ttr(const data::LogIndex& index) {
+Result<TtrResult> analyze_ttr(const data::LogIndex& index, bool fit_family) {
   const auto ttr = index.ttr();
-  return ttr_from_values(std::vector<double>(ttr.begin(), ttr.end()));
+  return ttr_from_values(std::vector<double>(ttr.begin(), ttr.end()), fit_family);
 }
 
 Result<TtrResult> analyze_ttr_category(const data::LogIndex& index, data::Category category) {

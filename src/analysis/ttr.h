@@ -23,8 +23,10 @@ struct TtrResult {
   std::optional<stats::FamilyChoice> best_family;
 };
 
-/// System-wide TTR. Errors: empty log.
-Result<TtrResult> analyze_ttr(const data::LogIndex& index);
+/// System-wide TTR.  `fit_family = false` skips the family selection and
+/// leaves best_family empty; every other field is unchanged.
+/// Errors: empty log.
+Result<TtrResult> analyze_ttr(const data::LogIndex& index, bool fit_family = true);
 
 /// TTR restricted to one category. Errors: no such failures.
 Result<TtrResult> analyze_ttr_category(const data::LogIndex& index, data::Category category);

@@ -337,16 +337,8 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
     variants.push_back({label, std::move(scaled)});
   }
 
-  sim::SweepOptions options;
-  options.base_seed = static_cast<std::uint64_t>(seed.value());
-  options.replicates = static_cast<std::size_t>(replicates);
-  options.jobs = static_cast<std::size_t>(jobs.value());
-  options.ci_level = level.value();
-  auto sweep = sim::run_sweep(variants, options);
-  if (!sweep.ok()) return sweep.error();
-
-  // The headline metrics and their display names, in print order.
-  // Per-category aggregates stay behind --all-metrics.
+  // The headline metrics and their display names, in print order.  The
+  // sweep bootstraps only these unless --all-metrics prints every metric.
   static constexpr std::pair<const char*, const char*> kHeadlines[] = {
       {"failures", "failures"},
       {"mtbf_hours", "MTBF (h)"},
@@ -360,6 +352,17 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
       {"h2_h1_ttr_ratio", "H2/H1 TTR"},
       {"pflop_hours_per_failure_free_period", "PFlop-h per failure-free period"},
   };
+
+  sim::SweepOptions options;
+  options.base_seed = static_cast<std::uint64_t>(seed.value());
+  options.replicates = static_cast<std::size_t>(replicates);
+  options.jobs = static_cast<std::size_t>(jobs.value());
+  options.ci_level = level.value();
+  if (!args.flag("all-metrics")) {
+    for (const auto& [name, display] : kHeadlines) options.metrics.emplace_back(name);
+  }
+  auto sweep = sim::run_sweep(variants, options);
+  if (!sweep.ok()) return sweep.error();
 
   out << "sweep: " << replicates << " replicates per variant, base seed "
       << seed.value() << ", " << report::fmt_percent(100.0 * level.value(), 0)

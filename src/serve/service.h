@@ -128,8 +128,6 @@ class FleetService {
   /// Aggregate state across all objectives (kNoData never escalates).
   obs::SloState health_state(std::uint64_t now_ns = 0) const;
 
-  obs::SloEngine& slo_engine() noexcept { return slo_; }
-
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:

@@ -1,6 +1,8 @@
 #include "sim/montecarlo.h"
 
+#include <algorithm>
 #include <cctype>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -37,37 +39,42 @@ std::uint64_t aggregate_seed(std::uint64_t base_seed, std::size_t variant,
                         static_cast<std::uint64_t>(metric));
 }
 
-/// Aggregates one variant's replicate metrics (first-appearance order).
-Result<std::vector<MetricAggregate>> aggregate_metrics(
-    std::span<const ReplicateResult> replicates, std::size_t variant,
-    const SweepOptions& options) {
-  std::vector<std::string> order;
-  std::unordered_map<std::string, std::vector<double>> values;
+/// One variant's metric samples grouped by name, in first-appearance
+/// order across its replicates: names[m] is metric m of aggregate_seed.
+struct MetricColumns {
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> values;
+};
+
+MetricColumns collect_metrics(std::span<const ReplicateResult> replicates) {
+  MetricColumns columns;
+  std::unordered_map<std::string, std::size_t> index;
   for (const auto& replicate : replicates) {
     for (const auto& metric : replicate.metrics) {
-      auto [it, inserted] = values.try_emplace(metric.name);
-      if (inserted) order.push_back(metric.name);
-      it->second.push_back(metric.value);
+      auto [it, inserted] = index.try_emplace(metric.name, columns.names.size());
+      if (inserted) {
+        columns.names.push_back(metric.name);
+        columns.values.emplace_back();
+      }
+      columns.values[it->second].push_back(metric.value);
     }
   }
+  return columns;
+}
 
-  std::vector<MetricAggregate> aggregates;
-  aggregates.reserve(order.size());
-  for (std::size_t m = 0; m < order.size(); ++m) {
-    const std::vector<double>& sample = values[order[m]];
-    MetricAggregate aggregate;
-    aggregate.name = order[m];
-    aggregate.n = sample.size();
-    aggregate.mean = stats::mean(sample);
-    aggregate.stddev = stats::stddev(sample);
-    Rng rng(aggregate_seed(options.base_seed, variant, m));
-    auto ci = stats::bootstrap_mean_ci(sample, rng, options.bootstrap_replicates,
-                                       options.ci_level);
-    if (!ci.ok()) return ci.error().with_context("aggregate '" + aggregate.name + "'");
-    aggregate.mean_ci = ci.value();
-    aggregates.push_back(std::move(aggregate));
-  }
-  return aggregates;
+/// Mean, sample stddev and the bootstrap CI of the mean of one metric.
+Result<MetricAggregate> aggregate_metric(const std::string& name, std::span<const double> sample,
+                                         std::uint64_t seed, const SweepOptions& options) {
+  MetricAggregate aggregate;
+  aggregate.name = name;
+  aggregate.n = sample.size();
+  aggregate.mean = stats::mean(sample);
+  aggregate.stddev = stats::stddev(sample);
+  Rng rng(seed);
+  auto ci = stats::bootstrap_mean_ci(sample, rng, options.bootstrap_replicates, options.ci_level);
+  if (!ci.ok()) return ci.error();
+  aggregate.mean_ci = ci.value();
+  return aggregate;
 }
 
 }  // namespace
@@ -211,12 +218,11 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
     } else {
       auto study = [&] {
         OBS_SPAN("sweep.analyze");
-        return analysis::run_study(log.value(), analysis::StudyOptions{1});
+        return analysis::run_study(log.value(), {.jobs = 1, .scalars_only = true});
       }();
       buffer = data::FailureLog::take_records(std::move(log).value());
       if (!study.ok()) return study.error();
       result.metrics = study_metrics(study.value());
-      if (options.keep_reports) result.report = std::move(study.value());
     }
     cells[cell] = std::move(result);
     cells_counter.add();
@@ -243,12 +249,54 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
     for (std::size_t replicate = 0; replicate < options.replicates; ++replicate) {
       sweep.replicates.push_back(std::move(*cells[variant * options.replicates + replicate]));
     }
-    OBS_SPAN("sweep.reduce");
-    auto aggregates = aggregate_metrics(sweep.replicates, variant, options);
-    if (!aggregates.ok())
-      return aggregates.error().with_context("run_sweep: variant '" + sweep.label + "'");
-    sweep.aggregates = std::move(aggregates.value());
     result.variants.push_back(std::move(sweep));
+  }
+
+  // The reduce: one task per (variant, aggregated metric), flattened
+  // variant-major, on the same pool; each writes only its own slot.
+  // Metric m keeps its index among everything the variant produced, so
+  // its seed ignores options.metrics.
+  OBS_SPAN("sweep.reduce");
+  const auto wanted = [&options](const std::string& name) {
+    return options.metrics.empty() ||
+           std::find(options.metrics.begin(), options.metrics.end(), name) !=
+               options.metrics.end();
+  };
+  struct AggregateTask {
+    std::size_t variant;
+    std::size_t metric;
+  };
+  std::vector<MetricColumns> columns;
+  std::vector<AggregateTask> tasks;
+  for (std::size_t variant = 0; variant < result.variants.size(); ++variant) {
+    columns.push_back(collect_metrics(result.variants[variant].replicates));
+    for (std::size_t m = 0; m < columns[variant].names.size(); ++m) {
+      if (wanted(columns[variant].names[m])) tasks.push_back({variant, m});
+    }
+  }
+  std::vector<MetricAggregate> aggregates(tasks.size());
+  const auto aggregate_errors = parallel_for(
+      tasks.size(), options.jobs, [] { return 0; }, [&](int, std::size_t t) -> Result<void> {
+        OBS_SPAN("sweep.aggregate");
+        const auto [variant, m] = tasks[t];
+        auto aggregate =
+            aggregate_metric(columns[variant].names[m], columns[variant].values[m],
+                             aggregate_seed(options.base_seed, variant, m), options);
+        if (!aggregate.ok()) return aggregate.error();
+        aggregates[t] = std::move(aggregate).value();
+        return {};
+      });
+
+  // First failing aggregate in deterministic (variant, metric) order wins.
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const auto [variant, m] = tasks[t];
+    VariantSweep& sweep = result.variants[variant];
+    if (aggregate_errors[t].has_value()) {
+      return aggregate_errors[t]
+          ->with_context("aggregate '" + columns[variant].names[m] + "'")
+          .with_context("run_sweep: variant '" + sweep.label + "'");
+    }
+    sweep.aggregates.push_back(std::move(aggregates[t]));
   }
   return result;
 }

@@ -18,19 +18,23 @@
 //   * Fused pipeline.  Each worker generates, indexes, and analyzes a
 //     replicate in one pass on one thread, recycling the record
 //     allocation between its replicates as its per-worker state
-//     (generate_log's buffer overload + FailureLog::take_records).  Full
-//     StudyReports are only kept when SweepOptions::keep_reports asks for
-//     them; aggregate-only sweeps carry scalar metrics and drop
-//     everything else per replicate.
+//     (generate_log's buffer overload + FailureLog::take_records).  The
+//     default stage runs the scalars-only study (StudyOptions::
+//     scalars_only): it skips the family fits and the loci ranking, which
+//     study_metrics never reads, and keeps only the scalar metrics.
 //
 //   * Cross-replicate aggregates.  Per metric: mean, sample stddev, and
-//     a percentile-bootstrap CI of the mean from stats::bootstrap_ci,
-//     seeded per (variant, metric), computed serially after the cells.
+//     a percentile-bootstrap CI of the mean, for the metrics
+//     SweepOptions::metrics names (all by default).  After the cells, one
+//     task per (variant, metric) runs on the same worker pool.  Metric m
+//     (its first-appearance index among every metric the variant's
+//     replicates produced) bootstraps from a seed fixed by (base_seed,
+//     variant, m), so a CI depends neither on jobs nor on which other
+//     metrics are aggregated.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -71,24 +75,24 @@ struct SweepVariant {
   MachineModel model;
   /// Per-variant stage override; empty = SweepOptions::stage, then the
   /// default study pipeline.
-  ReplicateStage stage;
+  ReplicateStage stage = {};
 };
 
 struct SweepOptions {
   std::uint64_t base_seed = 1;
   std::size_t replicates = 10;  ///< seeds per variant
-  /// Worker threads across (variant, replicate) cells: 1 = serial on the
-  /// calling thread, 0 = one per hardware thread.  Results are
-  /// bit-identical for every value.
+  /// Worker threads across (variant, replicate) cells and then across
+  /// (variant, metric) aggregates: 1 = serial on the calling thread, 0 =
+  /// one per hardware thread.  Results are bit-identical for every value.
   std::size_t jobs = 1;
-  /// Keep the full per-replicate StudyReport (markdown-ready layer).
-  /// Off by default: aggregate-only sweeps skip materializing it.
-  bool keep_reports = false;
+  /// Names of the metrics to aggregate; empty = every metric.  A listed
+  /// name that no replicate produced gets no aggregate.  Replicates keep
+  /// all their metric samples either way.
+  std::vector<std::string> metrics;
   double ci_level = 0.95;                  ///< aggregate bootstrap CI level
   std::size_t bootstrap_replicates = 1000; ///< aggregate bootstrap resamples
   /// Default scoring stage for every variant that does not override it;
-  /// empty = the full-study pipeline.  keep_reports only applies to the
-  /// study pipeline (stages produce no StudyReport).
+  /// empty = the scalars-only study, then study_metrics.
   ReplicateStage stage;
 };
 
@@ -98,8 +102,6 @@ struct ReplicateResult {
   std::uint64_t seed = 0;      ///< replicate_seed(base_seed, replicate)
   std::size_t failures = 0;    ///< generated log size
   std::vector<MetricSample> metrics;
-  /// Present only when SweepOptions::keep_reports.
-  std::optional<analysis::StudyReport> report;
 };
 
 /// Cross-replicate aggregate of one metric.
@@ -114,11 +116,12 @@ struct MetricAggregate {
 struct VariantSweep {
   std::string label;
   std::vector<ReplicateResult> replicates;
-  /// One entry per metric name, in first-appearance order across the
-  /// replicates.
+  /// One entry per aggregated metric name (SweepOptions::metrics), in
+  /// first-appearance order across the replicates.
   std::vector<MetricAggregate> aggregates;
 
-  /// Aggregate by metric name, or nullptr if no replicate produced it.
+  /// Aggregate by metric name, or nullptr if no replicate produced it or
+  /// it was not aggregated.
   const MetricAggregate* find(std::string_view name) const noexcept;
   /// Mean of a metric, or `fallback` if absent.
   double mean_of(std::string_view name, double fallback = 0.0) const noexcept;
@@ -138,9 +141,11 @@ struct SweepResult {
 std::vector<MetricSample> study_metrics(const analysis::StudyReport& report);
 
 /// Runs `options.replicates` seeds of every variant and aggregates.
-/// Errors: no variants, zero replicates, duplicate labels, or any
-/// replicate failing to generate/analyze (the error names the variant
-/// and replicate; the first failing cell in deterministic order wins).
+/// Errors: no variants, zero replicates, duplicate labels, any replicate
+/// failing to generate/analyze (the error names the variant and
+/// replicate; the first failing cell in deterministic order wins), or any
+/// aggregate failing (it names the variant and metric; the first in
+/// (variant, metric) order wins).
 Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
                               const SweepOptions& options);
 

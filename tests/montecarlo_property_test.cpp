@@ -2,17 +2,26 @@
 // models (ablated knobs, rescaled fleets and GPU densities, odd failure
 // counts), a sweep must stay bit-identical between serial and threaded
 // execution, and the aggregates must be honest summaries of the
-// per-replicate metrics.  Follows the testkit replay contract:
-// TSUFAIL_TEST_SEED pins the model stream, TSUFAIL_TEST_ITERS deepens it.
+// per-replicate metrics.  The scalars-only study the sweep runs must
+// yield the full study's metrics on every log.  Follows the testkit
+// replay contract: TSUFAIL_TEST_SEED pins the model and log streams,
+// TSUFAIL_TEST_ITERS deepens them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "data/log_index.h"
+#include "sim/generator.h"
 #include "sim/montecarlo.h"
 #include "sim/scaling.h"
 #include "sim/tsubame_models.h"
+#include "testkit/generator.h"
 #include "testkit/property.h"
 #include "util/rng.h"
 
@@ -111,6 +120,76 @@ TEST(MontecarloProperty, AggregatesAreHonestSummaries) {
       EXPECT_LE(aggregate.mean_ci.low, aggregate.mean_ci.high) << aggregate.name;
       EXPECT_GE(aggregate.stddev, 0.0) << aggregate.name;
     }
+  }
+}
+
+/// The scalars-only study cannot change a metric: study_metrics of its
+/// report equals that of the full study name for name and bit for bit,
+/// and it carries no family fit and no loci ranking.  Both studies must
+/// fail alike where one fails.
+std::optional<std::string> scalars_only_keeps_every_metric(const data::FailureLog& log) {
+  const data::LogIndex index(log);
+  const auto full = analysis::run_study(index);
+  const auto reduced = analysis::run_study(index, {.jobs = 1, .scalars_only = true});
+  if (!full.ok() || !reduced.ok()) {
+    if (full.ok() == reduced.ok() && full.error().message() == reduced.error().message())
+      return std::nullopt;
+    return std::string("the studies disagree on failing: full ") +
+           (full.ok() ? "ok" : full.error().message()) + ", scalars-only " +
+           (reduced.ok() ? "ok" : reduced.error().message());
+  }
+  const auto expected = study_metrics(full.value());
+  const auto actual = study_metrics(reduced.value());
+  if (actual.size() != expected.size())
+    return "scalars-only emits " + std::to_string(actual.size()) + " metrics, full " +
+           std::to_string(expected.size());
+  for (std::size_t m = 0; m < expected.size(); ++m) {
+    if (actual[m].name != expected[m].name ||
+        std::bit_cast<std::uint64_t>(actual[m].value) !=
+            std::bit_cast<std::uint64_t>(expected[m].value))
+      return "metric " + std::to_string(m) + ": scalars-only " + actual[m].name + "=" +
+             std::to_string(actual[m].value) + ", full " + expected[m].name + "=" +
+             std::to_string(expected[m].value);
+  }
+  const analysis::StudyReport& report = reduced.value();
+  if (report.software_loci.has_value()) return std::string("scalars-only ranked the loci");
+  if (report.tbf.has_value() && report.tbf->best_family.has_value())
+    return std::string("scalars-only fitted a TBF family");
+  if (report.ttr.best_family.has_value()) return std::string("scalars-only fitted a TTR family");
+  return std::nullopt;
+}
+
+TEST(MontecarloProperty, ScalarsOnlyStudyKeepsEveryMetric) {
+  for (data::Machine machine : {data::Machine::kTsubame2, data::Machine::kTsubame3}) {
+    SCOPED_TRACE(data::to_string(machine));
+    for (const testkit::EdgeCase& ec : testkit::edge_case_logs(machine)) {
+      const auto failure = scalars_only_keeps_every_metric(ec.log);
+      EXPECT_FALSE(failure.has_value()) << "edge case '" << ec.name << "': " << *failure;
+    }
+
+    // Calibrated logs, where the full study does fit both families: the
+    // check above is not vacuous.
+    const MachineModel& model =
+        machine == data::Machine::kTsubame2 ? tsubame2_model() : tsubame3_model();
+    const std::uint64_t seed = testkit::test_seed();
+    for (std::uint64_t r = 0; r < 2; ++r) {
+      const auto log = generate_log(model, replicate_seed(seed, r));
+      ASSERT_TRUE(log.ok()) << log.error().to_string();
+      const auto full = analysis::run_study(log.value());
+      ASSERT_TRUE(full.ok()) << full.error().to_string();
+      EXPECT_TRUE(full.value().tbf.has_value() && full.value().tbf->best_family.has_value());
+      EXPECT_TRUE(full.value().ttr.best_family.has_value());
+      const auto failure = scalars_only_keeps_every_metric(log.value());
+      EXPECT_FALSE(failure.has_value())
+          << "calibrated log r" << r << " (TSUFAIL_TEST_SEED=" << seed << "): " << *failure;
+    }
+
+    testkit::PropertyOptions options;
+    options.gen.machine = machine;
+    options.iterations = 32;
+    const auto ce =
+        testkit::check_property("scalars-only-study", options, scalars_only_keeps_every_metric);
+    if (ce.has_value()) ADD_FAILURE() << ce->describe();
   }
 }
 

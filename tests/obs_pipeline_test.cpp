@@ -70,7 +70,8 @@ TEST_F(PipelineObsTest, TracedSweepCoversEveryPhaseOfEveryCell) {
   EXPECT_EQ(count("sweep.analyze"), kReplicates);
   EXPECT_EQ(count("study.run"), kReplicates);
   EXPECT_GE(count("index.build"), kReplicates);
-  EXPECT_EQ(count("sweep.reduce"), 1u);  // one variant
+  EXPECT_EQ(count("sweep.reduce"), 1u);
+  EXPECT_EQ(count("sweep.aggregate"), sweep.value().variants[0].aggregates.size());
 
   // Matching counters: cells completed and studies run.
   const auto metrics = obs::collect_metrics();

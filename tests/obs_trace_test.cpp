@@ -244,7 +244,9 @@ TEST(TraceProfileTest, SpansOnOtherThreadsDoNotCountAsChildren) {
 
   const auto entries = profile(snapshot);
   for (const auto& entry : entries) {
-    if (entry.name == "parent") EXPECT_EQ(entry.self_ns, 100u);
+    if (entry.name == "parent") {
+      EXPECT_EQ(entry.self_ns, 100u);
+    }
   }
 }
 

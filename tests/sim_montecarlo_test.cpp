@@ -198,29 +198,48 @@ TEST(RunSweep, EmitsTheHeadlineMetrics) {
             static_cast<double>(tsubame3_model().total_failures));
 }
 
-// ---- keep_reports -------------------------------------------------------
+// ---- selected aggregates ------------------------------------------------
 
-TEST(RunSweep, KeepReportsControlsTheReportLayer) {
+TEST(RunSweep, SelectedMetricsMatchTheFullAggregation) {
+  // Each metric keeps its own bootstrap seed, so aggregating two names
+  // reproduces those two aggregates of the all-metrics sweep exactly, on
+  // every variant.
+  const std::vector<SweepVariant> variants = {
+      {"baseline", tsubame3_model()},
+      {"t2", tsubame2_model()},
+  };
+  const auto all = run_sweep(variants, small_options(2)).value();
+  auto options = small_options(3);
+  options.metrics = {"mttr_hours", "h2_h1_ttr_ratio"};
+  const auto selected = run_sweep(variants, options).value();
+  ASSERT_EQ(selected.variants.size(), 2u);
+  for (std::size_t v = 0; v < 2; ++v) {
+    const auto& sweep = selected.variants[v];
+    ASSERT_EQ(sweep.aggregates.size(), 2u) << sweep.label;
+    for (const auto& aggregate : sweep.aggregates) {
+      const MetricAggregate* full = all.variants[v].find(aggregate.name);
+      ASSERT_NE(full, nullptr) << aggregate.name;
+      EXPECT_EQ(aggregate.n, full->n) << aggregate.name;
+      EXPECT_EQ(aggregate.mean, full->mean) << aggregate.name;
+      EXPECT_EQ(aggregate.stddev, full->stddev) << aggregate.name;
+      EXPECT_EQ(aggregate.mean_ci.low, full->mean_ci.low) << aggregate.name;
+      EXPECT_EQ(aggregate.mean_ci.high, full->mean_ci.high) << aggregate.name;
+    }
+    // First-appearance order, and every replicate keeps all its samples.
+    EXPECT_EQ(sweep.aggregates[0].name, "mttr_hours");
+    EXPECT_EQ(sweep.aggregates[1].name, "h2_h1_ttr_ratio");
+    EXPECT_EQ(sweep.replicates[0].metrics.size(), all.variants[v].replicates[0].metrics.size());
+  }
+}
+
+TEST(RunSweep, SelectedMetricThatNoReplicateProducedIsAbsent) {
   auto options = small_options();
-  options.replicates = 2;
-  const auto lean = run_sweep(tsubame3_model(), options).value();
-  for (const auto& replicate : lean.variants[0].replicates)
-    EXPECT_FALSE(replicate.report.has_value());
-
-  options.keep_reports = true;
-  const auto full = run_sweep(tsubame3_model(), options).value();
-  for (const auto& replicate : full.variants[0].replicates) {
-    ASSERT_TRUE(replicate.report.has_value());
-    EXPECT_EQ(replicate.report->categories.total_failures, replicate.failures);
-  }
-  // Dropping the report layer must not change the numbers.
-  for (std::size_t r = 0; r < 2; ++r) {
-    const auto& a = lean.variants[0].replicates[r];
-    const auto& b = full.variants[0].replicates[r];
-    ASSERT_EQ(a.metrics.size(), b.metrics.size());
-    for (std::size_t m = 0; m < a.metrics.size(); ++m)
-      EXPECT_EQ(a.metrics[m].value, b.metrics[m].value);
-  }
+  options.metrics = {"no_such_metric", "mtbf_hours"};
+  const auto sweep = run_sweep(tsubame3_model(), options).value();
+  const auto& variant = sweep.variants[0];
+  ASSERT_EQ(variant.aggregates.size(), 1u);
+  EXPECT_EQ(variant.aggregates[0].name, "mtbf_hours");
+  EXPECT_EQ(variant.find("no_such_metric"), nullptr);
 }
 
 // ---- custom replicate stages --------------------------------------------
@@ -238,20 +257,18 @@ ReplicateStage toy_stage() {
 
 TEST(RunSweep, StageOverridesStudyPipeline) {
   auto options = small_options();
-  options.keep_reports = true;  // must be ignored on the stage path
   options.stage = toy_stage();
   const auto sweep = run_sweep(tsubame3_model(), options).value();
   const auto& variant = sweep.variants[0];
   ASSERT_EQ(variant.replicates.size(), 4u);
   for (const auto& replicate : variant.replicates) {
-    // Only the stage's metrics — no study pipeline, no report layer.
+    // Only the stage's metrics — no study pipeline.
     ASSERT_EQ(replicate.metrics.size(), 2u);
     EXPECT_EQ(replicate.metrics[0].name, "custom_failures");
     EXPECT_EQ(replicate.metrics[0].value, static_cast<double>(replicate.failures));
     // The stage receives the replicate's forked seed, not the base seed.
     EXPECT_EQ(replicate.metrics[1].value,
               static_cast<double>(replicate_seed(42, replicate.replicate) & 0xFFFFu));
-    EXPECT_FALSE(replicate.report.has_value());
   }
   EXPECT_NE(variant.find("custom_failures"), nullptr);
   EXPECT_EQ(variant.find("mtbf_hours"), nullptr);
