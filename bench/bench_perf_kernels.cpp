@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks of the analysis-level kernels: the sort
-// crossover that places stats::kRadixSortCutoff, family selection, the
-// ECDF, the Weibull fit, log generation and the CSV round trip.  The SIMD
+// google-benchmark microbenchmarks of the analysis-level kernels a
+// decision reads: the sort crossover that places stats::kRadixSortCutoff,
+// and family selection, the floor of the TBF/TTR analyses.  The SIMD
 // kernels are timed (and byte-compared at every dispatch level) by
 // bench_kernels, and the whole study at 1x/10x/100x scale by
 // bench_run_study.
@@ -9,11 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
-#include "data/log_io.h"
-#include "sim/generator.h"
-#include "sim/tsubame_models.h"
-#include "stats/ecdf.h"
 #include "stats/fit.h"
 #include "stats/kernels.h"
 #include "util/rng.h"
@@ -87,60 +84,6 @@ void BM_SelectFamily(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SelectFamily)->Range(1 << 10, 1 << 20)->Unit(benchmark::kMillisecond);
-
-void BM_EcdfBuild(benchmark::State& state) {
-  const auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto ecdf = stats::Ecdf::create(sample);
-    benchmark::DoNotOptimize(ecdf);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EcdfBuild)->Range(1 << 10, 1 << 20);
-
-void BM_QuantileSweep(benchmark::State& state) {
-  const auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
-  const auto ecdf = stats::Ecdf::create(sample).value();
-  for (auto _ : state) {
-    for (double q = 0.01; q < 1.0; q += 0.01) {
-      benchmark::DoNotOptimize(ecdf.quantile(q).value());
-    }
-  }
-}
-BENCHMARK(BM_QuantileSweep)->Range(1 << 10, 1 << 20);
-
-void BM_WeibullFit(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<double> sample(static_cast<std::size_t>(state.range(0)));
-  for (auto& x : sample) x = rng.weibull(0.9, 30.0);
-  for (auto _ : state) {
-    auto fit = stats::fit_weibull(sample);
-    benchmark::DoNotOptimize(fit);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WeibullFit)->Range(1 << 10, 1 << 17);
-
-void BM_GenerateTsubame2Log(benchmark::State& state) {
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    auto log = sim::generate_log(sim::tsubame2_model(), ++seed);
-    benchmark::DoNotOptimize(log);
-  }
-  state.SetItemsProcessed(state.iterations() * 897);
-}
-BENCHMARK(BM_GenerateTsubame2Log);
-
-void BM_CsvRoundTrip(benchmark::State& state) {
-  const auto log = sim::generate_log(sim::tsubame3_model(), 1).value();
-  for (auto _ : state) {
-    const std::string csv = data::write_log_csv(log);
-    auto parsed = data::read_log_csv(csv);
-    benchmark::DoNotOptimize(parsed);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(log.size()));
-}
-BENCHMARK(BM_CsvRoundTrip);
 
 }  // namespace
 

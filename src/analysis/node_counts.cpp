@@ -39,7 +39,7 @@ Result<NodeCounts> analyze_node_counts(const data::LogIndex& index) {
   for (const auto& group : groups) {
     if (group.count <= 1) continue;  // repeat-failure nodes only
     for (std::uint32_t position : index.positions_of(group)) {
-      switch (index.record(position).failure_class()) {
+      switch (data::classify(index.category_of(position))) {
         case data::FailureClass::kHardware:
           ++result.repeat_node_hardware_failures;
           break;

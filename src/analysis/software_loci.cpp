@@ -32,7 +32,7 @@ Result<SoftwareLoci> analyze_software_loci(const data::LogIndex& index, std::siz
   std::size_t gpu_driver = 0;
   std::size_t unknown = 0;
   for (std::uint32_t position : software) {
-    std::string locus = to_lower(trim(index.record(position).root_locus));
+    std::string locus = to_lower(trim(index.root_locus_of(position)));
     if (locus.empty() || locus == "unknown") {
       locus = "unknown";
       ++unknown;

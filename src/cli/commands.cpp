@@ -78,6 +78,25 @@ Result<data::FailureLog> load_log(const ParsedArgs& args, std::size_t position =
   return std::move(report.value().log);
 }
 
+/// The index `analyze` studies.  A .tsnap is adopted in place: the index
+/// reads the mapped record columns, so no FailureRecord is built.  A CSV
+/// is read into a log, indexed, and its records freed before the study
+/// runs, so the two are never resident beside the study's working set.
+Result<data::LogIndex> load_index(const ParsedArgs& args) {
+  const std::string& path = args.positionals()[0];
+  if (is_snapshot_file(path)) {
+    auto snapshot = data::ColumnarSnapshot::open(path);
+    if (!snapshot.ok()) return snapshot.error();
+    return data::LogIndex(std::move(snapshot).value());
+  }
+  auto log = load_log(args);
+  if (!log.ok()) return log.error();
+  data::LogIndex index(log.value());
+  OBS_SPAN("log.free");
+  data::FailureLog::take_records(std::move(log).value());
+  return index;
+}
+
 Result<sim::MachineModel> resolve_model(const ParsedArgs& args) {
   auto machine_name = args.get("machine");
   if (!machine_name.ok()) return machine_name.error();
@@ -254,13 +273,13 @@ ArgParser make_analyze_parser() {
 }
 
 Result<void> run_analyze(const ParsedArgs& args, std::ostream& out) {
-  auto log = load_log(args);
-  if (!log.ok()) return log.error();
+  auto index = load_index(args);
+  if (!index.ok()) return index.error();
   auto options = resolve_study_options(args);
   if (!options.ok()) return options.error();
-  auto study = analysis::run_study(log.value(), options.value());
+  auto study = analysis::run_study(index.value(), options.value());
   if (!study.ok()) return study.error();
-  out << report::render_study_text(log.value(), study.value());
+  out << report::render_study_text(index.value(), study.value());
   return {};
 }
 
@@ -809,11 +828,9 @@ ArgParser make_pack_parser() {
   ArgParser parser("pack",
                    "Pack a failure log into a columnar .tsnap snapshot: an mmap-able binary "
                    "with per-section checksums that loads orders of magnitude faster than "
-                   "CSV and (by default) carries the precomputed analysis index "
-                   "(DESIGN.md section 14).");
+                   "CSV (DESIGN.md section 14).");
   parser.positional({"log.csv", "input log: canonical CSV (or an existing snapshot)", true});
   parser.positional({"out.tsnap", "snapshot output path (written atomically)", true});
-  parser.option({"no-index", "", "omit the precomputed index sections (records only)", {}});
   parser.option(
       {"verify", "", "re-open the written file and require a byte-identical re-pack", {}});
   parser.option(strict_option());
@@ -825,31 +842,15 @@ Result<void> run_pack(const ParsedArgs& args, std::ostream& out) {
   if (auto ok = validate_writable_path(out_path); !ok.ok()) return ok.error();
   auto log = load_log(args);
   if (!log.ok()) return log.error();
-  const bool with_index = !args.flag("no-index");
-  std::string bytes;
-  if (with_index) {
-    const data::LogIndex index(log.value());
-    bytes = data::pack_columnar(log.value(), &index);
-  } else {
-    bytes = data::pack_columnar(log.value());
-  }
+  const std::string bytes = data::pack_columnar(log.value());
   if (auto written = data::write_columnar_file(out_path, bytes); !written.ok())
     return written.error();
-  out << "packed " << log.value().size() << " failures ("
-      << (with_index ? "records + index" : "records only") << ", " << bytes.size()
-      << " bytes) -> " << out_path << "\n";
+  out << "packed " << log.value().size() << " failures (" << bytes.size() << " bytes) -> "
+      << out_path << "\n";
   if (args.flag("verify")) {
     auto reloaded = data::ColumnarSnapshot::open(out_path);
     if (!reloaded.ok()) return reloaded.error().with_context("verify");
-    const data::FailureLog roundtrip = reloaded.value()->to_log();
-    std::string repacked;
-    if (with_index) {
-      const data::LogIndex index(roundtrip);
-      repacked = data::pack_columnar(roundtrip, &index);
-    } else {
-      repacked = data::pack_columnar(roundtrip);
-    }
-    if (repacked != bytes)
+    if (data::pack_columnar(reloaded.value()->to_log()) != bytes)
       return Error(ErrorKind::kInternal,
                    "verify: re-packing the loaded snapshot did not reproduce the file");
     out << "verify: OK (load -> re-pack is byte-identical, "

@@ -51,11 +51,16 @@ constexpr std::array<CategoryInfo, 29> kCategoryTable = {{
     {Category::kUnknown, "Unknown", FailureClass::kUnknown, false, true, false},
 }};
 
+constexpr bool table_in_enum_order() {
+  for (std::size_t i = 0; i < kCategoryTable.size(); ++i)
+    if (static_cast<std::size_t>(kCategoryTable[i].category) != i) return false;
+  return true;
+}
+static_assert(table_in_enum_order(), "kCategoryTable rows must follow the Category enum");
+
 const CategoryInfo& info(Category category) noexcept {
-  for (const auto& row : kCategoryTable) {
-    if (row.category == category) return row;
-  }
-  return kCategoryTable.back();  // unreachable for valid enum values
+  const auto row = static_cast<std::size_t>(category);
+  return row < kCategoryTable.size() ? kCategoryTable[row] : kCategoryTable.back();
 }
 
 /// Normalizes a name for matching: ASCII letters lowercased and digits

@@ -29,7 +29,6 @@ namespace {
 constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kTableEntryBytes = 32;
 constexpr std::uint32_t kEndianTag = 0x01020304u;
-constexpr std::uint32_t kFlagHasIndex = 1u << 0;
 constexpr std::size_t kMaxSections = 64;       // sanity bound, not a format limit
 constexpr std::size_t kMaxNameBytes = 4096;    // sanity bound on spec name
 
@@ -43,18 +42,12 @@ enum SectionId : std::uint32_t {
   kSecSlotData = 7,
   kSecLocusOffsets = 8,
   kSecLocusData = 9,
-  kSecHours = 10,
-  kSecArena = 11,
-  kSecRanges = 12,
-  kSecNodeGroups = 13,
 };
-constexpr std::uint32_t kMaxSectionId = kSecNodeGroups;
+/// Ids 10-13 are the retired index sections of older builds: accepted,
+/// checksummed and ignored (see columnar.h).
+constexpr std::uint32_t kMaxSectionId = 13;
 
 constexpr std::size_t kCategoryCount = static_cast<std::size_t>(Category::kUnknown) + 1;
-constexpr std::size_t kClassCount = static_cast<std::size_t>(FailureClass::kUnknown) + 1;
-/// Group count in the flat ranges stream: categories + classes +
-/// months + gpu-attributed + multi-GPU (node groups travel separately).
-constexpr std::size_t kRangeGroups = kCategoryCount + kClassCount + 12 + 2;
 
 /// Section checksum: xor-multiply over 8-byte words, four independent
 /// lanes so the multiply latency stays off the critical path (the
@@ -177,70 +170,18 @@ struct SectionOut {
   std::string bytes;
 };
 
-/// Serializes the index's derived arrays through its public span API, so
-/// the format stays decoupled from LogIndex's private layout.  The walk
-/// order is the canonical group order the reader (LogIndex::from_columnar)
-/// re-assumes: categories, classes, months 1..12, gpu-attributed,
-/// multi-GPU, then the per-node groups.
-void pack_index_sections(const LogIndex& index, std::vector<SectionOut>& sections) {
-  std::vector<std::uint32_t> arena;
-  std::vector<std::uint32_t> ranges;
-  ranges.reserve(kRangeGroups * 2);
-  const auto append_group = [&](std::span<const std::uint32_t> positions) {
-    ranges.push_back(static_cast<std::uint32_t>(arena.size()));
-    ranges.push_back(static_cast<std::uint32_t>(positions.size()));
-    arena.insert(arena.end(), positions.begin(), positions.end());
-  };
-  for (std::size_t c = 0; c < kCategoryCount; ++c)
-    append_group(index.by_category(static_cast<Category>(c)));
-  for (std::size_t c = 0; c < kClassCount; ++c)
-    append_group(index.by_class(static_cast<FailureClass>(c)));
-  for (int m = 1; m <= 12; ++m) append_group(index.by_month(m));
-  append_group(index.gpu_attributed());
-  append_group(index.multi_gpu());
-
-  std::vector<std::uint32_t> groups;
-  groups.reserve(index.nodes().size() * 3);
-  for (const LogIndex::NodeGroup& group : index.nodes()) {
-    groups.push_back(static_cast<std::uint32_t>(group.node));
-    groups.push_back(static_cast<std::uint32_t>(arena.size()));
-    groups.push_back(group.count);
-    const auto positions = index.positions_of(group);
-    arena.insert(arena.end(), positions.begin(), positions.end());
-  }
-
-  const auto hours = index.hours();
-  const auto ttr_span = index.ttr();
-  (void)ttr_span;  // shared with the record ttr section; nothing extra to write
-  SectionOut hours_out{kSecHours, {}};
-  append_raw(hours_out.bytes, hours.data(), hours.size() * sizeof(double));
-  sections.push_back(std::move(hours_out));
-  SectionOut arena_out{kSecArena, {}};
-  append_vec(arena_out.bytes, arena);
-  sections.push_back(std::move(arena_out));
-  SectionOut ranges_out{kSecRanges, {}};
-  append_vec(ranges_out.bytes, ranges);
-  sections.push_back(std::move(ranges_out));
-  SectionOut groups_out{kSecNodeGroups, {}};
-  append_vec(groups_out.bytes, groups);
-  sections.push_back(std::move(groups_out));
-}
-
 constexpr std::size_t align8(std::size_t offset) noexcept { return (offset + 7) & ~std::size_t{7}; }
 
 }  // namespace
 
-std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord> records,
-                          const LogIndex* index) {
-  TSUFAIL_REQUIRE(index == nullptr || index->size() == records.size(),
-                  "pack_columnar: index and records disagree on size");
+std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord> records) {
   OBS_SPAN("columnar.pack");
   static obs::Counter packs = obs::counter("columnar.packs");
   packs.add();
 
   const std::size_t n = records.size();
   std::vector<SectionOut> sections;
-  sections.reserve(13);
+  sections.reserve(kSecLocusData);
   sections.push_back({kSecSpec, pack_spec(spec)});
 
   // Record columns, stored in the log's canonical (time-sorted) order so
@@ -278,8 +219,6 @@ std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord
   add_vec(kSecLocusOffsets, locus_offsets);
   sections.push_back({kSecLocusData, std::move(locus_data)});
 
-  if (index != nullptr) pack_index_sections(*index, sections);
-
   // Assemble: header, table (checksummed), then 8-aligned payloads.
   const std::size_t table_bytes = sections.size() * kTableEntryBytes;
   std::string table;
@@ -301,7 +240,7 @@ std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord
   append_pod(out, kEndianTag);
   append_pod(out, static_cast<std::uint64_t>(n));
   append_pod(out, static_cast<std::uint32_t>(sections.size()));
-  append_pod(out, index != nullptr ? kFlagHasIndex : std::uint32_t{0});
+  append_pod(out, std::uint32_t{0});  // flags
   append_pod(out, section_checksum(table.data(), table.size()));
   append_pod(out, std::uint64_t{0});  // reserved
   out += table;
@@ -312,8 +251,8 @@ std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord
   return out;
 }
 
-std::string pack_columnar(const FailureLog& log, const LogIndex* index) {
-  return pack_columnar(log.spec(), log.records(), index);
+std::string pack_columnar(const FailureLog& log, const LogIndex* /*index*/) {
+  return pack_columnar(log.spec(), log.records());
 }
 
 Result<void> write_columnar_file(const std::string& path, std::string_view bytes) {
@@ -362,43 +301,33 @@ Result<ColumnarSnapshotPtr> ColumnarSnapshot::from_bytes(std::string_view bytes)
   return ColumnarSnapshotPtr(std::move(snapshot));
 }
 
-Result<ColumnarSnapshotPtr> ColumnarSnapshot::open(const std::string& path,
-                                                   SnapshotLoadMode mode) {
+Result<ColumnarSnapshotPtr> ColumnarSnapshot::open(const std::string& path) {
   OBS_SPAN("columnar.open");
   static obs::Counter opens = obs::counter("columnar.opens");
   opens.add();
 #if TSUFAIL_HAS_MMAP
-  if (mode != SnapshotLoadMode::kStream) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size >= static_cast<off_t>(kHeaderBytes)) {
-        const auto len = static_cast<std::size_t>(st.st_size);
-        void* addr = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd);
-        if (addr != MAP_FAILED) {
-          std::shared_ptr<ColumnarSnapshot> snapshot(new ColumnarSnapshot());
-          snapshot->map_addr_ = addr;
-          snapshot->map_len_ = len;
-          snapshot->data_ = static_cast<const char*>(addr);
-          snapshot->byte_size_ = len;
-          snapshot->mapped_ = true;
-          if (auto parsed = snapshot->parse(); !parsed.ok())
-            return parsed.error().with_context("snapshot '" + path + "'");
-          return ColumnarSnapshotPtr(std::move(snapshot));
-        }
-      } else {
-        ::close(fd);
-        return Error(ErrorKind::kParse,
-                     "'" + path + "' is too small to be a columnar snapshot");
-      }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd >= 0) {
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || st.st_size < static_cast<off_t>(kHeaderBytes)) {
+      ::close(fd);
+      return Error(ErrorKind::kParse, "'" + path + "' is too small to be a columnar snapshot");
     }
-    if (mode == SnapshotLoadMode::kMap)
-      return Error(ErrorKind::kIo, "cannot mmap snapshot '" + path + "'");
+    const auto len = static_cast<std::size_t>(st.st_size);
+    void* addr = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (addr != MAP_FAILED) {
+      std::shared_ptr<ColumnarSnapshot> snapshot(new ColumnarSnapshot());
+      snapshot->map_addr_ = addr;
+      snapshot->map_len_ = len;
+      snapshot->data_ = static_cast<const char*>(addr);
+      snapshot->byte_size_ = len;
+      snapshot->mapped_ = true;
+      if (auto parsed = snapshot->parse(); !parsed.ok())
+        return parsed.error().with_context("snapshot '" + path + "'");
+      return ColumnarSnapshotPtr(std::move(snapshot));
+    }
   }
-#else
-  if (mode == SnapshotLoadMode::kMap)
-    return Error(ErrorKind::kIo, "mmap is unavailable on this platform");
 #endif
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in)
@@ -431,7 +360,8 @@ Result<void> ColumnarSnapshot::parse() {
                  "snapshot was written on a foreign-endian machine; re-pack from CSV");
   const auto record_count = read_pod<std::uint64_t>(data_ + 16);
   const auto section_count = read_pod<std::uint32_t>(data_ + 24);
-  const auto flags = read_pod<std::uint32_t>(data_ + 28);
+  // data_ + 28 holds the flags word: bit 0 marked the retired index
+  // sections, which are ignored.
   const auto table_checksum = read_pod<std::uint64_t>(data_ + 32);
   if (section_count == 0 || section_count > kMaxSections)
     return Error(ErrorKind::kParse, "implausible snapshot section count " +
@@ -445,7 +375,6 @@ Result<void> ColumnarSnapshot::parse() {
     return Error(ErrorKind::kValidation, "snapshot section table checksum mismatch");
 
   record_count_ = static_cast<std::size_t>(record_count);
-  has_index_ = (flags & kFlagHasIndex) != 0;
   const std::size_t n = record_count_;
 
   // Section table: bounds, alignment, uniqueness, checksums.
@@ -455,6 +384,7 @@ Result<void> ColumnarSnapshot::parse() {
     bool present = false;
   };
   std::array<SectionView, kMaxSectionId + 1> views{};
+  std::size_t content_end = kHeaderBytes + table_bytes;
   for (std::uint32_t s = 0; s < section_count; ++s) {
     const char* entry = data_ + kHeaderBytes + s * kTableEntryBytes;
     const auto id = read_pod<std::uint32_t>(entry);
@@ -474,7 +404,14 @@ Result<void> ColumnarSnapshot::parse() {
       return Error(ErrorKind::kValidation,
                    "snapshot section " + std::to_string(id) + " checksum mismatch");
     views[id] = {data_ + offset, static_cast<std::size_t>(size), true};
+    content_end = std::max(content_end, static_cast<std::size_t>(offset + size));
   }
+
+  // The writer pads the last section to 8 bytes and stops, so a file cut
+  // inside that padding is as truncated as one cut inside a section.
+  if (byte_size_ != align8(content_end))
+    return Error(ErrorKind::kParse, "snapshot size disagrees with its section table "
+                                    "(truncated file?)");
 
   const auto require = [&views](std::uint32_t id, std::size_t bytes,
                                 const char* what) -> Result<SectionView> {
@@ -575,75 +512,6 @@ Result<void> ColumnarSnapshot::parse() {
                                                    " repeats a GPU slot");
     }
   }
-
-  // --- Index sections --------------------------------------------------
-  if (!has_index_) {
-    if (views[kSecHours].present || views[kSecArena].present || views[kSecRanges].present ||
-        views[kSecNodeGroups].present)
-      return Error(ErrorKind::kParse,
-                   "snapshot carries index sections but the header flag is clear");
-    return {};
-  }
-  auto hours = require(kSecHours, n * 8, "hours");
-  if (!hours.ok()) return hours.error();
-  hours_ = span_of(hours.value(), double{});
-  // The hours column must be *bit-identical* to what LogIndex computes
-  // from the times column — adopted and rebuilt indexes are interchangeable
-  // everywhere downstream, including byte-exact golden reports.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double expect = hours_between(spec_.log_start, TimePoint(times_[i]));
-    if (std::memcmp(&expect, &hours_[i], sizeof expect) != 0)
-      return Error(ErrorKind::kValidation,
-                   "snapshot hours column disagrees with the times column");
-  }
-  if (!views[kSecArena].present)
-    return Error(ErrorKind::kParse, "snapshot is missing the arena section");
-  if (views[kSecArena].size % 4 != 0)
-    return Error(ErrorKind::kParse, "snapshot arena section has the wrong size");
-  arena_ = span_of(views[kSecArena], std::uint32_t{});
-  auto ranges = require(kSecRanges, kRangeGroups * 2 * 4, "ranges");
-  if (!ranges.ok()) return ranges.error();
-  ranges_ = span_of(ranges.value(), std::uint32_t{});
-  if (!views[kSecNodeGroups].present)
-    return Error(ErrorKind::kParse, "snapshot is missing the node_groups section");
-  if (views[kSecNodeGroups].size % 12 != 0)
-    return Error(ErrorKind::kParse, "snapshot node_groups section has the wrong size");
-  const auto group_words = span_of(views[kSecNodeGroups], std::uint32_t{});
-
-  for (std::uint32_t position : arena_)
-    if (position >= n)
-      return Error(ErrorKind::kValidation, "snapshot arena position out of range");
-  const auto check_range = [this](std::uint32_t begin, std::uint32_t count,
-                                  const char* what) -> Result<void> {
-    if (begin > arena_.size() || count > arena_.size() - begin)
-      return Error(ErrorKind::kValidation,
-                   std::string("snapshot index ") + what + " range leaves the arena");
-    for (std::uint32_t i = begin + 1; i < begin + count; ++i)
-      if (arena_[i] <= arena_[i - 1])
-        return Error(ErrorKind::kValidation,
-                     std::string("snapshot index ") + what + " span is not ascending");
-    return {};
-  };
-  for (std::size_t g = 0; g < kRangeGroups; ++g)
-    if (auto r = check_range(ranges_[2 * g], ranges_[2 * g + 1], "group"); !r.ok())
-      return r.error();
-  node_groups_.clear();
-  node_groups_.reserve(group_words.size() / 3);
-  std::int64_t previous_node = -1;
-  for (std::size_t g = 0; g < group_words.size(); g += 3) {
-    const std::uint32_t node = group_words[g];
-    const std::uint32_t begin = group_words[g + 1];
-    const std::uint32_t count = group_words[g + 2];
-    if (node >= static_cast<std::uint32_t>(spec_.node_count) ||
-        static_cast<std::int64_t>(node) <= previous_node)
-      return Error(ErrorKind::kValidation,
-                   "snapshot node_groups are not ascending node ids within the machine");
-    previous_node = node;
-    if (count == 0)
-      return Error(ErrorKind::kValidation, "snapshot node_groups contain an empty group");
-    if (auto r = check_range(begin, count, "node"); !r.ok()) return r.error();
-    node_groups_.push_back({static_cast<int>(node), begin, count});
-  }
   return {};
 }
 
@@ -661,18 +529,10 @@ FailureRecord ColumnarSnapshot::record_at(std::uint32_t i) const {
 
 FailureLog ColumnarSnapshot::to_log() const {
   OBS_SPAN("columnar.to_log");
-  std::vector<FailureRecord> records(record_count_);
-  for (std::size_t i = 0; i < record_count_; ++i) {
-    FailureRecord& record = records[i];
-    record.time = TimePoint(times_[i]);
-    record.node = nodes_[i];
-    record.category = static_cast<Category>(categories_[i]);
-    record.ttr_hours = ttr_[i];
-    const auto slots = gpu_slots_of(static_cast<std::uint32_t>(i));
-    record.gpu_slots.assign(slots.begin(), slots.end());
-    const auto locus = root_locus_of(static_cast<std::uint32_t>(i));
-    record.root_locus.assign(locus.data(), locus.size());
-  }
+  std::vector<FailureRecord> records;
+  records.reserve(record_count_);
+  for (std::size_t i = 0; i < record_count_; ++i)
+    records.push_back(record_at(static_cast<std::uint32_t>(i)));
   return FailureLog::from_sorted(spec_, std::move(records));
 }
 

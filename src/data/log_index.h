@@ -1,34 +1,33 @@
-// LogIndex: a build-once, immutable indexed view over a FailureLog, and
-// the one input type of every analysis in src/analysis/, run_study
-// included.
+// LogIndex: the columnar form of a failure log, and the one input type of
+// every analysis in src/analysis/, run_study included.
 //
-// The index does the per-record work exactly once, so no analysis
-// re-scans, re-copies or re-sorts the record vector to carve out its
-// event stream: records keep their time order, hour offsets from the
-// window start and TTR values are precomputed into dense arrays, and the
-// common groupings — category, hardware/software class, node, calendar
-// month, GPU attribution — are materialized as position spans into one
+// The index holds the per-record columns the analyses read, in the
+// .tsnap section layout (data/columnar.h): TTR, category byte, a GPU-slot
+// CSR and a root-locus CSR.  Built from a FailureLog it copies them out of
+// the records, so the log may be destroyed afterwards; built from a loaded
+// ColumnarSnapshot it points at the snapshot's own columns without copying
+// them (zero-copy adoption) and keeps the snapshot alive.  Either way one
+// builder derives the rest from the columns: hour offsets from the window
+// start, and the common groupings — category, hardware/software class,
+// node, calendar month, GPU attribution — as position spans into one
 // shared arena.  Analyses then read spans instead of filtering, and a
 // whole-study run touches each record O(1) times.
 //
 // Invariants (asserted by tests/data_index_test.cpp):
-//   * positions are indices into the log's records (record(i)), and
+//   * positions are indices into the log's time-sorted records, and
 //     every group span is strictly ascending — so iterating a span
 //     preserves time order;
-//   * hours()[i] == hours_between(spec().log_start, record(i).time)
-//     and ttr()[i] == record(i).ttr_hours, bit-identical;
+//   * hours()[i] == hours_between(spec().log_start, records[i].time)
+//     and ttr()[i] == records[i].ttr_hours, bit-identical;
 //   * category/class/month/node groups partition the record positions;
 //   * multi_gpu() is a subset of gpu_attributed().
-//
-// The index borrows the log (no record copies); the log must outlive it.
-// Every entry point that takes a log deletes its rvalue overload, so an
-// index over a temporary log does not compile.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "data/log.h"
@@ -40,46 +39,53 @@ class ColumnarSnapshot;
 
 class LogIndex {
  public:
-  /// Builds the index in one pass over `log` (plus one calendar
-  /// conversion per record for the month groups).
+  /// Copies the record columns out of `log` and derives every group in
+  /// one pass (plus one calendar conversion per record for the months).
   explicit LogIndex(const FailureLog& log);
-  explicit LogIndex(const FailureLog&& log) = delete;
+
+  /// Adopts a loaded snapshot's record columns without copying them and
+  /// derives hours and every group from its times, nodes, categories and
+  /// slot offsets.  The snapshot stays alive for as long as the index (or
+  /// any copy of it) does.  Bit-identical to LogIndex(snapshot->to_log())
+  /// (gated by the differential oracle's snapshot_roundtrip check).
+  /// Precondition (REQUIREd): snapshot is non-null.
+  explicit LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot);
 
   /// Delta-merge: indexes `log` — which must hold the records of
   /// `base`'s log as an identical prefix (the append-only shape a sealed
-  /// epoch produces) — by copying `base`'s derived arrays and computing
-  /// only the appended suffix.  The result is bit-identical to
+  /// epoch produces) — by copying `base`'s columns and groups and
+  /// computing only the appended suffix.  The result is bit-identical to
   /// `LogIndex(log)` built from scratch (asserted by
   /// tests/data_index_test.cpp and the differential oracle); both paths
   /// run through the same builder.  Precondition (REQUIREd):
   /// log.size() >= base.size() and the logs share a machine spec.
   static LogIndex extend(const LogIndex& base, const FailureLog& log);
-  static LogIndex extend(const LogIndex& base, const FailureLog&& log) = delete;
 
-  /// Adopts the precomputed index sections of a loaded columnar
-  /// snapshot: the hours/TTR/arena spans point straight into the
-  /// snapshot's (checksummed, structurally validated) memory — zero
-  /// copy — while the small range tables are re-derived from its flat
-  /// ranges stream.  `log` must be the snapshot's materialized log and
-  /// must outlive the index; the snapshot itself is retained by
-  /// refcount.  The result is bit-identical to `LogIndex(log)` (gated by
-  /// the differential oracle's snapshot_roundtrip check).  Errors: the
-  /// snapshot has no index sections or disagrees with `log` on size.
-  static Result<LogIndex> from_columnar(const FailureLog& log,
-                                        std::shared_ptr<const ColumnarSnapshot> snapshot);
-  static Result<LogIndex> from_columnar(const FailureLog&& log,
-                                        std::shared_ptr<const ColumnarSnapshot> snapshot) = delete;
-
-  const MachineSpec& spec() const noexcept { return log_->spec(); }
-  Machine machine() const noexcept { return log_->machine(); }
-  std::size_t size() const noexcept { return log_->size(); }
-  bool empty() const noexcept { return log_->empty(); }
+  const MachineSpec& spec() const noexcept { return spec_; }
+  Machine machine() const noexcept { return spec_.machine; }
+  std::size_t size() const noexcept { return ttr_.size(); }
+  bool empty() const noexcept { return ttr_.empty(); }
 
   /// Hours since spec().log_start per record, ascending, aligned with
   /// record positions.
   std::span<const double> hours() const noexcept { return hours_; }
   /// TTR per record, aligned with record positions.
   std::span<const double> ttr() const noexcept { return ttr_; }
+
+  /// Category of the record at `position`.
+  Category category_of(std::uint32_t position) const noexcept {
+    return static_cast<Category>(category_bytes_[position]);
+  }
+  /// GPU slots of the record at `position` (usually empty).
+  std::span<const std::int32_t> gpu_slots_of(std::uint32_t position) const noexcept {
+    return slot_data_.subspan(slot_offsets_[position],
+                              slot_offsets_[position + 1] - slot_offsets_[position]);
+  }
+  /// Root-locus label of the record at `position` (usually empty).
+  std::string_view root_locus_of(std::uint32_t position) const noexcept {
+    return locus_data_.substr(locus_offsets_[position],
+                              locus_offsets_[position + 1] - locus_offsets_[position]);
+  }
 
   /// Record positions of one category, in time order.
   std::span<const std::uint32_t> by_category(Category category) const noexcept {
@@ -118,24 +124,26 @@ class LogIndex {
   /// categories the machine never reports).
   std::size_t count(Category category) const noexcept { return by_category(category).size(); }
 
-  const FailureRecord& record(std::uint32_t position) const noexcept {
-    return log_->records()[position];
-  }
-
   /// Gathers hours() values for a position span (time order preserved).
   std::vector<double> hours_of(std::span<const std::uint32_t> positions) const;
   /// Gathers ttr() values for a position span (record order preserved).
   std::vector<double> ttr_of(std::span<const std::uint32_t> positions) const;
 
  private:
-  struct ExtendTag {};
-  LogIndex(const FailureLog& log, ExtendTag) : log_(&log) {}
+  struct Storage;
+  explicit LogIndex(const MachineSpec& spec) : spec_(spec) {}
 
-  /// The one builder behind both construction paths: computes derived
-  /// arrays for records [base->size(), n) and lays every group out in
-  /// the canonical arena order, seeding the prefix from `base` (nullptr
-  /// = batch build from record 0).
-  void build_from(const LogIndex* base);
+  /// Copies the columns of `log`'s records [base->size(), n) after
+  /// `base`'s (nullptr = from record 0), then derives.
+  void index_records(const LogIndex* base, const FailureLog& log);
+
+  /// The one builder: derives hours for records [from, n) from `times`
+  /// and lays every group out in the canonical arena order, seeding the
+  /// prefix [0, from) from `base` (nullptr = from = 0).  `times` and
+  /// `nodes` cover only [from, n); the category and slot-offset columns
+  /// must already cover [0, n).
+  void derive(const LogIndex* base, std::span<const std::int64_t> times,
+              std::span<const std::int32_t> nodes, Storage& storage);
 
   struct Range {
     std::uint32_t begin = 0;
@@ -148,31 +156,27 @@ class LogIndex {
   static constexpr std::size_t kCategories = static_cast<std::size_t>(Category::kUnknown) + 1;
   static constexpr std::size_t kClasses = static_cast<std::size_t>(FailureClass::kUnknown) + 1;
 
-  /// The dense arrays a from-scratch (or extend) build produces.  They
-  /// live behind `backing_` so the hot accessors are plain spans whether
-  /// the storage is owned here or borrowed zero-copy from a mapped
-  /// ColumnarSnapshot.
-  struct Arrays {
-    std::vector<double> hours;
-    std::vector<double> ttr;
-    std::vector<std::uint32_t> arena;
-  };
-
-  const FailureLog* log_;
-  /// Keeps the bytes behind the spans alive: an owned Arrays built here,
-  /// or an adopted ColumnarSnapshot.  Copying the index bumps one
-  /// refcount, so accessors never dangle and copies stay cheap.
-  std::shared_ptr<const void> backing_;
+  MachineSpec spec_;
+  /// Keeps the bytes behind every span alive: the columns and groups this
+  /// index built, plus the adopted snapshot when the record columns are
+  /// its mapped bytes.  Copying the index bumps one refcount, so
+  /// accessors never dangle and copies stay cheap.
+  std::shared_ptr<const Storage> storage_;
   std::span<const double> hours_;
   std::span<const double> ttr_;
+  std::span<const std::uint8_t> category_bytes_;
+  std::span<const std::uint32_t> slot_offsets_;  ///< size() + 1 entries
+  std::span<const std::int32_t> slot_data_;
+  std::span<const std::uint32_t> locus_offsets_;  ///< size() + 1 entries
+  std::string_view locus_data_;
   /// One arena for all groups: ranges index into it.
   std::span<const std::uint32_t> arena_;
+  std::span<const NodeGroup> node_groups_;
   std::array<Range, kCategories> categories_{};
   std::array<Range, kClasses> classes_{};
   std::array<Range, 12> months_{};
   Range gpu_attributed_{};
   Range multi_gpu_{};
-  std::vector<NodeGroup> node_groups_;
 };
 
 }  // namespace tsufail::data

@@ -220,7 +220,10 @@ Result<ReadReport> read_log_csv(std::string_view text, ReadPolicy policy) {
 }
 
 Result<ReadReport> read_log_file(const std::string& path, ReadPolicy policy) {
-  auto text = read_text_file(path, "log file");
+  auto text = [&path] {
+    OBS_SPAN("file.read");
+    return read_text_file(path, "log file");
+  }();
   if (!text.ok()) return text.error();
   auto report = read_log_csv(text.value(), policy);
   if (!report.ok()) return report.error().with_context(path);

@@ -2,31 +2,11 @@
 
 #include <utility>
 
-#include "data/columnar.h"
-
 namespace tsufail::data {
 
 Result<SnapshotPtr> LogSnapshot::build(FailureLog log, std::uint64_t epoch) {
-  // Two-phase: the index borrows the log member, so it can only be built
-  // once the log has its final (heap) address.
-  std::shared_ptr<LogSnapshot> snapshot(new LogSnapshot(std::move(log), epoch));
-  snapshot->index_ = std::make_unique<LogIndex>(snapshot->log_);
-  return SnapshotPtr(std::move(snapshot));
-}
-
-Result<SnapshotPtr> LogSnapshot::from_columnar(
-    std::shared_ptr<const ColumnarSnapshot> columnar, std::uint64_t epoch) {
-  if (columnar == nullptr)
-    return Error(ErrorKind::kValidation, "LogSnapshot::from_columnar: null snapshot");
-  std::shared_ptr<LogSnapshot> snapshot(new LogSnapshot(columnar->to_log(), epoch));
-  if (columnar->has_index()) {
-    auto index = LogIndex::from_columnar(snapshot->log_, std::move(columnar));
-    if (!index.ok()) return index.error().with_context("snapshot from_columnar");
-    snapshot->index_ = std::make_unique<LogIndex>(std::move(index).value());
-  } else {
-    snapshot->index_ = std::make_unique<LogIndex>(snapshot->log_);
-  }
-  return SnapshotPtr(std::move(snapshot));
+  LogIndex index(log);
+  return SnapshotPtr(new LogSnapshot(std::move(log), std::move(index), epoch));
 }
 
 Result<SnapshotPtr> LogSnapshot::extend(const LogSnapshot& base,
@@ -34,11 +14,9 @@ Result<SnapshotPtr> LogSnapshot::extend(const LogSnapshot& base,
                                         double slack_hours) {
   auto merged = FailureLog::append(base.log_, std::move(appended), slack_hours);
   if (!merged.ok()) return merged.error().with_context("snapshot extend");
-  std::shared_ptr<LogSnapshot> snapshot(
-      new LogSnapshot(std::move(merged).value(), base.epoch_ + 1));
-  snapshot->index_ =
-      std::make_unique<LogIndex>(LogIndex::extend(base.index(), snapshot->log_));
-  return SnapshotPtr(std::move(snapshot));
+  LogIndex index = LogIndex::extend(base.index_, merged.value());
+  return SnapshotPtr(
+      new LogSnapshot(std::move(merged).value(), std::move(index), base.epoch_ + 1));
 }
 
 }  // namespace tsufail::data

@@ -4,8 +4,8 @@
 // epoch refresh; readers that grabbed the previous pointer keep a fully
 // consistent view for as long as they hold it, so queries never block
 // ingest and ingest never invalidates a query mid-flight.  The snapshot
-// owns its FailureLog and the LogIndex borrows it in place, which keeps
-// the index's no-copy contract while making lifetime management a
+// owns its FailureLog (the base of the next epoch's append) and its
+// LogIndex (which owns its own columns), and lifetime management is a
 // shared_ptr refcount instead of a discipline.
 //
 // Epoch 0 is the snapshot built from the initial (possibly empty) log;
@@ -25,7 +25,6 @@
 
 namespace tsufail::data {
 
-class ColumnarSnapshot;
 class LogSnapshot;
 
 /// How snapshots are passed around: immutable and refcounted.
@@ -44,16 +43,8 @@ class LogSnapshot {
                                     std::vector<FailureRecord> appended,
                                     double slack_hours = 0.0);
 
-  /// Re-mounts a packed snapshot at `epoch`: materializes the log from
-  /// the columns and — when the snapshot carries index sections — adopts
-  /// the index zero-copy (LogIndex::from_columnar) instead of rebuilding
-  /// it.  The columnar snapshot is retained by refcount for as long as
-  /// the adopted spans need it.
-  static Result<SnapshotPtr> from_columnar(std::shared_ptr<const ColumnarSnapshot> columnar,
-                                           std::uint64_t epoch = 0);
-
   const FailureLog& log() const noexcept { return log_; }
-  const LogIndex& index() const noexcept { return *index_; }
+  const LogIndex& index() const noexcept { return index_; }
   const MachineSpec& spec() const noexcept { return log_.spec(); }
   std::uint64_t epoch() const noexcept { return epoch_; }
   std::size_t size() const noexcept { return log_.size(); }
@@ -63,12 +54,11 @@ class LogSnapshot {
   LogSnapshot& operator=(const LogSnapshot&) = delete;
 
  private:
-  LogSnapshot(FailureLog log, std::uint64_t epoch)
-      : log_(std::move(log)), epoch_(epoch) {}
+  LogSnapshot(FailureLog log, LogIndex index, std::uint64_t epoch)
+      : log_(std::move(log)), index_(std::move(index)), epoch_(epoch) {}
 
   FailureLog log_;
-  /// Borrows log_ (stable address: snapshots are heap-only and pinned).
-  std::unique_ptr<LogIndex> index_;
+  LogIndex index_;
   std::uint64_t epoch_;
 };
 

@@ -2,14 +2,18 @@
 
 #include <sstream>
 
+#include "obs/obs.h"
 #include "report/table.h"
 
 namespace tsufail::report {
+namespace {
 
-std::string render_study_text(const data::FailureLog& log, const analysis::StudyReport& s) {
+std::string render(const data::MachineSpec& spec, std::size_t failures,
+                   const analysis::StudyReport& s) {
+  OBS_SPAN("report.render");
   std::ostringstream out;
-  out << "== " << log.spec().name << ": " << log.size() << " failures over "
-      << fmt(log.spec().window_hours() / 24.0, 0) << " days ==\n\n";
+  out << "== " << spec.name << ": " << failures << " failures over "
+      << fmt(spec.window_hours() / 24.0, 0) << " days ==\n\n";
 
   Table categories({"Category", "Count", "Share", "Class"});
   categories.set_alignment({Align::kLeft, Align::kRight, Align::kRight, Align::kLeft});
@@ -50,6 +54,16 @@ std::string render_study_text(const data::FailureLog& log, const analysis::Study
     out << "skipped " << skipped.analysis << ": " << skipped.error.message() << "\n";
   }
   return out.str();
+}
+
+}  // namespace
+
+std::string render_study_text(const data::LogIndex& index, const analysis::StudyReport& study) {
+  return render(index.spec(), index.size(), study);
+}
+
+std::string render_study_text(const data::FailureLog& log, const analysis::StudyReport& study) {
+  return render(log.spec(), log.size(), study);
 }
 
 }  // namespace tsufail::report

@@ -224,7 +224,7 @@ Result<FleetService::QueryResponse> FleetService::query(const std::string& tenan
     if (key == kStudyKey) {
       auto study = analysis::run_study(snapshot->index(), {config_.study_jobs});
       if (!study.ok()) return study.error();
-      return report::render_study_text(snapshot->log(), study.value());
+      return report::render_study_text(snapshot->index(), study.value());
     }
     return analysis::run_query(key, snapshot->index());
   }();

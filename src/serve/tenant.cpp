@@ -100,10 +100,14 @@ Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::Machi
   if (name.empty() || name.find_first_of(" \t\r\n\x1f/\\") != std::string::npos)
     return Error(ErrorKind::kValidation,
                  "tenant name must be non-empty and contain no whitespace or path separators");
-  auto events = stream::EventStream::create(spec, config.stream);
+  // One window slack for every check a row meets: the stream's
+  // validation, the epoch merge and the remount.
+  TenantConfig resolved = config;
+  resolved.stream.slack_hours = std::max(config.slack_hours, config.stream.slack_hours);
+  auto events = stream::EventStream::create(spec, resolved.stream);
   if (!events.ok()) return events.error().with_context("tenant '" + name + "'");
 
-  std::unique_ptr<Tenant> tenant(new Tenant(std::move(name), spec, config));
+  std::unique_ptr<Tenant> tenant(new Tenant(std::move(name), spec, resolved));
   tenant->events_.emplace(std::move(events).value());
 
   if (config.alerts) {
@@ -177,8 +181,7 @@ Result<std::uint64_t> Tenant::remount_segments() {
     segments_mounted().add();
   }
 
-  const double slack = std::max(config_.slack_hours, config_.stream.slack_hours);
-  auto log = data::FailureLog::create(spec_, std::move(records), slack);
+  auto log = data::FailureLog::create(spec_, std::move(records), config_.stream.slack_hours);
   if (!log.ok()) return log.error();
   auto mounted = data::LogSnapshot::build(std::move(log).value(), segments.back().first);
   if (!mounted.ok()) return mounted.error();
@@ -196,9 +199,8 @@ Result<void> Tenant::persist_segment(std::uint64_t epoch,
     return Error(ErrorKind::kIo, "cannot create segment directory " + dir.string() + ": " +
                                      ec.message());
   const fs::path path = dir / ("epoch-" + std::to_string(epoch) + ".tsnap");
-  // Records-only segments: small, and remount rebuilds the index once
-  // over the concatenation anyway.
-  const std::string bytes = data::pack_columnar(spec_, suffix, nullptr);
+  // Remount indexes the concatenation of every segment once.
+  const std::string bytes = data::pack_columnar(spec_, suffix);
   auto written = data::write_columnar_file(path.string(), bytes);
   if (!written.ok()) return written.error();
   segments_written().add();
@@ -287,8 +289,8 @@ Result<std::uint64_t> Tenant::seal() {
 
   OBS_SPAN("serve.epoch.merge");
   obs::Stopwatch timer;
-  const double slack = std::max(config_.slack_hours, config_.stream.slack_hours);
-  auto merged = data::LogSnapshot::extend(*base, std::move(pending), slack);
+  auto merged =
+      data::LogSnapshot::extend(*base, std::move(pending), config_.stream.slack_hours);
   if (!merged.ok()) {
     // Released records always re-validate cleanly in practice; if the
     // merge ever refuses, the records are dropped and the error surfaces

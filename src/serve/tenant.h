@@ -39,8 +39,10 @@ namespace tsufail::serve {
 
 struct TenantConfig {
   stream::StreamConfig stream;
-  /// Validation slack passed to the epoch merge (generated logs may
-  /// overshoot the spec window slightly).
+  /// Window slack for ingested records (generated logs may overshoot the
+  /// spec window slightly).  The tenant uses the larger of this and
+  /// stream.slack_hours for the stream's validation, the epoch merge and
+  /// the remount alike.
   double slack_hours = 0.0;
   /// Seal automatically once this many released records are waiting
   /// (0 = epochs are sealed only by an explicit seal call).
@@ -53,7 +55,7 @@ struct TenantConfig {
   bool alerts = true;
   /// Root directory for columnar epoch segments ("" = in-memory only).
   /// When set, every sealed epoch N atomically writes
-  /// <data_dir>/<tenant>/epoch-N.tsnap (records-only columnar snapshot,
+  /// <data_dir>/<tenant>/epoch-N.tsnap (a columnar snapshot,
   /// checksummed) and open() re-mounts the segments already on disk —
   /// the tenant comes back at its last sealed epoch without replaying
   /// the event stream.  The reorder buffer itself is not persisted:

@@ -1,5 +1,6 @@
 #include "testkit/oracle.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -513,6 +514,55 @@ void cmp_positions(Differ& d, const std::string& p, std::span<const std::uint32_
   }
 }
 
+/// Demands `got` be bit-identical to `ref`: every record column and
+/// every group.  Index equivalence is *identity*, not approximate
+/// agreement — every construction path runs through one builder.
+void cmp_index(Differ& d, const data::LogIndex& ref, const data::LogIndex& got) {
+  cmp_bits(d, "hours", ref.hours(), got.hours());
+  cmp_bits(d, "ttr", ref.ttr(), got.ttr());
+  if (ref.size() == got.size()) {
+    for (std::uint32_t i = 0; i < ref.size(); ++i) {
+      const auto ref_slots = ref.gpu_slots_of(i);
+      const auto got_slots = got.gpu_slots_of(i);
+      if (ref.category_of(i) != got.category_of(i) ||
+          !std::equal(ref_slots.begin(), ref_slots.end(), got_slots.begin(), got_slots.end()) ||
+          ref.root_locus_of(i) != got.root_locus_of(i)) {
+        d.fail("record[" + std::to_string(i) + "]", "category, slot or locus column differs");
+        break;  // first divergence only
+      }
+    }
+  }
+  for (std::size_t c = 0; c <= static_cast<std::size_t>(data::Category::kUnknown); ++c) {
+    const auto category = static_cast<data::Category>(c);
+    cmp_positions(d, "by_category[" + std::string(data::to_string(category)) + "]",
+                  ref.by_category(category), got.by_category(category));
+  }
+  for (std::size_t c = 0; c <= static_cast<std::size_t>(data::FailureClass::kUnknown); ++c) {
+    const auto cls = static_cast<data::FailureClass>(c);
+    cmp_positions(d, "by_class[" + std::string(data::to_string(cls)) + "]", ref.by_class(cls),
+                  got.by_class(cls));
+  }
+  for (int month = 1; month <= 12; ++month) {
+    cmp_positions(d, "by_month[" + std::to_string(month) + "]", ref.by_month(month),
+                  got.by_month(month));
+  }
+  cmp_positions(d, "gpu_attributed", ref.gpu_attributed(), got.gpu_attributed());
+  cmp_positions(d, "multi_gpu", ref.multi_gpu(), got.multi_gpu());
+
+  const auto ref_nodes = ref.nodes();
+  const auto got_nodes = got.nodes();
+  d.eq("nodes.size", static_cast<std::uint64_t>(ref_nodes.size()),
+       static_cast<std::uint64_t>(got_nodes.size()));
+  if (ref_nodes.size() != got_nodes.size()) return;
+  for (std::size_t i = 0; i < ref_nodes.size(); ++i) {
+    const std::string p = "nodes[" + std::to_string(i) + "]";
+    d.eq(p + ".node", static_cast<std::int64_t>(ref_nodes[i].node),
+         static_cast<std::int64_t>(got_nodes[i].node));
+    cmp_positions(d, p + ".positions", ref.positions_of(ref_nodes[i]),
+                  got.positions_of(got_nodes[i]));
+  }
+}
+
 /// Re-derives the full index via the delta-merge path (index a prefix,
 /// then LogIndex::extend over the appended remainder — the shape a sealed
 /// serve epoch produces) and demands bit-identity with the from-scratch
@@ -539,46 +589,13 @@ void check_index_merge(Differ& d, const data::FailureLog& log, const data::LogIn
       d.fail("append", merged_log.error().to_string());
       continue;
     }
-    const data::LogIndex merged = data::LogIndex::extend(base_index, merged_log.value());
-
-    cmp_bits(d, "hours", full.hours(), merged.hours());
-    cmp_bits(d, "ttr", full.ttr(), merged.ttr());
-    for (std::size_t c = 0; c <= static_cast<std::size_t>(data::Category::kUnknown); ++c) {
-      const auto category = static_cast<data::Category>(c);
-      cmp_positions(d, "by_category[" + std::string(data::to_string(category)) + "]",
-                    full.by_category(category), merged.by_category(category));
-    }
-    for (std::size_t c = 0; c <= static_cast<std::size_t>(data::FailureClass::kUnknown); ++c) {
-      const auto cls = static_cast<data::FailureClass>(c);
-      cmp_positions(d, "by_class[" + std::string(data::to_string(cls)) + "]",
-                    full.by_class(cls), merged.by_class(cls));
-    }
-    for (int month = 1; month <= 12; ++month) {
-      cmp_positions(d, "by_month[" + std::to_string(month) + "]", full.by_month(month),
-                    merged.by_month(month));
-    }
-    cmp_positions(d, "gpu_attributed", full.gpu_attributed(), merged.gpu_attributed());
-    cmp_positions(d, "multi_gpu", full.multi_gpu(), merged.multi_gpu());
-
-    const auto ref_nodes = full.nodes();
-    const auto got_nodes = merged.nodes();
-    d.eq("nodes.size", static_cast<std::uint64_t>(ref_nodes.size()),
-         static_cast<std::uint64_t>(got_nodes.size()));
-    if (ref_nodes.size() == got_nodes.size()) {
-      for (std::size_t i = 0; i < ref_nodes.size(); ++i) {
-        const std::string p = "nodes[" + std::to_string(i) + "]";
-        d.eq(p + ".node", static_cast<std::int64_t>(ref_nodes[i].node),
-             static_cast<std::int64_t>(got_nodes[i].node));
-        cmp_positions(d, p + ".positions", full.positions_of(ref_nodes[i]),
-                      merged.positions_of(got_nodes[i]));
-      }
-    }
+    cmp_index(d, full, data::LogIndex::extend(base_index, merged_log.value()));
   }
 }
 
-/// Packs the log (with its index) into the columnar snapshot format,
-/// loads it back from the bytes, and demands the materialized records
-/// and the zero-copy-adopted index be bit-identical to the in-memory
+/// Packs the log into the columnar snapshot format, loads it back from
+/// the bytes, and demands the materialized records and the index adopted
+/// zero-copy from the loaded columns be bit-identical to the in-memory
 /// originals, and run_study over the adopted index match the reference
 /// study at every thread count — the pack -> mmap-load -> analyze path
 /// must be indistinguishable from parse -> analyze.
@@ -587,8 +604,7 @@ void check_snapshot_roundtrip(Differ& d, const data::FailureLog& log,
                               const Result<analysis::StudyReport>& study_reference,
                               const std::vector<std::size_t>& thread_counts) {
   d.set_tag("snapshot_roundtrip");
-  const std::string bytes = data::pack_columnar(log, &index);
-  auto loaded = data::ColumnarSnapshot::from_bytes(bytes);
+  auto loaded = data::ColumnarSnapshot::from_bytes(data::pack_columnar(log));
   if (!loaded.ok()) {
     d.fail("load", loaded.error().to_string());
     return;
@@ -611,48 +627,11 @@ void check_snapshot_roundtrip(Differ& d, const data::FailureLog& log,
     }
   }
 
-  auto adopted = data::LogIndex::from_columnar(log, loaded.value());
-  if (!adopted.ok()) {
-    d.fail("adopt", adopted.error().to_string());
-    return;
-  }
-  const data::LogIndex& got = adopted.value();
-  cmp_bits(d, "hours", index.hours(), got.hours());
-  cmp_bits(d, "ttr", index.ttr(), got.ttr());
-  for (std::size_t c = 0; c <= static_cast<std::size_t>(data::Category::kUnknown); ++c) {
-    const auto category = static_cast<data::Category>(c);
-    cmp_positions(d, "by_category[" + std::string(data::to_string(category)) + "]",
-                  index.by_category(category), got.by_category(category));
-  }
-  for (std::size_t c = 0; c <= static_cast<std::size_t>(data::FailureClass::kUnknown); ++c) {
-    const auto cls = static_cast<data::FailureClass>(c);
-    cmp_positions(d, "by_class[" + std::string(data::to_string(cls)) + "]",
-                  index.by_class(cls), got.by_class(cls));
-  }
-  for (int month = 1; month <= 12; ++month) {
-    cmp_positions(d, "by_month[" + std::to_string(month) + "]", index.by_month(month),
-                  got.by_month(month));
-  }
-  cmp_positions(d, "gpu_attributed", index.gpu_attributed(), got.gpu_attributed());
-  cmp_positions(d, "multi_gpu", index.multi_gpu(), got.multi_gpu());
-
-  const auto ref_nodes = index.nodes();
-  const auto got_nodes = got.nodes();
-  d.eq("nodes.size", static_cast<std::uint64_t>(ref_nodes.size()),
-       static_cast<std::uint64_t>(got_nodes.size()));
-  if (ref_nodes.size() == got_nodes.size()) {
-    for (std::size_t i = 0; i < ref_nodes.size(); ++i) {
-      const std::string p = "nodes[" + std::to_string(i) + "]";
-      d.eq(p + ".node", static_cast<std::int64_t>(ref_nodes[i].node),
-           static_cast<std::int64_t>(got_nodes[i].node));
-      cmp_positions(d, p + ".positions", index.positions_of(ref_nodes[i]),
-                    got.positions_of(got_nodes[i]));
-    }
-  }
-
+  const data::LogIndex adopted(loaded.value());
+  cmp_index(d, index, adopted);
   for (std::size_t jobs : thread_counts) {
     d.set_tag("snapshot_roundtrip.run_study[jobs=" + std::to_string(jobs) + "]");
-    cmp_result(d, study_reference, analysis::run_study(got, analysis::StudyOptions{jobs}));
+    cmp_result(d, study_reference, analysis::run_study(adopted, analysis::StudyOptions{jobs}));
   }
 }
 

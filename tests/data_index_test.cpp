@@ -1,19 +1,20 @@
 // LogIndex invariant tests: the contract documented in data/log_index.h
-// (time-order preservation, bit-identical precomputed arrays, group
-// partitions, subset relations) on both calibrated machines plus
-// handcrafted edge cases — and the delta-merge equivalence gate: an
-// index grown via LogIndex::extend (one epoch or many) is bit-identical
-// to one built from scratch over the same records.
+// (time-order preservation, bit-identical record columns and precomputed
+// arrays, group partitions, subset relations) on both calibrated machines
+// plus handcrafted edge cases — and the equivalence gates: an index grown
+// via LogIndex::extend (one epoch or many) or adopted from a packed
+// snapshot is bit-identical to one built from scratch over the same
+// records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "data/columnar.h"
 #include "data/log_index.h"
 #include "data/snapshot.h"
 #include "sim/generator.h"
@@ -34,25 +35,11 @@ bool strictly_ascending(std::span<const std::uint32_t> positions) {
          positions.end();
 }
 
-// The index borrows its log, so every way in refuses a temporary log: only
-// a log the caller keeps alive (an lvalue) can be indexed.
-static_assert(!std::is_constructible_v<LogIndex, FailureLog&&>);
-static_assert(!std::is_constructible_v<LogIndex, const FailureLog&&>);
+// The index owns or adopts its columns and keeps no reference to the
+// log, so a temporary log indexes as well as a named one.
+static_assert(std::is_constructible_v<LogIndex, FailureLog&&>);
 static_assert(std::is_constructible_v<LogIndex, const FailureLog&>);
-
-template <typename Log>
-concept ExtendTakes = requires(const LogIndex& base, Log&& log) {
-  LogIndex::extend(base, std::forward<Log>(log));
-};
-static_assert(!ExtendTakes<FailureLog>);
-static_assert(ExtendTakes<const FailureLog&>);
-
-template <typename Log>
-concept AdoptTakes = requires(Log&& log, std::shared_ptr<const ColumnarSnapshot> snapshot) {
-  LogIndex::from_columnar(std::forward<Log>(log), snapshot);
-};
-static_assert(!AdoptTakes<FailureLog>);
-static_assert(AdoptTakes<const FailureLog&>);
+static_assert(std::is_constructible_v<LogIndex, ColumnarSnapshotPtr>);
 
 class LogIndexInvariants : public ::testing::TestWithParam<Machine> {};
 
@@ -71,6 +58,20 @@ TEST_P(LogIndexInvariants, ArraysAlignWithRecordsBitIdentically) {
   EXPECT_TRUE(std::is_sorted(index.hours().begin(), index.hours().end()));
 }
 
+TEST_P(LogIndexInvariants, RecordColumnsMatchTheRecords) {
+  const auto log = generated(GetParam());
+  const LogIndex index(log);
+  for (std::uint32_t i = 0; i < index.size(); ++i) {
+    const FailureRecord& record = log.records()[i];
+    const auto slots = index.gpu_slots_of(i);
+    EXPECT_EQ(index.category_of(i), record.category) << "record " << i;
+    EXPECT_TRUE(std::equal(slots.begin(), slots.end(), record.gpu_slots.begin(),
+                           record.gpu_slots.end()))
+        << "record " << i;
+    EXPECT_EQ(index.root_locus_of(i), record.root_locus) << "record " << i;
+  }
+}
+
 TEST_P(LogIndexInvariants, CategoryGroupsPartitionPositions) {
   const auto log = generated(GetParam());
   const LogIndex index(log);
@@ -81,7 +82,7 @@ TEST_P(LogIndexInvariants, CategoryGroupsPartitionPositions) {
     EXPECT_TRUE(strictly_ascending(positions));
     EXPECT_EQ(index.count(category), positions.size());
     for (std::uint32_t position : positions)
-      EXPECT_EQ(index.record(position).category, category);
+      EXPECT_EQ(log.records()[position].category, category);
     total += positions.size();
   }
   EXPECT_EQ(total, index.size());
@@ -96,7 +97,7 @@ TEST_P(LogIndexInvariants, ClassGroupsPartitionPositions) {
     const auto positions = index.by_class(cls);
     EXPECT_TRUE(strictly_ascending(positions));
     for (std::uint32_t position : positions)
-      EXPECT_EQ(index.record(position).failure_class(), cls);
+      EXPECT_EQ(log.records()[position].failure_class(), cls);
     total += positions.size();
   }
   EXPECT_EQ(total, index.size());
@@ -110,7 +111,7 @@ TEST_P(LogIndexInvariants, MonthGroupsPartitionPositions) {
     const auto positions = index.by_month(month);
     EXPECT_TRUE(strictly_ascending(positions));
     for (std::uint32_t position : positions)
-      EXPECT_EQ(index.record(position).time.month(), month);
+      EXPECT_EQ(log.records()[position].time.month(), month);
     total += positions.size();
   }
   EXPECT_EQ(total, index.size());
@@ -129,7 +130,7 @@ TEST_P(LogIndexInvariants, NodeGroupsAscendAndPartitionPositions) {
     EXPECT_GT(group.count, 0u);
     EXPECT_TRUE(strictly_ascending(positions));
     for (std::uint32_t position : positions)
-      EXPECT_EQ(index.record(position).node, group.node);
+      EXPECT_EQ(log.records()[position].node, group.node);
     total += positions.size();
   }
   EXPECT_EQ(total, index.size());
@@ -173,14 +174,20 @@ TEST_P(LogIndexInvariants, GatherHelpersPreserveOrder) {
   }
 }
 
-// Asserts every precomputed array and group layout of `merged` is
-// bit-identical to `full` — the delta-merge contract (shared builder,
-// canonical arena order) is identity, not approximate agreement.
+// Asserts every record column, precomputed array and group layout of
+// `merged` is bit-identical to `full` — the contract of every way to
+// build an index (shared builder, canonical arena order) is identity,
+// not approximate agreement.
 void expect_bit_identical(const LogIndex& full, const LogIndex& merged) {
   ASSERT_EQ(full.size(), merged.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
+  for (std::uint32_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(full.hours()[i], merged.hours()[i]) << "hours[" << i << "]";
     EXPECT_EQ(full.ttr()[i], merged.ttr()[i]) << "ttr[" << i << "]";
+    EXPECT_EQ(full.category_of(i), merged.category_of(i)) << "category[" << i << "]";
+    const auto a = full.gpu_slots_of(i);
+    const auto b = merged.gpu_slots_of(i);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "slots[" << i << "]";
+    EXPECT_EQ(full.root_locus_of(i), merged.root_locus_of(i)) << "locus[" << i << "]";
   }
   for (std::size_t c = 0; c <= static_cast<std::size_t>(Category::kUnknown); ++c) {
     const auto category = static_cast<Category>(c);
@@ -251,24 +258,34 @@ TEST_P(LogIndexInvariants, RepeatedExtendsMatchFullRebuild) {
   const auto records = log.records();
   const std::size_t n = records.size();
 
-  // Deques: every LogIndex borrows the FailureLog it was built against,
-  // so each epoch's log needs a stable address for the chain's lifetime.
-  std::deque<FailureLog> chain;
-  chain.push_back(FailureLog::create(log.spec(), {}).value());
-  std::deque<LogIndex> indexes;
-  indexes.emplace_back(chain.back());
+  // Only the newest epoch is kept: an index holds no reference to the
+  // log it was built from, so the previous epochs' logs can go.
+  FailureLog epoch_log = FailureLog::create(log.spec(), {}).value();
+  LogIndex index(epoch_log);
+  std::size_t epochs = 1;
   constexpr std::size_t kEpoch = 37;  // deliberately not a divisor of n
   for (std::size_t at = 0; at < n; at += kEpoch) {
     const std::size_t end = std::min(at + kEpoch, n);
     auto next = FailureLog::append(
-        chain.back(), {records.begin() + static_cast<std::ptrdiff_t>(at),
-                       records.begin() + static_cast<std::ptrdiff_t>(end)});
+        epoch_log, {records.begin() + static_cast<std::ptrdiff_t>(at),
+                    records.begin() + static_cast<std::ptrdiff_t>(end)});
     ASSERT_TRUE(next.ok()) << next.error().to_string();
-    chain.push_back(std::move(next.value()));
-    indexes.push_back(LogIndex::extend(indexes.back(), chain.back()));
+    epoch_log = std::move(next).value();
+    index = LogIndex::extend(index, epoch_log);
+    ++epochs;
   }
-  EXPECT_EQ(indexes.size(), 1 + (n + kEpoch - 1) / kEpoch);
-  expect_bit_identical(full, indexes.back());
+  EXPECT_EQ(epochs, 1 + (n + kEpoch - 1) / kEpoch);
+  expect_bit_identical(full, index);
+}
+
+TEST_P(LogIndexInvariants, AdoptedSnapshotMatchesTheBuiltIndex) {
+  const auto log = generated(GetParam());
+  auto snapshot = ColumnarSnapshot::from_bytes(pack_columnar(log));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.error().to_string();
+  const LogIndex adopted(snapshot.value());
+  expect_bit_identical(LogIndex(log), adopted);
+  // Zero-copy: the record columns are the snapshot's bytes.
+  EXPECT_EQ(adopted.ttr().data(), snapshot.value()->ttr().data());
 }
 
 INSTANTIATE_TEST_SUITE_P(BothMachines, LogIndexInvariants,
@@ -325,6 +342,20 @@ TEST(LogIndex, AbsentCategoryHasEmptySpan) {
   EXPECT_TRUE(index.by_category(Category::kCpu).empty());
   ASSERT_EQ(index.multi_gpu().size(), 1u);
   EXPECT_EQ(index.multi_gpu()[0], 0u);
+}
+
+TEST(LogIndex, OutlivesTheLogAndSnapshotItWasBuiltFrom) {
+  // ASan in CI would catch a view into a freed log or unmapped snapshot.
+  const auto log = generated(Machine::kTsubame3);
+  const LogIndex reference(log);
+  const LogIndex from_temporary(FailureLog::create(log.spec(), {log.records().begin(),
+                                                                log.records().end()})
+                                    .value());
+  expect_bit_identical(reference, from_temporary);
+  auto snapshot = ColumnarSnapshot::from_bytes(pack_columnar(log));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.error().to_string();
+  const LogIndex adopted(std::move(snapshot).value());
+  expect_bit_identical(reference, adopted);
 }
 
 TEST(LogIndex, CopySharesRefcountedArenaAndOutlivesOriginal) {

@@ -75,8 +75,7 @@ TEST(DifferentialOracle, SnapshotRejectsTruncationAndCorruption) {
   Rng rng(test_seed());
   for (int round = 0; round < 8; ++round) {
     const data::FailureLog log = random_log(gen_options.gen, rng);
-    const data::LogIndex index(log);
-    const std::string bytes = data::pack_columnar(log, &index);
+    const std::string bytes = data::pack_columnar(log);
     for (std::size_t keep = 0; keep < bytes.size(); keep += 17) {
       EXPECT_FALSE(data::ColumnarSnapshot::from_bytes(std::string_view(bytes).substr(0, keep)).ok())
           << "accepted a " << keep << "-byte prefix of " << bytes.size() << " bytes";

@@ -243,6 +243,33 @@ TEST(FleetService, WrongMachineRowIsABadRowNotAQuarantine) {
   EXPECT_EQ(stats.value().stream.offered, 0u);
 }
 
+TEST(FleetService, SlackHoursWidenEveryWindowCheckARowMeets) {
+  // TenantConfig::slack_hours is the tenant's one window slack: the
+  // stream's row validation applies it as well as the epoch merge.
+  auto config = replay_service_config();
+  config.tenant.slack_hours = 48.0;
+  FleetService service(config);
+  const data::MachineSpec spec = data::tsubame3_spec();
+  ASSERT_TRUE(service.open_tenant("t3", spec).ok());
+  const auto row_past_end = [&spec](double hours) {
+    return "tsubame-3," + format_time(spec.log_end.plus_hours(hours)) + ",12,gpu,2.0,1,unknown";
+  };
+  const auto inside = service.ingest_row("t3", row_past_end(1.0));
+  ASSERT_TRUE(inside.ok()) << inside.error().to_string();
+  EXPECT_EQ(inside.value(), stream::IngestOutcome::kAccepted);
+  const auto outside = service.ingest_row("t3", row_past_end(49.0));
+  ASSERT_TRUE(outside.ok()) << outside.error().to_string();
+  EXPECT_EQ(outside.value(), stream::IngestOutcome::kQuarantinedInvalid);
+
+  const auto epoch = service.seal("t3");
+  ASSERT_TRUE(epoch.ok()) << epoch.error().to_string();
+  EXPECT_EQ(epoch.value(), 1u);
+  const auto stats = service.tenant_stats("t3");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().records, 1u);
+  EXPECT_EQ(stats.value().stream.quarantined_invalid, 1u);
+}
+
 TEST(FleetService, TenantNamesAreValidatedAndUnique) {
   FleetService service;
   ASSERT_TRUE(service.open_tenant("fleet-a", data::tsubame2_spec()).ok());
