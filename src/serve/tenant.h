@@ -63,8 +63,9 @@ struct TenantConfig {
   std::string data_dir;
 };
 
-/// Parses a persisted segment filename ("epoch-<N>.tsnap", nothing
-/// else) into its epoch number.
+/// Parses a persisted segment filename into its epoch number: exactly
+/// the names persist_segment writes, "epoch-<N>.tsnap" with N >= 1 in
+/// canonical decimal (no leading zero) that fits in 64 bits.
 std::optional<std::uint64_t> segment_epoch(const std::string& filename);
 
 /// One tenant's counters, consistent at a point in time.
