@@ -1,7 +1,9 @@
 // FailureLog: an immutable, time-sorted collection of failure records for
-// one machine.  It only stores and constructs; the analyses read a log
-// through data::LogIndex (log_index.h), which derives every grouping they
-// need in one pass.
+// one machine, each validated against its spec.  It only stores and
+// constructs; the analyses read a log through data::LogIndex
+// (log_index.h), which derives every grouping they need in one pass.  A
+// serve seal validates the records it seals as one such log, the suffix
+// that LogSnapshot::extend indexes and the tenant persists.
 #pragma once
 
 #include <span>
@@ -30,16 +32,6 @@ class FailureLog {
   /// Copies of one category's records, in time order — the per-category
   /// stream ops::simulate_spares and ops::analyze_availability replay.
   std::vector<FailureRecord> by_category(Category category) const;
-
-  /// A new log holding `base`'s records followed by `suffix` — the
-  /// append-only shape a sealed stream epoch produces.  Only the suffix
-  /// is sorted and validated; the base records ride along untouched, so
-  /// the result is value-identical to re-creating the log from the full
-  /// concatenation while doing O(suffix) new work (plus the prefix
-  /// copy).  Errors: a suffix record fails validation, or the earliest
-  /// suffix record predates `base`'s last record.
-  static Result<FailureLog> append(const FailureLog& base, std::vector<FailureRecord> suffix,
-                                   double slack_hours = 0.0);
 
   /// Adopts records that are already time-sorted and already validated —
   /// the shape a checksummed columnar snapshot materializes — skipping

@@ -31,7 +31,7 @@ LogIndex::LogIndex(const FailureLog& log) : spec_(log.spec()) {
   OBS_SPAN("index.build");
   static obs::Counter builds = obs::counter("index.builds");
   builds.add();
-  index_records(nullptr, log);
+  index_records(nullptr, log.records());
 }
 
 LogIndex::LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot) {
@@ -54,24 +54,25 @@ LogIndex::LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot) {
   storage_ = std::move(storage);
 }
 
-LogIndex LogIndex::extend(const LogIndex& base, const FailureLog& log) {
-  TSUFAIL_REQUIRE(log.size() >= base.size(),
-                  "LogIndex::extend: log must contain the base records as a prefix");
-  TSUFAIL_REQUIRE(log.spec().machine == base.spec().machine &&
-                      log.spec().node_count == base.spec().node_count,
-                  "LogIndex::extend: base and extended log disagree on the machine spec");
+LogIndex LogIndex::extend(const LogIndex& base, const FailureLog& suffix) {
+  TSUFAIL_REQUIRE(suffix.spec().machine == base.spec().machine &&
+                      suffix.spec().node_count == base.spec().node_count,
+                  "LogIndex::extend: base and suffix disagree on the machine spec");
+  TSUFAIL_REQUIRE(base.empty() || suffix.empty() ||
+                      hours_between(base.spec().log_start, suffix.records().front().time) >=
+                          base.hours_.back(),
+                  "LogIndex::extend: suffix record predates the base's last record");
   OBS_SPAN("index.merge");
   static obs::Counter merges = obs::counter("index.merges");
   merges.add();
-  LogIndex index(log.spec());
-  index.index_records(&base, log);
+  LogIndex index(base.spec());
+  index.index_records(&base, suffix.records());
   return index;
 }
 
-void LogIndex::index_records(const LogIndex* base, const FailureLog& log) {
-  const auto records = log.records();
-  const std::size_t n = records.size();
+void LogIndex::index_records(const LogIndex* base, std::span<const FailureRecord> records) {
   const std::size_t from = base == nullptr ? 0 : base->size();
+  const std::size_t n = from + records.size();
   auto storage = std::make_shared<Storage>();
   Storage& s = *storage;
   s.ttr.reserve(n);
@@ -91,12 +92,12 @@ void LogIndex::index_records(const LogIndex* base, const FailureLog& log) {
     s.locus_offsets.push_back(0);
   }
   // Times and nodes feed only the derivation, so they are not kept.
-  std::vector<std::int64_t> times(n - from);
-  std::vector<std::int32_t> nodes(n - from);
-  for (std::size_t i = from; i < n; ++i) {
+  std::vector<std::int64_t> times(records.size());
+  std::vector<std::int32_t> nodes(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
     const FailureRecord& record = records[i];
-    times[i - from] = record.time.seconds_since_epoch();
-    nodes[i - from] = record.node;
+    times[i] = record.time.seconds_since_epoch();
+    nodes[i] = record.node;
     s.ttr.push_back(record.ttr_hours);
     s.categories.push_back(static_cast<std::uint8_t>(record.category));
     s.slot_data.insert(s.slot_data.end(), record.gpu_slots.begin(), record.gpu_slots.end());

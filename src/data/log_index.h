@@ -6,7 +6,9 @@
 // CSR and a root-locus CSR.  Built from a FailureLog it copies them out of
 // the records, so the log may be destroyed afterwards; built from a loaded
 // ColumnarSnapshot it points at the snapshot's own columns without copying
-// them (zero-copy adoption) and keeps the snapshot alive.  Either way one
+// them (zero-copy adoption) and keeps the snapshot alive; extended from a
+// base index by a suffix FailureLog (a sealed serve epoch) it copies the
+// base's columns and appends only the suffix's.  Whichever way, one
 // builder derives the rest from the columns: hour offsets from the window
 // start, and the common groupings — category, hardware/software class,
 // node, calendar month, GPU attribution — as position spans into one
@@ -51,15 +53,16 @@ class LogIndex {
   /// Precondition (REQUIREd): snapshot is non-null.
   explicit LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot);
 
-  /// Delta-merge: indexes `log` — which must hold the records of
-  /// `base`'s log as an identical prefix (the append-only shape a sealed
-  /// epoch produces) — by copying `base`'s columns and groups and
-  /// computing only the appended suffix.  The result is bit-identical to
-  /// `LogIndex(log)` built from scratch (asserted by
-  /// tests/data_index_test.cpp and the differential oracle); both paths
-  /// run through the same builder.  Precondition (REQUIREd):
-  /// log.size() >= base.size() and the logs share a machine spec.
-  static LogIndex extend(const LogIndex& base, const FailureLog& log);
+  /// Delta-merge: indexes `base`'s records followed by `suffix`'s (the
+  /// append-only shape a sealed epoch produces) by copying `base`'s
+  /// columns and groups and computing only the suffix's.  The suffix is
+  /// a FailureLog, so it is validated and time-sorted by type.  The
+  /// result is bit-identical to `LogIndex` built from scratch over the
+  /// concatenated records (asserted by tests/data_index_test.cpp and the
+  /// differential oracle); both paths run through the same builder.
+  /// Preconditions (REQUIREd): the suffix has base's machine and node
+  /// count, and its earliest record does not predate base's last.
+  static LogIndex extend(const LogIndex& base, const FailureLog& suffix);
 
   const MachineSpec& spec() const noexcept { return spec_; }
   Machine machine() const noexcept { return spec_.machine; }
@@ -133,9 +136,9 @@ class LogIndex {
   struct Storage;
   explicit LogIndex(const MachineSpec& spec) : spec_(spec) {}
 
-  /// Copies the columns of `log`'s records [base->size(), n) after
-  /// `base`'s (nullptr = from record 0), then derives.
-  void index_records(const LogIndex* base, const FailureLog& log);
+  /// Copies the columns of `records` after `base`'s (nullptr = no
+  /// prefix), then derives.
+  void index_records(const LogIndex* base, std::span<const FailureRecord> records);
 
   /// The one builder: derives hours for records [from, n) from `times`
   /// and lays every group out in the canonical arena order, seeding the

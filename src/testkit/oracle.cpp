@@ -563,11 +563,12 @@ void cmp_index(Differ& d, const data::LogIndex& ref, const data::LogIndex& got) 
   }
 }
 
-/// Re-derives the full index via the delta-merge path (index a prefix,
-/// then LogIndex::extend over the appended remainder — the shape a sealed
-/// serve epoch produces) and demands bit-identity with the from-scratch
-/// index, at several split points.  Both paths share one builder, so any
-/// divergence here is a builder regression, not a tolerance question.
+/// Re-derives the full index via the delta-merge path (index a prefix
+/// log, then LogIndex::extend by the rest as a suffix log — the shape a
+/// sealed serve epoch produces) and demands bit-identity with the
+/// from-scratch index, at several split points.  Both paths share one
+/// builder, so any divergence here is a builder regression, not a
+/// tolerance question.
 void check_index_merge(Differ& d, const data::FailureLog& log, const data::LogIndex& full) {
   const auto records = log.records();
   const std::size_t n = records.size();
@@ -582,14 +583,13 @@ void check_index_merge(Differ& d, const data::FailureLog& log, const data::LogIn
       d.fail("base", base.error().to_string());
       continue;
     }
-    const data::LogIndex base_index(base.value());
-    auto merged_log = data::FailureLog::append(
-        base.value(), {records.begin() + static_cast<std::ptrdiff_t>(split), records.end()});
-    if (!merged_log.ok()) {
-      d.fail("append", merged_log.error().to_string());
+    auto suffix = data::FailureLog::create(
+        log.spec(), {records.begin() + static_cast<std::ptrdiff_t>(split), records.end()});
+    if (!suffix.ok()) {
+      d.fail("suffix", suffix.error().to_string());
       continue;
     }
-    cmp_index(d, full, data::LogIndex::extend(base_index, merged_log.value()));
+    cmp_index(d, full, data::LogIndex::extend(data::LogIndex(base.value()), suffix.value()));
   }
 }
 
