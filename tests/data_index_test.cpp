@@ -17,6 +17,7 @@
 #include "data/columnar.h"
 #include "data/log_index.h"
 #include "data/snapshot.h"
+#include "index_identity.h"
 #include "sim/generator.h"
 #include "sim/tsubame_models.h"
 
@@ -171,62 +172,6 @@ TEST_P(LogIndexInvariants, GatherHelpersPreserveOrder) {
       EXPECT_EQ(hours[i], index.hours()[positions[i]]);
       EXPECT_EQ(ttr[i], index.ttr()[positions[i]]);
     }
-  }
-}
-
-// Asserts every record column, precomputed array and group layout of
-// `merged` is bit-identical to `full` — the contract of every way to
-// build an index (shared builder, canonical arena order) is identity,
-// not approximate agreement.
-void expect_bit_identical(const LogIndex& full, const LogIndex& merged) {
-  ASSERT_EQ(full.size(), merged.size());
-  for (std::uint32_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(full.hours()[i], merged.hours()[i]) << "hours[" << i << "]";
-    EXPECT_EQ(full.ttr()[i], merged.ttr()[i]) << "ttr[" << i << "]";
-    EXPECT_EQ(full.category_of(i), merged.category_of(i)) << "category[" << i << "]";
-    const auto a = full.gpu_slots_of(i);
-    const auto b = merged.gpu_slots_of(i);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "slots[" << i << "]";
-    EXPECT_EQ(full.root_locus_of(i), merged.root_locus_of(i)) << "locus[" << i << "]";
-  }
-  for (std::size_t c = 0; c <= static_cast<std::size_t>(Category::kUnknown); ++c) {
-    const auto category = static_cast<Category>(c);
-    const auto a = full.by_category(category);
-    const auto b = merged.by_category(category);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "by_category " << to_string(category);
-  }
-  for (std::size_t c = 0; c <= static_cast<std::size_t>(FailureClass::kUnknown); ++c) {
-    const auto cls = static_cast<FailureClass>(c);
-    const auto a = full.by_class(cls);
-    const auto b = merged.by_class(cls);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "by_class " << to_string(cls);
-  }
-  for (int month = 1; month <= 12; ++month) {
-    const auto a = full.by_month(month);
-    const auto b = merged.by_month(month);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "month " << month;
-  }
-  {
-    const auto a = full.gpu_attributed();
-    const auto b = merged.gpu_attributed();
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "gpu_attributed";
-  }
-  {
-    const auto a = full.multi_gpu();
-    const auto b = merged.multi_gpu();
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "multi_gpu";
-  }
-  const auto full_nodes = full.nodes();
-  const auto merged_nodes = merged.nodes();
-  ASSERT_EQ(full_nodes.size(), merged_nodes.size());
-  for (std::size_t i = 0; i < full_nodes.size(); ++i) {
-    EXPECT_EQ(full_nodes[i].node, merged_nodes[i].node) << "nodes[" << i << "]";
-    const auto a = full.positions_of(full_nodes[i]);
-    const auto b = merged.positions_of(merged_nodes[i]);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "positions of node " << full_nodes[i].node;
   }
 }
 

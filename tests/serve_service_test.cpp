@@ -12,6 +12,7 @@
 #include "analysis/study.h"
 #include "data/columnar.h"
 #include "data/log_io.h"
+#include "index_identity.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "report/study_text.h"
@@ -544,6 +545,123 @@ TEST(FleetPersistence, RemountRejectsWrongMachineSegments) {
   ASSERT_FALSE(reopened.ok());
   EXPECT_NE(reopened.error().to_string().find("machine"), std::string::npos)
       << reopened.error().to_string();
+}
+
+/// Writes `epochs` as the segments a tenant named `tenant` would have
+/// sealed: <dir>/<tenant>/epoch-<k>.tsnap holds epochs[k - 1].
+void write_segments(const std::filesystem::path& dir, const std::string& tenant,
+                    const data::MachineSpec& spec,
+                    const std::vector<std::vector<data::FailureRecord>>& epochs) {
+  std::filesystem::create_directories(dir / tenant);
+  for (std::size_t k = 0; k < epochs.size(); ++k) {
+    const auto path = dir / tenant / ("epoch-" + std::to_string(k + 1) + ".tsnap");
+    ASSERT_TRUE(
+        data::write_columnar_file(path.string(), data::pack_columnar(spec, epochs[k])).ok());
+  }
+}
+
+/// `records` cut into consecutive epochs at the ascending positions `cuts`.
+std::vector<std::vector<data::FailureRecord>> cut(const std::vector<data::FailureRecord>& records,
+                                                  const std::vector<std::size_t>& cuts) {
+  std::vector<std::vector<data::FailureRecord>> epochs;
+  std::size_t from = 0;
+  for (std::size_t to : cuts) {
+    epochs.emplace_back(records.begin() + static_cast<std::ptrdiff_t>(from),
+                        records.begin() + static_cast<std::ptrdiff_t>(to));
+    from = to;
+  }
+  epochs.emplace_back(records.begin() + static_cast<std::ptrdiff_t>(from), records.end());
+  return epochs;
+}
+
+TEST(FleetPersistence, RemountIndexesUnevenSegmentsLikeTheirConcatenatedLog) {
+  const data::MachineSpec spec = data::tsubame3_spec();
+  const auto log = generated(data::Machine::kTsubame3);
+  std::vector<data::FailureRecord> records(log.records().begin(), log.records().end());
+  ASSERT_GT(records.size(), 300u);
+  // Seven uneven segments: epochs 2 and 5 hold one record each, and the
+  // seam between epochs 3 and 4 has the same timestamp on both sides.
+  const std::vector<std::size_t> cuts = {37, 38, 90, 200, 201, 260};
+  records[90].time = records[89].time;
+  const auto epochs = cut(records, cuts);
+  ASSERT_EQ(epochs.size(), 7u);
+  TempDataDir dir("identity");
+  write_segments(dir.path, "t3", spec, epochs);
+
+  const auto whole = data::FailureLog::create(spec, records).value();
+  auto config = replay_service_config();
+  config.tenant.data_dir = dir.path.string();
+  auto tenant = Tenant::open("t3", spec, config.tenant);
+  ASSERT_TRUE(tenant.ok()) << tenant.error().to_string();
+  EXPECT_EQ(tenant.value()->snapshot()->epoch(), 7u);
+  data::expect_bit_identical(data::LogIndex(whole), tenant.value()->snapshot()->index());
+
+  FleetService service(config);
+  ASSERT_EQ(service.restore_tenants().value(), 1u);
+  const auto study = service.query("t3", "study");
+  ASSERT_TRUE(study.ok()) << study.error().to_string();
+  EXPECT_EQ(study.value().text, batch_study_text(whole));
+}
+
+/// Opens a Tsubame-3 tenant over two hand-packed segments in the data
+/// dir `tag`, the second holding `bad` after one good record; the open
+/// must be refused with kValidation and a message naming `what`.
+void expect_remount_refuses(const std::string& tag, const data::FailureRecord& bad,
+                            const std::string& what, double slack_hours = 0.0) {
+  const data::MachineSpec spec = data::tsubame3_spec();
+  const auto log = generated(data::Machine::kTsubame3);
+  const std::vector<data::FailureRecord> first(log.records().begin(), log.records().begin() + 10);
+  TempDataDir dir(tag);
+  write_segments(dir.path, "t3", spec, {first, {first.back(), bad}});
+  auto config = replay_config();
+  config.stream.slack_hours = slack_hours;
+  config.data_dir = dir.path.string();
+  auto tenant = Tenant::open("t3", spec, config);
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_EQ(tenant.error().kind(), ErrorKind::kValidation);
+  EXPECT_NE(tenant.error().to_string().find(what), std::string::npos)
+      << tenant.error().to_string();
+}
+
+/// A valid Tsubame-3 record late in the window.
+data::FailureRecord late_record() {
+  const auto log = generated(data::Machine::kTsubame3);
+  data::FailureRecord record = log.records()[10];
+  record.time = log.spec().log_end.plus_hours(-1.0);
+  return record;
+}
+
+TEST(FleetPersistence, RemountRefusesACategoryOutsideTheMachineVocabulary) {
+  data::FailureRecord bad = late_record();
+  bad.category = data::Category::kBoot;  // Tsubame-2 only
+  bad.gpu_slots.clear();
+  expect_remount_refuses("vocabulary", bad, "vocabulary");
+}
+
+TEST(FleetPersistence, RemountRefusesGpuSlotsOnANonGpuCategory) {
+  data::FailureRecord bad = late_record();
+  bad.category = data::Category::kCpu;
+  bad.gpu_slots = {1};
+  expect_remount_refuses("non_gpu", bad, "non-GPU");
+}
+
+TEST(FleetPersistence, RemountRefusesARecordOutsideTheWindowAndTheSlack) {
+  const data::MachineSpec spec = data::tsubame3_spec();
+  data::FailureRecord bad = late_record();
+  bad.time = spec.log_end.plus_hours(49.0);
+  expect_remount_refuses("window", bad, "outside the log window", 48.0);
+  bad.time = spec.log_end.plus_hours(1.0);
+  expect_remount_refuses("window", bad, "outside the log window");
+
+  // Inside the slack, the same segment mounts.
+  TempDataDir dir("slack");
+  write_segments(dir.path, "t3", spec, {{bad}});
+  auto config = replay_config();
+  config.stream.slack_hours = 48.0;
+  config.data_dir = dir.path.string();
+  auto tenant = Tenant::open("t3", spec, config);
+  ASSERT_TRUE(tenant.ok()) << tenant.error().to_string();
+  EXPECT_EQ(tenant.value()->snapshot()->size(), 1u);
 }
 
 TEST(FleetPersistence, EmptyDataDirRestoresNothing) {
