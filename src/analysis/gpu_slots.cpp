@@ -19,7 +19,8 @@ Result<GpuSlotDistribution> analyze_gpu_slots(const data::LogIndex& index) {
 
   const auto attributed = index.gpu_attributed();
   for (std::uint32_t position : attributed) {
-    for (int slot : index.gpu_slots_of(position)) counts[static_cast<std::size_t>(slot)]++;
+    for (int slot : index.columns().gpu_slots_of(position))
+      counts[static_cast<std::size_t>(slot)]++;
   }
   if (attributed.empty())
     return Error(ErrorKind::kDomain, "analyze_gpu_slots: no slot-attributed GPU failures");

@@ -21,7 +21,8 @@ Result<MultiGpuInvolvement> analyze_multi_gpu(const data::LogIndex& index) {
   std::vector<std::size_t> counts(static_cast<std::size_t>(slots_per_node) + 1, 0);
 
   const auto attributed = index.gpu_attributed();
-  for (std::uint32_t position : attributed) ++counts[index.gpu_slots_of(position).size()];
+  for (std::uint32_t position : attributed)
+    ++counts[index.columns().gpu_slots_of(position).size()];
   if (attributed.empty())
     return Error(ErrorKind::kDomain, "analyze_multi_gpu: no slot-attributed GPU failures");
 

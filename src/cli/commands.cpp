@@ -1324,6 +1324,7 @@ Result<void> run_serve(const ParsedArgs& args, std::ostream& out) {
   if (cache_capacity.value() < 0 || epoch_every.value() < 0 || jobs.value() < 0)
     return Error(ErrorKind::kDomain,
                  "--cache-capacity, --epoch-every and --jobs must be >= 0");
+  if (!(slack.value() >= 0.0)) return Error(ErrorKind::kDomain, "--slack-hours must be >= 0");
   if (max_line.value() <= 0) return Error(ErrorKind::kDomain, "--max-line-bytes must be positive");
   auto slo_p99 = args.get_double("slo-query-p99");
   if (!slo_p99.ok()) return slo_p99.error();
@@ -1348,7 +1349,7 @@ Result<void> run_serve(const ParsedArgs& args, std::ostream& out) {
   config.study_jobs = static_cast<std::size_t>(jobs.value());
   config.slo.query_p99_seconds = slo_p99.value();
   config.tenant.stream.reorder_horizon_hours = reorder.value();
-  config.tenant.slack_hours = slack.value();
+  config.tenant.stream.slack_hours = slack.value();
   config.tenant.auto_epoch_events = static_cast<std::uint64_t>(epoch_every.value());
   config.tenant.alerts = !args.flag("no-alerts");
   auto data_dir = args.get("data-dir");

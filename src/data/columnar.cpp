@@ -174,50 +174,73 @@ constexpr std::size_t align8(std::size_t offset) noexcept { return (offset + 7) 
 
 }  // namespace
 
+RecordColumns::RecordColumns(std::span<const ColumnsView> views,
+                             std::span<const FailureRecord> records) {
+  // The views' sizes plus `extra` entries for the records.
+  const auto reserve = [&views](auto& column, auto member, std::size_t extra) {
+    for (const ColumnsView& view : views) extra += (view.*member).size();
+    column.reserve(extra);
+  };
+  reserve(times, &ColumnsView::times, records.size());
+  reserve(nodes, &ColumnsView::nodes, records.size());
+  reserve(categories, &ColumnsView::categories, records.size());
+  reserve(ttr, &ColumnsView::ttr, records.size());
+  reserve(slot_offsets, &ColumnsView::categories, records.size() + 1);
+  reserve(slot_data, &ColumnsView::slot_data, 0);
+  reserve(locus_offsets, &ColumnsView::categories, records.size() + 1);
+  reserve(locus_data, &ColumnsView::locus_data, 0);
+  for (const ColumnsView& view : views) {
+    times.insert(times.end(), view.times.begin(), view.times.end());
+    nodes.insert(nodes.end(), view.nodes.begin(), view.nodes.end());
+    categories.insert(categories.end(), view.categories.begin(), view.categories.end());
+    ttr.insert(ttr.end(), view.ttr.begin(), view.ttr.end());
+    // A view's CSR offsets start at 0: rebase them onto the data so far.
+    const auto slot_base = static_cast<std::uint32_t>(slot_data.size());
+    const auto locus_base = static_cast<std::uint32_t>(locus_data.size());
+    for (std::uint32_t i = 1; i <= view.size(); ++i) {
+      slot_offsets.push_back(slot_base + view.slot_offsets[i]);
+      locus_offsets.push_back(locus_base + view.locus_offsets[i]);
+    }
+    slot_data.insert(slot_data.end(), view.slot_data.begin(), view.slot_data.end());
+    locus_data.append(view.locus_data);
+  }
+  for (const FailureRecord& record : records) {
+    times.push_back(record.time.seconds_since_epoch());
+    nodes.push_back(record.node);
+    categories.push_back(static_cast<std::uint8_t>(record.category));
+    ttr.push_back(record.ttr_hours);
+    slot_data.insert(slot_data.end(), record.gpu_slots.begin(), record.gpu_slots.end());
+    slot_offsets.push_back(static_cast<std::uint32_t>(slot_data.size()));
+    locus_data.append(record.root_locus);
+    locus_offsets.push_back(static_cast<std::uint32_t>(locus_data.size()));
+  }
+}
+
 std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord> records) {
   OBS_SPAN("columnar.pack");
   static obs::Counter packs = obs::counter("columnar.packs");
   packs.add();
 
-  const std::size_t n = records.size();
   std::vector<SectionOut> sections;
   sections.reserve(kSecLocusData);
   sections.push_back({kSecSpec, pack_spec(spec)});
 
   // Record columns, stored in the log's canonical (time-sorted) order so
   // loads need no re-sort and duplicate-time ordering round-trips exactly.
-  std::vector<std::int64_t> times(n);
-  std::vector<std::int32_t> nodes(n);
-  std::vector<std::uint8_t> categories(n);
-  std::vector<double> ttr(n);
-  std::vector<std::uint32_t> slot_offsets(n + 1, 0);
-  std::vector<std::int32_t> slot_data;
-  std::vector<std::uint32_t> locus_offsets(n + 1, 0);
-  std::string locus_data;
-  for (std::size_t i = 0; i < n; ++i) {
-    const FailureRecord& record = records[i];
-    times[i] = record.time.seconds_since_epoch();
-    nodes[i] = record.node;
-    categories[i] = static_cast<std::uint8_t>(record.category);
-    ttr[i] = record.ttr_hours;
-    slot_data.insert(slot_data.end(), record.gpu_slots.begin(), record.gpu_slots.end());
-    slot_offsets[i + 1] = static_cast<std::uint32_t>(slot_data.size());
-    locus_data.append(record.root_locus);
-    locus_offsets[i + 1] = static_cast<std::uint32_t>(locus_data.size());
-  }
+  RecordColumns columns({}, records);
   const auto add_vec = [&sections](std::uint32_t id, const auto& values) {
     SectionOut out{id, {}};
     append_vec(out.bytes, values);
     sections.push_back(std::move(out));
   };
-  add_vec(kSecTimes, times);
-  add_vec(kSecNodes, nodes);
-  add_vec(kSecCategories, categories);
-  add_vec(kSecTtr, ttr);
-  add_vec(kSecSlotOffsets, slot_offsets);
-  add_vec(kSecSlotData, slot_data);
-  add_vec(kSecLocusOffsets, locus_offsets);
-  sections.push_back({kSecLocusData, std::move(locus_data)});
+  add_vec(kSecTimes, columns.times);
+  add_vec(kSecNodes, columns.nodes);
+  add_vec(kSecCategories, columns.categories);
+  add_vec(kSecTtr, columns.ttr);
+  add_vec(kSecSlotOffsets, columns.slot_offsets);
+  add_vec(kSecSlotData, columns.slot_data);
+  add_vec(kSecLocusOffsets, columns.locus_offsets);
+  sections.push_back({kSecLocusData, std::move(columns.locus_data)});
 
   // Assemble: header, table (checksummed), then 8-aligned payloads.
   const std::size_t table_bytes = sections.size() * kTableEntryBytes;
@@ -238,7 +261,7 @@ std::string pack_columnar(const MachineSpec& spec, std::span<const FailureRecord
   append_raw(out, ColumnarSnapshot::kMagic.data(), ColumnarSnapshot::kMagic.size());
   append_pod(out, ColumnarSnapshot::kFormatVersion);
   append_pod(out, kEndianTag);
-  append_pod(out, static_cast<std::uint64_t>(n));
+  append_pod(out, static_cast<std::uint64_t>(records.size()));
   append_pod(out, static_cast<std::uint32_t>(sections.size()));
   append_pod(out, std::uint32_t{0});  // flags
   append_pod(out, section_checksum(table.data(), table.size()));
@@ -374,8 +397,7 @@ Result<void> ColumnarSnapshot::parse() {
   if (section_checksum(data_ + kHeaderBytes, table_bytes) != table_checksum)
     return Error(ErrorKind::kValidation, "snapshot section table checksum mismatch");
 
-  record_count_ = static_cast<std::size_t>(record_count);
-  const std::size_t n = record_count_;
+  const auto n = static_cast<std::size_t>(record_count);
 
   // Section table: bounds, alignment, uniqueness, checksums.
   struct SectionView {
@@ -437,49 +459,55 @@ Result<void> ColumnarSnapshot::parse() {
   if (!spec.ok()) return spec.error();
   spec_ = std::move(spec).value();
 
+  ColumnsView& c = columns_;
   auto times = require(kSecTimes, n * 8, "times");
   if (!times.ok()) return times.error();
-  times_ = span_of(times.value(), std::int64_t{});
+  c.times = span_of(times.value(), std::int64_t{});
   auto nodes = require(kSecNodes, n * 4, "nodes");
   if (!nodes.ok()) return nodes.error();
-  nodes_ = span_of(nodes.value(), std::int32_t{});
+  c.nodes = span_of(nodes.value(), std::int32_t{});
   auto categories = require(kSecCategories, n, "categories");
   if (!categories.ok()) return categories.error();
-  categories_ = span_of(categories.value(), std::uint8_t{});
+  c.categories = span_of(categories.value(), std::uint8_t{});
   auto ttr = require(kSecTtr, n * 8, "ttr");
   if (!ttr.ok()) return ttr.error();
-  ttr_ = span_of(ttr.value(), double{});
+  c.ttr = span_of(ttr.value(), double{});
 
   auto slot_offsets = require(kSecSlotOffsets, (n + 1) * 4, "slot_offsets");
   if (!slot_offsets.ok()) return slot_offsets.error();
-  slot_offsets_ = span_of(slot_offsets.value(), std::uint32_t{});
+  c.slot_offsets = span_of(slot_offsets.value(), std::uint32_t{});
   if (!views[kSecSlotData].present)
     return Error(ErrorKind::kParse, "snapshot is missing the slot_data section");
-  slot_data_ = span_of(views[kSecSlotData], std::int32_t{});
+  c.slot_data = span_of(views[kSecSlotData], std::int32_t{});
   auto locus_offsets = require(kSecLocusOffsets, (n + 1) * 4, "locus_offsets");
   if (!locus_offsets.ok()) return locus_offsets.error();
-  locus_offsets_ = span_of(locus_offsets.value(), std::uint32_t{});
+  c.locus_offsets = span_of(locus_offsets.value(), std::uint32_t{});
   if (!views[kSecLocusData].present)
     return Error(ErrorKind::kParse, "snapshot is missing the locus_data section");
-  locus_data_ = std::string_view(views[kSecLocusData].data, views[kSecLocusData].size);
+  c.locus_data = std::string_view(views[kSecLocusData].data, views[kSecLocusData].size);
 
   // Structural invariants.  Checksums catch corruption; these checks make
   // even a hand-crafted snapshot memory-safe to analyze (no reference
-  // through any offset can leave its section).
+  // through any offset can leave its section) and refuse every record
+  // validate_record refuses, except by the window.
   for (std::size_t i = 1; i < n; ++i)
-    if (times_[i] < times_[i - 1])
+    if (c.times[i] < c.times[i - 1])
       return Error(ErrorKind::kValidation, "snapshot times are not sorted ascending");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (nodes_[i] < 0 || nodes_[i] >= spec_.node_count)
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (c.nodes[i] < 0 || c.nodes[i] >= spec_.node_count)
       return Error(ErrorKind::kValidation,
                    "snapshot record " + std::to_string(i) + " names node " +
-                       std::to_string(nodes_[i]) + " outside [0, " +
+                       std::to_string(c.nodes[i]) + " outside [0, " +
                        std::to_string(spec_.node_count) + ")");
-    if (categories_[i] >= kCategoryCount)
+    if (c.categories[i] >= kCategoryCount)
       return Error(ErrorKind::kValidation,
                    "snapshot record " + std::to_string(i) + " has category byte " +
-                       std::to_string(categories_[i]) + " outside the vocabulary");
-    if (!(ttr_[i] >= 0.0) || ttr_[i] > 1e12)
+                       std::to_string(c.categories[i]) + " outside the vocabulary");
+    if (!valid_for(c.category_of(i), spec_.machine))
+      return Error(ErrorKind::kValidation, "snapshot record " + std::to_string(i) +
+                                               " has a category outside the " + spec_.name +
+                                               " vocabulary");
+    if (!(c.ttr[i] >= 0.0) || c.ttr[i] > 1e12)
       return Error(ErrorKind::kValidation,
                    "snapshot record " + std::to_string(i) + " has invalid TTR");
   }
@@ -497,11 +525,14 @@ Result<void> ColumnarSnapshot::parse() {
                                                " offsets disagree with the data section");
     return {};
   };
-  if (auto r = check_csr(slot_offsets_, slot_data_.size(), "slot"); !r.ok()) return r.error();
-  if (auto r = check_csr(locus_offsets_, locus_data_.size(), "locus"); !r.ok())
+  if (auto r = check_csr(c.slot_offsets, c.slot_data.size(), "slot"); !r.ok()) return r.error();
+  if (auto r = check_csr(c.locus_offsets, c.locus_data.size(), "locus"); !r.ok())
     return r.error();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto slots = gpu_slots_of(static_cast<std::uint32_t>(i));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto slots = c.gpu_slots_of(i);
+    if (!slots.empty() && !is_gpu_related(c.category_of(i)))
+      return Error(ErrorKind::kValidation, "snapshot record " + std::to_string(i) +
+                                               " lists GPU slots on a non-GPU category");
     for (std::size_t a = 0; a < slots.size(); ++a) {
       if (slots[a] < 0 || slots[a] >= spec_.gpus_per_node)
         return Error(ErrorKind::kValidation, "snapshot record " + std::to_string(i) +
@@ -515,24 +546,19 @@ Result<void> ColumnarSnapshot::parse() {
   return {};
 }
 
-FailureRecord ColumnarSnapshot::record_at(std::uint32_t i) const {
-  FailureRecord record;
-  record.time = TimePoint(times_[i]);
-  record.node = nodes_[i];
-  record.category = static_cast<Category>(categories_[i]);
-  record.ttr_hours = ttr_[i];
-  const auto slots = gpu_slots_of(i);
-  record.gpu_slots.assign(slots.begin(), slots.end());
-  record.root_locus = std::string(root_locus_of(i));
-  return record;
-}
-
 FailureLog ColumnarSnapshot::to_log() const {
   OBS_SPAN("columnar.to_log");
-  std::vector<FailureRecord> records;
-  records.reserve(record_count_);
-  for (std::size_t i = 0; i < record_count_; ++i)
-    records.push_back(record_at(static_cast<std::uint32_t>(i)));
+  std::vector<FailureRecord> records(size());
+  for (std::uint32_t i = 0; i < size(); ++i) {
+    FailureRecord& record = records[i];
+    record.time = TimePoint(columns_.times[i]);
+    record.node = columns_.nodes[i];
+    record.category = columns_.category_of(i);
+    record.ttr_hours = columns_.ttr[i];
+    const auto slots = columns_.gpu_slots_of(i);
+    record.gpu_slots.assign(slots.begin(), slots.end());
+    record.root_locus = columns_.root_locus_of(i);
+  }
   return FailureLog::from_sorted(spec_, std::move(records));
 }
 

@@ -69,6 +69,53 @@ namespace tsufail::data {
 class ColumnarSnapshot;
 class LogIndex;
 
+/// A time-sorted log's record columns in the section layout above, as a
+/// loaded snapshot's and a LogIndex's columns() show them (an index's
+/// times and nodes are empty: they only feed its builder).
+struct ColumnsView {
+  std::span<const std::int64_t> times;
+  std::span<const std::int32_t> nodes;
+  std::span<const std::uint8_t> categories;
+  std::span<const double> ttr;
+  std::span<const std::uint32_t> slot_offsets;   ///< size() + 1 entries
+  std::span<const std::int32_t> slot_data;
+  std::span<const std::uint32_t> locus_offsets;  ///< size() + 1 entries
+  std::string_view locus_data;
+
+  std::size_t size() const noexcept { return categories.size(); }
+  Category category_of(std::uint32_t i) const noexcept { return Category{categories[i]}; }
+  /// GPU slots of record `i` (CSR row; usually empty).
+  std::span<const std::int32_t> gpu_slots_of(std::uint32_t i) const noexcept {
+    return slot_data.subspan(slot_offsets[i], slot_offsets[i + 1] - slot_offsets[i]);
+  }
+  /// Root-locus label of record `i` (CSR row; usually empty).
+  std::string_view root_locus_of(std::uint32_t i) const noexcept {
+    return locus_data.substr(locus_offsets[i], locus_offsets[i + 1] - locus_offsets[i]);
+  }
+};
+
+/// The owned form of ColumnsView, and the one place FailureRecord fields
+/// are laid out as columns: `views`' records in order, then `records`,
+/// each column reserved once.  A view without times and nodes (an
+/// index's) adds none, so those two then cover only the trailing records.
+struct RecordColumns {
+  explicit RecordColumns(std::span<const ColumnsView> views = {},
+                         std::span<const FailureRecord> records = {});
+
+  ColumnsView view() const noexcept {
+    return {times, nodes, categories, ttr, slot_offsets, slot_data, locus_offsets, locus_data};
+  }
+
+  std::vector<std::int64_t> times;
+  std::vector<std::int32_t> nodes;
+  std::vector<std::uint8_t> categories;
+  std::vector<double> ttr;
+  std::vector<std::uint32_t> slot_offsets{0};
+  std::vector<std::int32_t> slot_data;
+  std::vector<std::uint32_t> locus_offsets{0};
+  std::string locus_data;
+};
+
 /// How snapshots are passed around: immutable and refcounted (a mapped
 /// snapshot backs zero-copy LogIndex spans, so its lifetime must cover
 /// every reader's).
@@ -98,10 +145,9 @@ class ColumnarSnapshot {
   static bool sniff(std::string_view prefix) noexcept;
 
   /// Loads and fully validates a snapshot file: magic/version/endianness,
-  /// section table bounds + alignment, per-section checksums, and the
-  /// structural invariants of every column (ascending times, node ids
-  /// within the spec, category bytes within the vocabulary, monotone CSR
-  /// offsets, GPU slots within the machine).  Maps the file where mmap
+  /// section table bounds + alignment, per-section checksums, ascending
+  /// times, monotone CSR offsets, and every check validate_record makes
+  /// but the window, which is the caller's.  Maps the file where mmap
   /// exists and works, else reads it into an owned buffer.
   static Result<ColumnarSnapshotPtr> open(const std::string& path);
 
@@ -110,38 +156,18 @@ class ColumnarSnapshot {
   static Result<ColumnarSnapshotPtr> from_bytes(std::string_view bytes);
 
   const MachineSpec& spec() const noexcept { return spec_; }
-  std::size_t size() const noexcept { return record_count_; }
-  bool empty() const noexcept { return record_count_ == 0; }
+  std::size_t size() const noexcept { return columns_.size(); }
+  bool empty() const noexcept { return columns_.size() == 0; }
   /// True when the views are zero-copy over an mmap (vs an owned buffer).
   bool mapped() const noexcept { return mapped_; }
 
-  // --- Zero-copy column views (valid while this snapshot lives) -------
-  std::span<const std::int64_t> times() const noexcept { return times_; }
-  std::span<const std::int32_t> nodes() const noexcept { return nodes_; }
-  std::span<const std::uint8_t> categories() const noexcept { return categories_; }
-  std::span<const double> ttr() const noexcept { return ttr_; }
-  std::span<const std::uint32_t> slot_offsets() const noexcept { return slot_offsets_; }
-  std::span<const std::int32_t> slot_data() const noexcept { return slot_data_; }
-  std::span<const std::uint32_t> locus_offsets() const noexcept { return locus_offsets_; }
-  std::string_view locus_data() const noexcept { return locus_data_; }
-  /// GPU slots of record `i` (CSR row; usually empty).
-  std::span<const std::int32_t> gpu_slots_of(std::uint32_t i) const noexcept {
-    return {slot_data_.data() + slot_offsets_[i], slot_offsets_[i + 1] - slot_offsets_[i]};
-  }
-  /// Root-locus label of record `i` (CSR row; usually empty).
-  std::string_view root_locus_of(std::uint32_t i) const noexcept {
-    return locus_data_.substr(locus_offsets_[i], locus_offsets_[i + 1] - locus_offsets_[i]);
-  }
+  /// Zero-copy record columns (valid while this snapshot lives).
+  const ColumnsView& columns() const noexcept { return columns_; }
 
-  /// Materializes record `i` (allocates for slots/locus — prefer the
-  /// column views in hot paths).
-  FailureRecord record_at(std::uint32_t i) const;
-
-  /// Materializes the whole log.  The records were validated when the
-  /// source log was created and the columns re-validated structurally at
-  /// load, so this skips create()'s re-sort + per-record checks (the
-  /// columns are stored in canonical order; order is preserved exactly,
-  /// ties included).
+  /// Materializes the whole log (allocates per record: prefer the column
+  /// views in hot paths).  The load validated every record, so this
+  /// skips create()'s re-sort + per-record checks (the columns are stored
+  /// in canonical order; order is preserved exactly, ties included).
   FailureLog to_log() const;
 
   ~ColumnarSnapshot();
@@ -164,16 +190,8 @@ class ColumnarSnapshot {
   bool mapped_ = false;
 
   MachineSpec spec_;
-  std::size_t record_count_ = 0;
 
-  std::span<const std::int64_t> times_;
-  std::span<const std::int32_t> nodes_;
-  std::span<const std::uint8_t> categories_;
-  std::span<const double> ttr_;
-  std::span<const std::uint32_t> slot_offsets_;
-  std::span<const std::int32_t> slot_data_;
-  std::span<const std::uint32_t> locus_offsets_;
-  std::string_view locus_data_;
+  ColumnsView columns_;
 };
 
 }  // namespace tsufail::data

@@ -14,12 +14,7 @@ namespace tsufail::data {
 /// What an index owns.  The record columns stay empty when they are
 /// adopted from `snapshot`; the derived arrays are always built here.
 struct LogIndex::Storage {
-  std::vector<double> ttr;
-  std::vector<std::uint8_t> categories;
-  std::vector<std::uint32_t> slot_offsets;
-  std::vector<std::int32_t> slot_data;
-  std::vector<std::uint32_t> locus_offsets;
-  std::string locus_data;
+  RecordColumns columns;
   std::shared_ptr<const ColumnarSnapshot> snapshot;
 
   std::vector<double> hours;
@@ -29,9 +24,15 @@ struct LogIndex::Storage {
 
 LogIndex::LogIndex(const FailureLog& log) : spec_(log.spec()) {
   OBS_SPAN("index.build");
-  static obs::Counter builds = obs::counter("index.builds");
-  builds.add();
-  index_records(nullptr, log.records());
+  index_columns(nullptr, RecordColumns({}, log.records()));
+}
+
+LogIndex::LogIndex(const MachineSpec& spec, RecordColumns columns) : spec_(spec) {
+  TSUFAIL_REQUIRE(columns.times.size() == columns.ttr.size() &&
+                      columns.nodes.size() == columns.ttr.size(),
+                  "LogIndex: times and nodes must cover every record");
+  OBS_SPAN("index.build");
+  index_columns(nullptr, std::move(columns));
 }
 
 LogIndex::LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot) {
@@ -40,16 +41,11 @@ LogIndex::LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot) {
   static obs::Counter adopts = obs::counter("index.adopts");
   adopts.add();
   // Zero-copy: the record columns are the snapshot's own (checksummed,
-  // structurally validated) sections.
+  // validated) sections.
   spec_ = snapshot->spec();
-  ttr_ = snapshot->ttr();
-  category_bytes_ = snapshot->categories();
-  slot_offsets_ = snapshot->slot_offsets();
-  slot_data_ = snapshot->slot_data();
-  locus_offsets_ = snapshot->locus_offsets();
-  locus_data_ = snapshot->locus_data();
+  columns_ = snapshot->columns();
   auto storage = std::make_shared<Storage>();
-  derive(nullptr, snapshot->times(), snapshot->nodes(), *storage);
+  derive(nullptr, *storage);
   storage->snapshot = std::move(snapshot);
   storage_ = std::move(storage);
 }
@@ -66,60 +62,30 @@ LogIndex LogIndex::extend(const LogIndex& base, const FailureLog& suffix) {
   static obs::Counter merges = obs::counter("index.merges");
   merges.add();
   LogIndex index(base.spec());
-  index.index_records(&base, suffix.records());
+  index.index_columns(&base, RecordColumns({&base.columns_, 1}, suffix.records()));
   return index;
 }
 
-void LogIndex::index_records(const LogIndex* base, std::span<const FailureRecord> records) {
-  const std::size_t from = base == nullptr ? 0 : base->size();
-  const std::size_t n = from + records.size();
+void LogIndex::index_columns(const LogIndex* base, RecordColumns columns) {
+  static obs::Counter builds = obs::counter("index.builds");
+  if (base == nullptr) builds.add();
   auto storage = std::make_shared<Storage>();
-  Storage& s = *storage;
-  s.ttr.reserve(n);
-  s.categories.reserve(n);
-  s.slot_offsets.reserve(n + 1);
-  s.locus_offsets.reserve(n + 1);
-  if (base != nullptr) {
-    // The prefix's columns are position-for-position the base's.
-    s.ttr.assign(base->ttr_.begin(), base->ttr_.end());
-    s.categories.assign(base->category_bytes_.begin(), base->category_bytes_.end());
-    s.slot_offsets.assign(base->slot_offsets_.begin(), base->slot_offsets_.end());
-    s.slot_data.assign(base->slot_data_.begin(), base->slot_data_.end());
-    s.locus_offsets.assign(base->locus_offsets_.begin(), base->locus_offsets_.end());
-    s.locus_data.assign(base->locus_data_);
-  } else {
-    s.slot_offsets.push_back(0);
-    s.locus_offsets.push_back(0);
-  }
-  // Times and nodes feed only the derivation, so they are not kept.
-  std::vector<std::int64_t> times(records.size());
-  std::vector<std::int32_t> nodes(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const FailureRecord& record = records[i];
-    times[i] = record.time.seconds_since_epoch();
-    nodes[i] = record.node;
-    s.ttr.push_back(record.ttr_hours);
-    s.categories.push_back(static_cast<std::uint8_t>(record.category));
-    s.slot_data.insert(s.slot_data.end(), record.gpu_slots.begin(), record.gpu_slots.end());
-    s.slot_offsets.push_back(static_cast<std::uint32_t>(s.slot_data.size()));
-    s.locus_data.append(record.root_locus);
-    s.locus_offsets.push_back(static_cast<std::uint32_t>(s.locus_data.size()));
-  }
-  ttr_ = s.ttr;
-  category_bytes_ = s.categories;
-  slot_offsets_ = s.slot_offsets;
-  slot_data_ = s.slot_data;
-  locus_offsets_ = s.locus_offsets;
-  locus_data_ = s.locus_data;
-  derive(base, times, nodes, s);
+  storage->columns = std::move(columns);
+  columns_ = storage->columns.view();
+  derive(base, *storage);
+  // Swapping frees the two columns; clear() or `= {}` would keep their
+  // capacity resident for the index's whole life.
+  std::vector<std::int64_t>().swap(storage->columns.times);
+  std::vector<std::int32_t>().swap(storage->columns.nodes);
   storage_ = std::move(storage);
 }
 
-void LogIndex::derive(const LogIndex* base, std::span<const std::int64_t> times,
-                      std::span<const std::int32_t> nodes, Storage& storage) {
+void LogIndex::derive(const LogIndex* base, Storage& storage) {
   static obs::Counter indexed = obs::counter("index.records");
   const std::size_t from = base == nullptr ? 0 : base->size();
-  const std::size_t n = from + times.size();
+  const std::size_t n = size();
+  const std::span<const std::int64_t> times = columns_.times;
+  const std::span<const std::int32_t> nodes = columns_.nodes;
   indexed.add(n - from);
 
   std::vector<double>& hours = storage.hours;
@@ -139,7 +105,7 @@ void LogIndex::derive(const LogIndex* base, std::span<const std::int64_t> times,
   }
   // GPU-attributed: a GPU-related record naming >= 1 slot; multi-GPU: >= 2.
   const auto slot_count = [this](std::size_t i) {
-    return slot_offsets_[i + 1] - slot_offsets_[i];
+    return columns_.slot_offsets[i + 1] - columns_.slot_offsets[i];
   };
   // The calendar month (0-11) of a time.  Times ascend, so the seconds of
   // the last month seen, [month_start, month_end), answer almost every
@@ -170,7 +136,7 @@ void LogIndex::derive(const LogIndex* base, std::span<const std::int64_t> times,
   // group index instead.
   std::vector<std::uint32_t> node_sizes(static_cast<std::size_t>(spec_.node_count), 0);
   for (std::size_t i = from; i < n; ++i) {
-    const std::uint8_t category = category_bytes_[i];
+    const std::uint8_t category = columns_.categories[i];
     hours.push_back(hours_between(spec_.log_start, TimePoint(times[i - from])));
     ++category_sizes[category];
     ++class_sizes[class_of[category]];
@@ -247,7 +213,7 @@ void LogIndex::derive(const LogIndex* base, std::span<const std::int64_t> times,
   };
   for (std::size_t i = from; i < n; ++i) {
     const auto position = static_cast<std::uint32_t>(i);
-    const std::uint8_t category = category_bytes_[i];
+    const std::uint8_t category = columns_.categories[i];
     push(categories_[category], position);
     push(classes_[class_of[category]], position);
     push(months_[month_of(times[i - from])], position);
@@ -263,6 +229,8 @@ void LogIndex::derive(const LogIndex* base, std::span<const std::int64_t> times,
   hours_ = hours;
   arena_ = arena;
   node_groups_ = node_groups;
+  columns_.times = {};
+  columns_.nodes = {};
 }
 
 std::vector<double> LogIndex::hours_of(std::span<const std::uint32_t> positions) const {
@@ -270,7 +238,7 @@ std::vector<double> LogIndex::hours_of(std::span<const std::uint32_t> positions)
 }
 
 std::vector<double> LogIndex::ttr_of(std::span<const std::uint32_t> positions) const {
-  return stats::gather(ttr_, positions);
+  return stats::gather(columns_.ttr, positions);
 }
 
 }  // namespace tsufail::data

@@ -1,14 +1,15 @@
 // LogIndex: the columnar form of a failure log, and the one input type of
 // every analysis in src/analysis/, run_study included.
 //
-// The index holds the per-record columns the analyses read, in the
-// .tsnap section layout (data/columnar.h): TTR, category byte, a GPU-slot
-// CSR and a root-locus CSR.  Built from a FailureLog it copies them out of
-// the records, so the log may be destroyed afterwards; built from a loaded
-// ColumnarSnapshot it points at the snapshot's own columns without copying
-// them (zero-copy adoption) and keeps the snapshot alive; extended from a
-// base index by a suffix FailureLog (a sealed serve epoch) it copies the
-// base's columns and appends only the suffix's.  Whichever way, one
+// The index holds the per-record columns the analyses read as a
+// ColumnsView (data/columnar.h) without times and nodes, which only feed
+// the builder.  Built from a FailureLog it lays the records out as
+// RecordColumns, so the log may be destroyed afterwards, or it keeps
+// RecordColumns it is given; built from a loaded ColumnarSnapshot it
+// points at the snapshot's own columns without copying them (zero-copy
+// adoption) and keeps the snapshot alive; extended from a base index by
+// a suffix FailureLog (a sealed serve epoch) it copies the base's columns
+// and appends only the suffix's.  Whichever way, one
 // builder derives the rest from the columns: hour offsets from the window
 // start, and the common groupings — category, hardware/software class,
 // node, calendar month, GPU attribution — as position spans into one
@@ -32,12 +33,11 @@
 #include <string_view>
 #include <vector>
 
+#include "data/columnar.h"
 #include "data/log.h"
 #include "util/error.h"
 
 namespace tsufail::data {
-
-class ColumnarSnapshot;
 
 class LogIndex {
  public:
@@ -53,6 +53,10 @@ class LogIndex {
   /// Precondition (REQUIREd): snapshot is non-null.
   explicit LogIndex(std::shared_ptr<const ColumnarSnapshot> snapshot);
 
+  /// Indexes owned columns (a serve remount's concatenated segments).
+  /// Precondition: they pass every check a snapshot load makes.
+  LogIndex(const MachineSpec& spec, RecordColumns columns);
+
   /// Delta-merge: indexes `base`'s records followed by `suffix`'s (the
   /// append-only shape a sealed epoch produces) by copying `base`'s
   /// columns and groups and computing only the suffix's.  The suffix is
@@ -66,29 +70,16 @@ class LogIndex {
 
   const MachineSpec& spec() const noexcept { return spec_; }
   Machine machine() const noexcept { return spec_.machine; }
-  std::size_t size() const noexcept { return ttr_.size(); }
-  bool empty() const noexcept { return ttr_.empty(); }
+  std::size_t size() const noexcept { return columns_.size(); }
+  bool empty() const noexcept { return columns_.size() == 0; }
 
   /// Hours since spec().log_start per record, ascending, aligned with
   /// record positions.
   std::span<const double> hours() const noexcept { return hours_; }
   /// TTR per record, aligned with record positions.
-  std::span<const double> ttr() const noexcept { return ttr_; }
-
-  /// Category of the record at `position`.
-  Category category_of(std::uint32_t position) const noexcept {
-    return static_cast<Category>(category_bytes_[position]);
-  }
-  /// GPU slots of the record at `position` (usually empty).
-  std::span<const std::int32_t> gpu_slots_of(std::uint32_t position) const noexcept {
-    return slot_data_.subspan(slot_offsets_[position],
-                              slot_offsets_[position + 1] - slot_offsets_[position]);
-  }
-  /// Root-locus label of the record at `position` (usually empty).
-  std::string_view root_locus_of(std::uint32_t position) const noexcept {
-    return locus_data_.substr(locus_offsets_[position],
-                              locus_offsets_[position + 1] - locus_offsets_[position]);
-  }
+  std::span<const double> ttr() const noexcept { return columns_.ttr; }
+  /// The record columns, by position; times and nodes are empty.
+  const ColumnsView& columns() const noexcept { return columns_; }
 
   /// Record positions of one category, in time order.
   std::span<const std::uint32_t> by_category(Category category) const noexcept {
@@ -136,17 +127,15 @@ class LogIndex {
   struct Storage;
   explicit LogIndex(const MachineSpec& spec) : spec_(spec) {}
 
-  /// Copies the columns of `records` after `base`'s (nullptr = no
-  /// prefix), then derives.
-  void index_records(const LogIndex* base, std::span<const FailureRecord> records);
+  /// Owns `columns`, which follow `base`'s records (nullptr = no
+  /// prefix), derives, then frees their times and nodes.
+  void index_columns(const LogIndex* base, RecordColumns columns);
 
-  /// The one builder: derives hours for records [from, n) from `times`
-  /// and lays every group out in the canonical arena order, seeding the
-  /// prefix [0, from) from `base` (nullptr = from = 0).  `times` and
-  /// `nodes` cover only [from, n); the category and slot-offset columns
-  /// must already cover [0, n).
-  void derive(const LogIndex* base, std::span<const std::int64_t> times,
-              std::span<const std::int32_t> nodes, Storage& storage);
+  /// The one builder: derives hours for records [from, n) and lays every
+  /// group out in the canonical arena order, seeding the prefix [0, from)
+  /// from `base` (nullptr = from = 0).  columns_ must cover [0, n) except
+  /// times and nodes, which cover only [from, n); it drops those two.
+  void derive(const LogIndex* base, Storage& storage);
 
   struct Range {
     std::uint32_t begin = 0;
@@ -165,13 +154,8 @@ class LogIndex {
   /// its mapped bytes.  Copying the index bumps one refcount, so
   /// accessors never dangle and copies stay cheap.
   std::shared_ptr<const Storage> storage_;
+  ColumnsView columns_;
   std::span<const double> hours_;
-  std::span<const double> ttr_;
-  std::span<const std::uint8_t> category_bytes_;
-  std::span<const std::uint32_t> slot_offsets_;  ///< size() + 1 entries
-  std::span<const std::int32_t> slot_data_;
-  std::span<const std::uint32_t> locus_offsets_;  ///< size() + 1 entries
-  std::string_view locus_data_;
   /// One arena for all groups: ranges index into it.
   std::span<const std::uint32_t> arena_;
   std::span<const NodeGroup> node_groups_;

@@ -167,8 +167,10 @@ Result<ReadReport> read_log_csv(std::string_view text, ReadPolicy policy) {
     } else if (*machine != row_machine) {
       return Error(ErrorKind::kValidation, "mixed machines in one log file");
     }
-    // Semantic validation per row, so one bad record is skippable under
-    // the lenient policy instead of poisoning the whole load.
+    // Semantic validation per row (the only one), so one bad record is
+    // skippable under the lenient policy instead of poisoning the whole
+    // load.  Generated/operator logs can record repairs finishing past
+    // the window, so it allows two weeks of slack.
     if (auto valid = validate_record(record, spec_for(row_machine), /*slack_hours=*/24.0 * 14);
         !valid.ok())
       return valid.error();
@@ -208,15 +210,15 @@ Result<ReadReport> read_log_csv(std::string_view text, ReadPolicy policy) {
   if (!machine.has_value())
     return Error(ErrorKind::kValidation, "log CSV contains no parsable data rows");
 
-  // Generated/operator logs can record repairs finishing past the window;
-  // allow two weeks of slack on the window check.  Structural validation
-  // failures here are never skippable.
+  // Every kept row was validated as it loaded: sort the records stably
+  // by time only if they need it, as create() would, and adopt them.
   auto log = [&] {
     OBS_SPAN("csv.to_log");
-    return FailureLog::create(spec_for(*machine), std::move(records), /*slack_hours=*/24.0 * 14);
+    if (!std::ranges::is_sorted(records, {}, &FailureRecord::time))
+      std::ranges::stable_sort(records, {}, &FailureRecord::time);
+    return FailureLog::from_sorted(spec_for(*machine), std::move(records));
   }();
-  if (!log.ok()) return log.error();
-  return ReadReport{std::move(log.value()), std::move(row_errors)};
+  return ReadReport{std::move(log), std::move(row_errors)};
 }
 
 Result<ReadReport> read_log_file(const std::string& path, ReadPolicy policy) {

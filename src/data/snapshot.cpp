@@ -5,7 +5,11 @@
 namespace tsufail::data {
 
 Result<SnapshotPtr> LogSnapshot::build(const FailureLog& log, std::uint64_t epoch) {
-  return SnapshotPtr(new LogSnapshot(LogIndex(log), epoch));
+  return build(LogIndex(log), epoch);
+}
+
+SnapshotPtr LogSnapshot::build(LogIndex index, std::uint64_t epoch) {
+  return SnapshotPtr(new LogSnapshot(std::move(index), epoch));
 }
 
 Result<SnapshotPtr> LogSnapshot::extend(const LogSnapshot& base, const FailureLog& suffix) {

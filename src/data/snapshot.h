@@ -34,6 +34,8 @@ class LogSnapshot {
   /// Builds epoch `epoch` (default 0) by indexing a complete log; the
   /// snapshot keeps only the index.
   static Result<SnapshotPtr> build(const FailureLog& log, std::uint64_t epoch = 0);
+  /// Epoch `epoch` over an index built elsewhere (a re-mounted tenant's).
+  static SnapshotPtr build(LogIndex index, std::uint64_t epoch);
 
   /// Delta-merge: `base`'s records followed by `suffix`'s (validated and
   /// time-sorted by type), at epoch base.epoch() + 1.  Errors

@@ -153,19 +153,10 @@ Result<std::size_t> FleetService::restore_tenants() {
     if (find(name) != nullptr) continue;
     // The newest segment carries the tenant's machine spec; directories
     // with no segments are not tenants and are skipped.
-    fs::path newest;
-    std::uint64_t newest_epoch = 0;
-    for (const auto& entry : fs::directory_iterator(root / name, ec)) {
-      if (!entry.is_regular_file()) continue;
-      const auto epoch = segment_epoch(entry.path().filename().string());
-      if (!epoch.has_value()) continue;
-      if (newest.empty() || *epoch > newest_epoch) {
-        newest = entry.path();
-        newest_epoch = *epoch;
-      }
-    }
-    if (newest.empty()) continue;
-    auto segment = data::ColumnarSnapshot::open(newest.string());
+    auto segments = list_segments(root / name);
+    if (!segments.ok()) return segments.error().with_context("restore tenant '" + name + "'");
+    if (segments.value().empty()) continue;
+    auto segment = data::ColumnarSnapshot::open(segments.value().back().string());
     if (!segment.ok()) return segment.error().with_context("restore tenant '" + name + "'");
     auto opened = open_tenant(name, segment.value()->spec());
     if (!opened.ok()) return opened.error().with_context("restore tenant '" + name + "'");

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <system_error>
 #include <utility>
 
@@ -82,6 +83,27 @@ std::optional<std::uint64_t> segment_epoch(const std::string& filename) {
   return value;
 }
 
+Result<std::vector<std::filesystem::path>> list_segments(const std::filesystem::path& dir) {
+  std::map<std::uint64_t, std::filesystem::path> found;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec))
+    if (auto epoch = segment_epoch(entry.path().filename().string());
+        epoch.has_value() && entry.is_regular_file())
+      found.emplace(*epoch, entry.path());
+  if (ec)
+    return Error(ErrorKind::kIo, "cannot list segment directory " + dir.string() + ": " +
+                                     ec.message());
+  std::vector<std::filesystem::path> paths;
+  for (auto& [epoch, path] : found) {
+    // Seals write epochs 1..N without gaps, so a gap is a lost segment.
+    if (epoch != paths.size() + 1)
+      return Error(ErrorKind::kValidation, "segment epoch-" + std::to_string(paths.size() + 1) +
+                                               ".tsnap is missing from " + dir.string());
+    paths.push_back(std::move(path));
+  }
+  return paths;
+}
+
 Tenant::Tenant(std::string name, data::MachineSpec spec, const TenantConfig& config)
     : name_(std::move(name)), spec_(std::move(spec)), config_(config) {
   if (config_.per_tenant_metrics) {
@@ -123,11 +145,7 @@ Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::Machi
     tenant->engine_.emplace(std::move(engine).value());
   }
 
-  auto empty = data::FailureLog::create(spec, {});
-  if (!empty.ok()) return empty.error().with_context("tenant epoch 0");
-  auto snapshot = data::LogSnapshot::build(std::move(empty).value());
-  if (!snapshot.ok()) return snapshot.error();
-  tenant->snapshot_ = std::move(snapshot).value();
+  tenant->snapshot_ = data::LogSnapshot::build(data::LogIndex(spec, data::RecordColumns()), 0);
 
   if (!config.data_dir.empty()) {
     auto restored = tenant->remount_segments();
@@ -151,44 +169,46 @@ Result<std::uint64_t> Tenant::remount_segments() {
     return Error(ErrorKind::kIo, "cannot create segment directory " + dir.string() + ": " +
                                      ec.message());
 
-  std::vector<std::pair<std::uint64_t, fs::path>> segments;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (auto epoch = segment_epoch(entry.path().filename().string()); epoch.has_value())
-      segments.emplace_back(*epoch, entry.path());
-  }
-  if (ec)
-    return Error(ErrorKind::kIo, "cannot list segment directory " + dir.string() + ": " +
-                                     ec.message());
-  if (segments.empty()) return 0;
-  std::sort(segments.begin(), segments.end());
+  auto paths = list_segments(dir);
+  if (!paths.ok()) return paths.error();
+  if (paths.value().empty()) return 0;
 
-  // Segments are sealed-epoch suffixes: each is internally time-sorted
-  // and starts at or after the previous epoch's last record, so the
-  // ascending concatenation is the full sorted log.
-  std::vector<data::FailureRecord> records;
-  for (const auto& [epoch, path] : segments) {
+  // A load checks every record but against the window, and times ascend
+  // in each segment, so its first and last times settle the window (with
+  // the tenant's slack) and the seam; the concatenation is one sorted log.
+  const TimePoint earliest = spec_.log_start.plus_hours(-config_.stream.slack_hours);
+  const TimePoint latest = spec_.log_end.plus_hours(config_.stream.slack_hours);
+  std::int64_t last = earliest.seconds_since_epoch();
+  std::vector<data::ColumnarSnapshotPtr> segments;
+  std::vector<data::ColumnsView> views;
+  for (const fs::path& path : paths.value()) {
     auto segment = data::ColumnarSnapshot::open(path.string());
-    if (!segment.ok()) return segment.error().with_context("segment epoch " + std::to_string(epoch));
-    const auto& snap = *segment.value();
-    if (snap.spec().machine != spec_.machine || snap.spec().node_count != spec_.node_count)
+    if (!segment.ok()) return segment.error();
+    const data::MachineSpec& packed = segment.value()->spec();
+    if (packed.machine != spec_.machine || packed.node_count != spec_.node_count ||
+        packed.gpus_per_node != spec_.gpus_per_node)
       return Error(ErrorKind::kValidation,
-                   "segment " + path.string() + " was packed for machine '" +
-                       std::string(data::to_string(snap.spec().machine)) +
-                       "' (" + std::to_string(snap.spec().node_count) +
-                       " nodes); tenant expects '" +
-                       std::string(data::to_string(spec_.machine)) + "' (" +
-                       std::to_string(spec_.node_count) + " nodes)");
-    records.reserve(records.size() + snap.size());
-    for (std::uint32_t i = 0; i < snap.size(); ++i) records.push_back(snap.record_at(i));
+                   "segment " + path.string() + " was packed for machine '" + packed.name +
+                       "', not the tenant's '" + spec_.name + "'");
+    const auto times = segment.value()->columns().times;
+    if (!times.empty()) {
+      const TimePoint front(times.front());
+      const TimePoint back(times.back());
+      if (front < earliest || back > latest)
+        return Error(ErrorKind::kValidation,
+                     "segment " + path.string() + " holds failure time " +
+                         format_time(front < earliest ? front : back) + " outside the log window");
+      if (times.front() < last)
+        return Error(ErrorKind::kValidation, "segment " + path.string() +
+                                                 " starts before the previous epoch's last record");
+      last = times.back();
+    }
+    views.push_back(segment.value()->columns());
+    segments.push_back(std::move(segment).value());
     segments_mounted().add();
   }
-
-  auto log = data::FailureLog::create(spec_, std::move(records), config_.stream.slack_hours);
-  if (!log.ok()) return log.error();
-  auto mounted = data::LogSnapshot::build(std::move(log).value(), segments.back().first);
-  if (!mounted.ok()) return mounted.error();
-  snapshot_ = std::move(mounted).value();
+  snapshot_ = data::LogSnapshot::build(data::LogIndex(spec_, data::RecordColumns(views, {})),
+                                       views.size());
   return snapshot_->epoch();
 }
 

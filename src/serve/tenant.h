@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -39,10 +40,10 @@ namespace tsufail::serve {
 
 struct TenantConfig {
   stream::StreamConfig stream;
-  /// Window slack for ingested records (generated logs may overshoot the
-  /// spec window slightly).  The tenant uses the larger of this and
-  /// stream.slack_hours for the stream's validation, the epoch merge and
-  /// the remount alike.
+  /// Deprecated spelling of stream.slack_hours, the tenant's one window
+  /// slack (the stream's validation, the epoch merge and the remount);
+  /// open() folds in the larger of the two.  It stays only while the
+  /// perfbench harness still reads it.
   double slack_hours = 0.0;
   /// Seal automatically once this many released records are waiting
   /// (0 = epochs are sealed only by an explicit seal call).
@@ -68,6 +69,11 @@ struct TenantConfig {
 /// canonical decimal (no leading zero) that fits in 64 bits.
 std::optional<std::uint64_t> segment_epoch(const std::string& filename);
 
+/// A tenant directory's segments in epoch order (element k is
+/// epoch-<k+1>.tsnap; other names are ignored).  Errors: kIo (unlistable),
+/// kValidation naming the first missing epoch when they are not 1..N.
+Result<std::vector<std::filesystem::path>> list_segments(const std::filesystem::path& dir);
+
 /// One tenant's counters, consistent at a point in time.
 struct TenantStats {
   stream::StreamStats stream;
@@ -88,8 +94,8 @@ class Tenant {
   /// Opens a tenant with an empty epoch-0 snapshot — or, when
   /// config.data_dir holds previously sealed segments for this name,
   /// re-mounted at its last persisted epoch.  Errors: invalid stream
-  /// config or monitor grid for this spec, unreadable/corrupt segments,
-  /// or a segment packed for a different machine.
+  /// config or monitor grid for this spec, or segments that are missing,
+  /// invalid, or not this machine's log in order (remount_segments).
   static Result<std::unique_ptr<Tenant>> open(std::string name, const data::MachineSpec& spec,
                                               const TenantConfig& config);
 

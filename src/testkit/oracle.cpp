@@ -522,11 +522,11 @@ void cmp_index(Differ& d, const data::LogIndex& ref, const data::LogIndex& got) 
   cmp_bits(d, "ttr", ref.ttr(), got.ttr());
   if (ref.size() == got.size()) {
     for (std::uint32_t i = 0; i < ref.size(); ++i) {
-      const auto ref_slots = ref.gpu_slots_of(i);
-      const auto got_slots = got.gpu_slots_of(i);
-      if (ref.category_of(i) != got.category_of(i) ||
+      const auto ref_slots = ref.columns().gpu_slots_of(i);
+      const auto got_slots = got.columns().gpu_slots_of(i);
+      if (ref.columns().category_of(i) != got.columns().category_of(i) ||
           !std::equal(ref_slots.begin(), ref_slots.end(), got_slots.begin(), got_slots.end()) ||
-          ref.root_locus_of(i) != got.root_locus_of(i)) {
+          ref.columns().root_locus_of(i) != got.columns().root_locus_of(i)) {
         d.fail("record[" + std::to_string(i) + "]", "category, slot or locus column differs");
         break;  // first divergence only
       }
@@ -614,8 +614,9 @@ void check_snapshot_roundtrip(Differ& d, const data::FailureLog& log,
   if (log.size() != snap.size()) return;
 
   const auto records = log.records();
+  const data::FailureLog materialized = snap.to_log();
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const data::FailureRecord got = snap.record_at(static_cast<std::uint32_t>(i));
+    const data::FailureRecord& got = materialized.records()[i];
     const auto& ref = records[i];
     const std::string p = "record[" + std::to_string(i) + "]";
     if (ref.time.seconds_since_epoch() != got.time.seconds_since_epoch() ||

@@ -64,12 +64,12 @@ TEST_P(LogIndexInvariants, RecordColumnsMatchTheRecords) {
   const LogIndex index(log);
   for (std::uint32_t i = 0; i < index.size(); ++i) {
     const FailureRecord& record = log.records()[i];
-    const auto slots = index.gpu_slots_of(i);
-    EXPECT_EQ(index.category_of(i), record.category) << "record " << i;
+    const auto slots = index.columns().gpu_slots_of(i);
+    EXPECT_EQ(index.columns().category_of(i), record.category) << "record " << i;
     EXPECT_TRUE(std::equal(slots.begin(), slots.end(), record.gpu_slots.begin(),
                            record.gpu_slots.end()))
         << "record " << i;
-    EXPECT_EQ(index.root_locus_of(i), record.root_locus) << "record " << i;
+    EXPECT_EQ(index.columns().root_locus_of(i), record.root_locus) << "record " << i;
   }
 }
 
@@ -242,7 +242,7 @@ TEST_P(LogIndexInvariants, AdoptedSnapshotMatchesTheBuiltIndex) {
   const LogIndex adopted(snapshot.value());
   expect_bit_identical(LogIndex(log), adopted);
   // Zero-copy: the record columns are the snapshot's bytes.
-  EXPECT_EQ(adopted.ttr().data(), snapshot.value()->ttr().data());
+  EXPECT_EQ(adopted.ttr().data(), snapshot.value()->columns().ttr.data());
 }
 
 INSTANTIATE_TEST_SUITE_P(BothMachines, LogIndexInvariants,

@@ -20,15 +20,20 @@ namespace tsufail::data {
 // not approximate agreement.
 inline void expect_bit_identical(const LogIndex& full, const LogIndex& merged) {
   ASSERT_EQ(full.size(), merged.size());
+  const ColumnsView& x = full.columns();
+  const ColumnsView& y = merged.columns();
   for (std::uint32_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(full.hours()[i], merged.hours()[i]) << "hours[" << i << "]";
     EXPECT_EQ(full.ttr()[i], merged.ttr()[i]) << "ttr[" << i << "]";
-    EXPECT_EQ(full.category_of(i), merged.category_of(i)) << "category[" << i << "]";
-    const auto a = full.gpu_slots_of(i);
-    const auto b = merged.gpu_slots_of(i);
+    EXPECT_EQ(x.category_of(i), y.category_of(i)) << "category[" << i << "]";
+    const auto a = x.gpu_slots_of(i);
+    const auto b = y.gpu_slots_of(i);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "slots[" << i << "]";
-    EXPECT_EQ(full.root_locus_of(i), merged.root_locus_of(i)) << "locus[" << i << "]";
+    EXPECT_EQ(x.root_locus_of(i), y.root_locus_of(i)) << "locus[" << i << "]";
   }
+  // An index keeps no times or nodes, however it was built.
+  EXPECT_TRUE(x.times.empty() && x.nodes.empty());
+  EXPECT_TRUE(y.times.empty() && y.nodes.empty());
   for (std::size_t c = 0; c <= static_cast<std::size_t>(Category::kUnknown); ++c) {
     const auto category = static_cast<Category>(c);
     const auto a = full.by_category(category);

@@ -490,8 +490,9 @@ TEST(FleetPersistence, EachSegmentHoldsExactlyTheRecordsItsEpochSealed) {
     auto segment = data::ColumnarSnapshot::open(path);
     ASSERT_TRUE(segment.ok()) << segment.error().to_string();
     ASSERT_EQ(segment.value()->size(), expected.size());
+    const data::FailureLog materialized = segment.value()->to_log();
     for (std::uint32_t i = 0; i < expected.size(); ++i) {
-      const data::FailureRecord got = segment.value()->record_at(i);
+      const data::FailureRecord& got = materialized.records()[i];
       EXPECT_EQ(got.time, expected[i].time) << "record " << i;
       EXPECT_EQ(got.node, expected[i].node) << "record " << i;
       EXPECT_EQ(got.category, expected[i].category) << "record " << i;
