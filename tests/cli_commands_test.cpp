@@ -694,6 +694,13 @@ TEST(Commands, RepairsDirectModeSchedulesALog) {
   std::remove(path.c_str());
 }
 
+TEST(Commands, ServeRefusesANegativeSlack) {
+  // Refused before anything listens: a negative slack is not raised to 0.
+  const auto result = run({"serve", "--slack-hours=-1"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find("--slack-hours must be >= 0"), std::string::npos) << result.err;
+}
+
 TEST(Commands, RepairsRejectsBadArguments) {
   EXPECT_EQ(run({"repairs", "--config", "crews=0"}).code, 1);
   EXPECT_EQ(run({"repairs", "--config", "crews=2,boost=7"}).code, 1);

@@ -218,6 +218,30 @@ TEST(ColumnarReject, WrongMagicAndVersion) {
   EXPECT_FALSE(ColumnarSnapshot::from_bytes(bad_version).ok());
 }
 
+TEST(ColumnarReject, RecordsValidateRecordRefuses) {
+  // pack_columnar does not validate, so a hand-packed snapshot may hold a
+  // record validate_record refuses; the load must refuse it too.
+  const auto log = sim::generate_log(sim::tsubame3_model(), 9).value();
+  std::vector<FailureRecord> records(log.records().begin(), log.records().end());
+  const auto refused = [&](const FailureRecord& bad, const std::string& what) {
+    std::vector<FailureRecord> edited = records;
+    edited[5] = bad;
+    EXPECT_FALSE(validate_record(bad, log.spec()).ok());
+    auto snap = ColumnarSnapshot::from_bytes(pack_columnar(log.spec(), edited));
+    ASSERT_FALSE(snap.ok()) << what;
+    EXPECT_EQ(snap.error().kind(), ErrorKind::kValidation);
+    EXPECT_NE(snap.error().to_string().find(what), std::string::npos)
+        << snap.error().to_string();
+  };
+  FailureRecord bad = records[5];
+  bad.category = Category::kBoot;  // Tsubame-2 only
+  bad.gpu_slots.clear();
+  refused(bad, "record 5 has a category outside the Tsubame-3 vocabulary");
+  bad.category = Category::kCpu;
+  bad.gpu_slots = {2};
+  refused(bad, "record 5 lists GPU slots on a non-GPU category");
+}
+
 TEST(ColumnarReject, MissingFileIsIoError) {
   auto snap = ColumnarSnapshot::open("/nonexistent/columnar.tsnap");
   ASSERT_FALSE(snap.ok());

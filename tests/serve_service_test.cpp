@@ -247,10 +247,10 @@ TEST(FleetService, WrongMachineRowIsABadRowNotAQuarantine) {
 }
 
 TEST(FleetService, SlackHoursWidenEveryWindowCheckARowMeets) {
-  // TenantConfig::slack_hours is the tenant's one window slack: the
+  // StreamConfig::slack_hours is the tenant's one window slack: the
   // stream's row validation applies it as well as the epoch merge.
   auto config = replay_service_config();
-  config.tenant.slack_hours = 48.0;
+  config.tenant.stream.slack_hours = 48.0;
   FleetService service(config);
   const data::MachineSpec spec = data::tsubame3_spec();
   ASSERT_TRUE(service.open_tenant("t3", spec).ok());
@@ -663,6 +663,63 @@ TEST(FleetPersistence, RemountRefusesARecordOutsideTheWindowAndTheSlack) {
   auto tenant = Tenant::open("t3", spec, config);
   ASSERT_TRUE(tenant.ok()) << tenant.error().to_string();
   EXPECT_EQ(tenant.value()->snapshot()->size(), 1u);
+}
+
+TEST(FleetPersistence, RemountRefusesOverlappingSegments) {
+  // Seals never write a segment that starts before the previous one ends;
+  // remount refuses such a pair instead of re-sorting it.
+  const data::MachineSpec spec = data::tsubame3_spec();
+  const auto log = generated(data::Machine::kTsubame3);
+  const auto at = [&log](std::size_t from, std::size_t to) {
+    return std::vector<data::FailureRecord>(log.records().begin() + static_cast<std::ptrdiff_t>(from),
+                                            log.records().begin() + static_cast<std::ptrdiff_t>(to));
+  };
+  // Epoch 3 repeats the second half of epoch 2.
+  const std::vector<std::vector<data::FailureRecord>> epochs = {at(0, 100), at(100, 200),
+                                                                at(150, log.size())};
+  ASSERT_LT(log.records()[150].time, log.records()[199].time);
+  TempDataDir dir("overlap");
+  write_segments(dir.path, "t3", spec, epochs);
+  auto config = replay_config();
+  config.data_dir = dir.path.string();
+  auto tenant = Tenant::open("t3", spec, config);
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_EQ(tenant.error().kind(), ErrorKind::kValidation);
+  EXPECT_NE(tenant.error().to_string().find("epoch-3.tsnap starts before the previous epoch's"),
+            std::string::npos)
+      << tenant.error().to_string();
+}
+
+TEST(FleetPersistence, RemountRefusesAMissingEpoch) {
+  const data::MachineSpec spec = data::tsubame3_spec();
+  const auto log = generated(data::Machine::kTsubame3);
+  const std::vector<data::FailureRecord> records(log.records().begin(), log.records().end());
+  TempDataDir dir("gap");
+  write_segments(dir.path, "t3", spec, cut(records, {100, 200, 250, 300}));
+  std::filesystem::remove(dir.path / "t3" / "epoch-3.tsnap");
+  std::filesystem::remove(dir.path / "t3" / "epoch-4.tsnap");
+
+  auto listed = list_segments(dir.path / "t3");
+  ASSERT_FALSE(listed.ok());
+  EXPECT_EQ(listed.error().kind(), ErrorKind::kValidation);
+  auto config = replay_service_config();
+  config.tenant.data_dir = dir.path.string();
+  auto tenant = Tenant::open("t3", spec, config.tenant);
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_EQ(tenant.error().kind(), ErrorKind::kValidation);
+  EXPECT_NE(tenant.error().to_string().find("epoch-3.tsnap is missing"), std::string::npos)
+      << tenant.error().to_string();
+  FleetService service(config);
+  EXPECT_FALSE(service.restore_tenants().ok());
+
+  // With epoch 3 back and epoch 5 gone, the same directory lists 1..4.
+  write_segments(dir.path, "t3", spec, cut(records, {100, 200, 250, 300}));
+  std::filesystem::remove(dir.path / "t3" / "epoch-5.tsnap");
+  listed = list_segments(dir.path / "t3");
+  ASSERT_TRUE(listed.ok()) << listed.error().to_string();
+  ASSERT_EQ(listed.value().size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k)
+    EXPECT_EQ(listed.value()[k].filename(), "epoch-" + std::to_string(k + 1) + ".tsnap");
 }
 
 TEST(FleetPersistence, EmptyDataDirRestoresNothing) {
