@@ -7,6 +7,12 @@
 // serve.query.seconds obs histogram), cache hit ratio, and steady-state
 // RSS as BENCH_serve.json.
 //
+// Before the fleet, a restart leg grows one Tsubame-3 tenant of 10^5
+// records (2x10^4 under --quick) in 1000-record sealed epochs under a
+// data dir, then restores it in a fresh service; it reports seal p50/p99,
+// the remount's seconds and the peak RSS so far, and exits 1 unless the
+// restored QUERY study equals the one answered before the restart.
+//
 //   $ ./bench_serve                      # 1200-tenant fleet replay
 //   $ ./bench_serve --tenants 2000
 //   $ ./bench_serve --quick              # 2 tenants + equivalence gate
@@ -22,9 +28,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -38,6 +46,7 @@
 #include "report/study_text.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "sim/generator.h"
 
 using namespace tsufail;
 
@@ -61,13 +70,14 @@ std::vector<std::string> csv_rows(const data::FailureLog& log) {
   return rows;
 }
 
-/// Resident set size in MiB from /proc/self/status (0 if unavailable).
-double rss_mib() {
+/// A /proc/self/status size field in MiB (0 if unavailable): VmRSS is
+/// the resident set now, VmHWM its peak so far.
+double status_mib(std::string_view field = "VmRSS:") {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) != 0) continue;
-    return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    if (line.rfind(field, 0) != 0) continue;
+    return std::strtod(line.c_str() + field.size(), nullptr) / 1024.0;
   }
   return 0.0;
 }
@@ -231,12 +241,92 @@ bool replay_and_check(const char* tenant, const data::FailureLog& log, FeedFn fe
   return true;
 }
 
+// --- restart leg ------------------------------------------------------
+
+struct RestartResult {
+  std::size_t records = 0;
+  std::size_t segments = 0;
+  double seal_p50_ms = 0.0;
+  double seal_p99_ms = 0.0;
+  double remount_s = 0.0;
+  bool equivalent = false;
+};
+
+std::string study_or_die(serve::FleetService& service, const std::string& tenant) {
+  auto response = service.query(tenant, "study");
+  if (!response.ok()) {
+    std::printf("FATAL: query study: %s\n", response.error().to_string().c_str());
+    std::exit(1);
+  }
+  return response.value().text;
+}
+
+RestartResult run_restart(std::size_t records) {
+  constexpr std::size_t kEpochRecords = 1000;
+  sim::MachineModel model = sim::tsubame3_model();
+  model.total_failures = records;
+  auto log = sim::generate_log(model, 11);
+  if (!log.ok()) {
+    std::printf("FATAL: generate_log: %s\n", log.error().to_string().c_str());
+    std::exit(1);
+  }
+  const std::vector<std::string> rows = csv_rows(log.value());
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("bench_serve_restart_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+
+  serve::ServiceConfig config;
+  config.tenant.stream.reorder_horizon_hours = 0.0;
+  config.tenant.per_tenant_metrics = false;
+  config.tenant.alerts = false;
+  config.tenant.data_dir = dir.string();
+  RestartResult result;
+  std::string before;
+  {
+    serve::FleetService service(config);
+    LocalDriver driver(service);
+    driver.command("OPEN restart tsubame-3");
+    std::vector<double> seal_ms;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      driver.command("EVENT restart " + rows[r], /*allow_err=*/true);
+      if ((r + 1) % kEpochRecords != 0 && r + 1 != rows.size()) continue;
+      obs::Stopwatch seal;
+      driver.command("SEAL restart");
+      seal_ms.push_back(seal.seconds() * 1e3);
+    }
+    before = study_or_die(service, "restart");
+    result.records = service.tenant_stats("restart").value().records;
+    result.segments = seal_ms.size();
+    std::sort(seal_ms.begin(), seal_ms.end());
+    result.seal_p50_ms = seal_ms[seal_ms.size() / 2];
+    result.seal_p99_ms = seal_ms[std::min(seal_ms.size() - 1, seal_ms.size() * 99 / 100)];
+  }
+  serve::FleetService restarted(config);
+  obs::Stopwatch remount;
+  auto restored = restarted.restore_tenants();
+  result.remount_s = remount.seconds();
+  if (!restored.ok() || restored.value() != 1) {
+    std::printf("FATAL: restore_tenants: %s\n",
+                restored.ok() ? "no tenant" : restored.error().to_string().c_str());
+    std::exit(1);
+  }
+  result.equivalent = study_or_die(restarted, "restart") == before;
+  std::filesystem::remove_all(dir);
+  std::printf("%s restart: %zu records in %zu segments, seal p50 %.2f ms p99 %.2f ms, "
+              "remount %.3f s\n",
+              result.equivalent ? "OK  " : "FAIL", result.records, result.segments,
+              result.seal_p50_ms, result.seal_p99_ms, result.remount_s);
+  return result;
+}
+
 // --- fleet replay -----------------------------------------------------
 
 const char* kRotatingKeys[] = {"summary", "categories", "ttr", "tbf", "node-counts"};
 
 int run_fleet(std::size_t tenants, bool quick) {
   obs::set_enabled(true);
+  const RestartResult restart = run_restart(quick ? 20000 : 100000);
+  const double restart_peak_rss = status_mib("VmHWM:");
 
   serve::ServiceConfig config;
   config.cache_capacity = 4096;
@@ -294,7 +384,7 @@ int run_fleet(std::size_t tenants, bool quick) {
                                ? static_cast<double>(cache.hits) /
                                      static_cast<double>(cache.hits + cache.misses)
                                : 0.0;
-  const double rss = rss_mib();
+  const double rss = status_mib();
 
   std::printf("\n%zu tenants, %llu events in %.2f s -> %.0f events/s\n", tenants,
               static_cast<unsigned long long>(events), wall_s,
@@ -349,9 +439,16 @@ int run_fleet(std::size_t tenants, bool quick) {
   perf.set("cache_hit_ratio", hit_ratio);
   perf.set("rss_mib", rss);
   perf.set("analyze_equivalent", static_cast<std::int64_t>(equivalent ? 1 : 0));
+  perf.set("restart_records", static_cast<std::int64_t>(restart.records));
+  perf.set("restart_segments", static_cast<std::int64_t>(restart.segments));
+  perf.set("restart_seal_p50_ms", restart.seal_p50_ms);
+  perf.set("restart_seal_p99_ms", restart.seal_p99_ms);
+  perf.set("restart_remount_s", restart.remount_s);
+  perf.set("restart_peak_rss_mib", restart_peak_rss);
+  perf.set("restart_equivalent", static_cast<std::int64_t>(restart.equivalent ? 1 : 0));
   perf.write();
 
-  return equivalent ? 0 : 1;
+  return equivalent && restart.equivalent ? 0 : 1;
 }
 
 int run_connect(const std::string& target) {
