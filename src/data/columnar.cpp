@@ -490,6 +490,9 @@ Result<void> ColumnarSnapshot::parse() {
   // even a hand-crafted snapshot memory-safe to analyze (no reference
   // through any offset can leave its section) and refuse every record
   // validate_record refuses, except by the window.
+  std::uint64_t vocabulary = 0;  // bit k: category k is the machine's
+  for (Category category : categories_for(spec_.machine))
+    vocabulary |= std::uint64_t{1} << static_cast<unsigned>(category);
   for (std::size_t i = 1; i < n; ++i)
     if (c.times[i] < c.times[i - 1])
       return Error(ErrorKind::kValidation, "snapshot times are not sorted ascending");
@@ -499,14 +502,11 @@ Result<void> ColumnarSnapshot::parse() {
                    "snapshot record " + std::to_string(i) + " names node " +
                        std::to_string(c.nodes[i]) + " outside [0, " +
                        std::to_string(spec_.node_count) + ")");
-    if (c.categories[i] >= kCategoryCount)
+    if (c.categories[i] >= kCategoryCount || (vocabulary >> c.categories[i] & 1) == 0)
       return Error(ErrorKind::kValidation,
                    "snapshot record " + std::to_string(i) + " has category byte " +
-                       std::to_string(c.categories[i]) + " outside the vocabulary");
-    if (!valid_for(c.category_of(i), spec_.machine))
-      return Error(ErrorKind::kValidation, "snapshot record " + std::to_string(i) +
-                                               " has a category outside the " + spec_.name +
-                                               " vocabulary");
+                       std::to_string(c.categories[i]) + " outside the " + spec_.name +
+                       " vocabulary");
     if (!(c.ttr[i] >= 0.0) || c.ttr[i] > 1e12)
       return Error(ErrorKind::kValidation,
                    "snapshot record " + std::to_string(i) + " has invalid TTR");

@@ -236,7 +236,7 @@ TEST(ColumnarReject, RecordsValidateRecordRefuses) {
   FailureRecord bad = records[5];
   bad.category = Category::kBoot;  // Tsubame-2 only
   bad.gpu_slots.clear();
-  refused(bad, "record 5 has a category outside the Tsubame-3 vocabulary");
+  refused(bad, "record 5 has category byte 0 outside the Tsubame-3 vocabulary");
   bad.category = Category::kCpu;
   bad.gpu_slots = {2};
   refused(bad, "record 5 lists GPU slots on a non-GPU category");
