@@ -670,14 +670,15 @@ TEST(FleetPersistence, RemountRefusesOverlappingSegments) {
   // remount refuses such a pair instead of re-sorting it.
   const data::MachineSpec spec = data::tsubame3_spec();
   const auto log = generated(data::Machine::kTsubame3);
-  const auto at = [&log](std::size_t from, std::size_t to) {
-    return std::vector<data::FailureRecord>(log.records().begin() + static_cast<std::ptrdiff_t>(from),
-                                            log.records().begin() + static_cast<std::ptrdiff_t>(to));
+  const auto records = log.records();
+  const auto at = [&records](std::size_t from, std::size_t to) {
+    return std::vector<data::FailureRecord>(records.begin() + static_cast<std::ptrdiff_t>(from),
+                                            records.begin() + static_cast<std::ptrdiff_t>(to));
   };
   // Epoch 3 repeats the second half of epoch 2.
   const std::vector<std::vector<data::FailureRecord>> epochs = {at(0, 100), at(100, 200),
                                                                 at(150, log.size())};
-  ASSERT_LT(log.records()[150].time, log.records()[199].time);
+  ASSERT_LT(records[150].time, records[199].time);
   TempDataDir dir("overlap");
   write_segments(dir.path, "t3", spec, epochs);
   auto config = replay_config();
