@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 namespace tsufail::data {
 
@@ -26,19 +25,15 @@ Result<void> validate_record(const FailureRecord& record, const MachineSpec& spe
                  "failure time " + format_time(record.time) + " outside the log window " +
                      format_date(spec.log_start) + " .. " + format_date(spec.log_end));
 
-  // Pairwise scans of the few slots, reporting what a sorted scan would.
-  const std::vector<int>& slots = record.gpu_slots;
-  for (auto slot = slots.begin(); slot != slots.end(); ++slot)
-    if (std::find(slot + 1, slots.end(), *slot) != slots.end())
-      return Error(ErrorKind::kValidation, "duplicate GPU slot in record");
-  std::optional<int> outside;
-  for (int slot : slots)
-    if ((slot < 0 || slot >= spec.gpus_per_node) && (!outside.has_value() || slot < *outside))
-      outside = slot;
-  if (outside.has_value())
-    return Error(ErrorKind::kValidation, "GPU slot " + std::to_string(*outside) +
-                                             " outside [0, " +
-                                             std::to_string(spec.gpus_per_node) + ")");
+  std::vector<int> slots = record.gpu_slots;
+  std::sort(slots.begin(), slots.end());
+  if (std::adjacent_find(slots.begin(), slots.end()) != slots.end())
+    return Error(ErrorKind::kValidation, "duplicate GPU slot in record");
+  for (int slot : slots) {
+    if (slot < 0 || slot >= spec.gpus_per_node)
+      return Error(ErrorKind::kValidation, "GPU slot " + std::to_string(slot) + " outside [0, " +
+                                               std::to_string(spec.gpus_per_node) + ")");
+  }
   if (!record.gpu_slots.empty() && !record.gpu_related())
     return Error(ErrorKind::kValidation,
                  "GPU slots listed on a non-GPU-related category '" +
