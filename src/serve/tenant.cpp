@@ -1,6 +1,5 @@
 #include "serve/tenant.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <filesystem>
@@ -125,14 +124,10 @@ Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::Machi
   if (name.empty() || name.find_first_of(" \t\r\n\x1f/\\") != std::string::npos)
     return Error(ErrorKind::kValidation,
                  "tenant name must be non-empty and contain no whitespace or path separators");
-  // One window slack for every check a row meets: the stream's
-  // validation, the epoch merge and the remount.
-  TenantConfig resolved = config;
-  resolved.stream.slack_hours = std::max(config.slack_hours, config.stream.slack_hours);
-  auto events = stream::EventStream::create(spec, resolved.stream);
+  auto events = stream::EventStream::create(spec, config.stream);
   if (!events.ok()) return events.error().with_context("tenant '" + name + "'");
 
-  std::unique_ptr<Tenant> tenant(new Tenant(std::move(name), spec, resolved));
+  std::unique_ptr<Tenant> tenant(new Tenant(std::move(name), spec, config));
   tenant->events_.emplace(std::move(events).value());
 
   if (config.alerts) {

@@ -40,11 +40,10 @@ namespace tsufail::serve {
 
 struct TenantConfig {
   stream::StreamConfig stream;
-  /// Deprecated spelling of stream.slack_hours, the tenant's one window
-  /// slack (the stream's validation, the epoch merge and the remount);
-  /// open() folds in the larger of the two.  It stays only while the
-  /// perfbench harness still reads it.
-  double slack_hours = 0.0;
+  /// Not a setting: stream.slack_hours is the tenant's one window slack
+  /// (the stream's validation, the epoch merge and the remount).  This
+  /// constant stays only while the perfbench harness still reads it.
+  static constexpr double slack_hours = 0.0;
   /// Seal automatically once this many released records are waiting
   /// (0 = epochs are sealed only by an explicit seal call).
   std::uint64_t auto_epoch_events = 0;
