@@ -62,6 +62,12 @@ obs::Counter& segments_mounted() {
   return c;
 }
 
+/// "machine 'Tsubame-3' (540 nodes x 4 GPUs)": what a segment must match.
+std::string describe(const data::MachineSpec& spec) {
+  return "machine '" + spec.name + "' (" + std::to_string(spec.node_count) + " nodes x " +
+         std::to_string(spec.gpus_per_node) + " GPUs)";
+}
+
 }  // namespace
 
 std::optional<std::uint64_t> segment_epoch(const std::string& filename) {
@@ -183,8 +189,8 @@ Result<std::uint64_t> Tenant::remount_segments() {
     if (packed.machine != spec_.machine || packed.node_count != spec_.node_count ||
         packed.gpus_per_node != spec_.gpus_per_node)
       return Error(ErrorKind::kValidation,
-                   "segment " + path.string() + " was packed for machine '" + packed.name +
-                       "', not the tenant's '" + spec_.name + "'");
+                   "segment " + path.string() + " was packed for " + describe(packed) +
+                       ", not the tenant's " + describe(spec_));
     const auto times = segment.value()->columns().times;
     if (!times.empty()) {
       const TimePoint front(times.front());

@@ -665,6 +665,28 @@ TEST(FleetPersistence, RemountRefusesARecordOutsideTheWindowAndTheSlack) {
   EXPECT_EQ(tenant.value()->snapshot()->size(), 1u);
 }
 
+TEST(FleetPersistence, RemountNamesBothGeometriesOfAMismatchedSegment) {
+  // Same machine and name, one more node and GPU: the refusal must show
+  // what differs, not two equal machine names.
+  const data::MachineSpec spec = data::tsubame3_spec();
+  data::MachineSpec packed = spec;
+  ++packed.node_count;
+  ++packed.gpus_per_node;
+  TempDataDir dir("geometry");
+  write_segments(dir.path, "t3", packed, {{}});
+  auto config = replay_config();
+  config.data_dir = dir.path.string();
+  auto tenant = Tenant::open("t3", spec, config);
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_EQ(tenant.error().kind(), ErrorKind::kValidation);
+  const std::string message = tenant.error().to_string();
+  for (const data::MachineSpec& side : {packed, spec})
+    EXPECT_NE(message.find("(" + std::to_string(side.node_count) + " nodes x " +
+                           std::to_string(side.gpus_per_node) + " GPUs)"),
+              std::string::npos)
+        << message;
+}
+
 TEST(FleetPersistence, RemountRefusesOverlappingSegments) {
   // Seals never write a segment that starts before the previous one ends;
   // remount refuses such a pair instead of re-sorting it.
