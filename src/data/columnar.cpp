@@ -189,23 +189,22 @@ RecordColumns::RecordColumns(std::span<const ColumnsView> views,
   reserve(slot_data, &ColumnsView::slot_data, 0);
   reserve(locus_offsets, &ColumnsView::categories, records.size() + 1);
   reserve(locus_data, &ColumnsView::locus_data, 0);
-  // A view's CSR offsets start at 0: append the rest rebased onto the data
-  // so far, which for the first view (an extend's base) is a bulk copy.
+  // A view's CSR offsets start at 0: append its records' end offsets rebased
+  // onto the data so far, which for the first view (an extend's base) is a copy.
   const auto append_offsets = [](std::vector<std::uint32_t>& out,
-                                 std::span<const std::uint32_t> offsets, std::size_t base) {
+                                 std::span<const std::uint32_t> ends, std::size_t base) {
     const std::size_t from = out.size();
-    out.insert(out.end(), offsets.begin() + 1, offsets.end());
+    out.insert(out.end(), ends.begin(), ends.end());
     if (base != 0)
       for (std::size_t i = from; i < out.size(); ++i) out[i] += static_cast<std::uint32_t>(base);
   };
   for (const ColumnsView& view : views) {
-    if (view.size() == 0) continue;  // a default view has no offsets at all
     times.insert(times.end(), view.times.begin(), view.times.end());
     nodes.insert(nodes.end(), view.nodes.begin(), view.nodes.end());
     categories.insert(categories.end(), view.categories.begin(), view.categories.end());
     ttr.insert(ttr.end(), view.ttr.begin(), view.ttr.end());
-    append_offsets(slot_offsets, view.slot_offsets, slot_data.size());
-    append_offsets(locus_offsets, view.locus_offsets, locus_data.size());
+    append_offsets(slot_offsets, view.slot_offsets.last(view.size()), slot_data.size());
+    append_offsets(locus_offsets, view.locus_offsets.last(view.size()), locus_data.size());
     slot_data.insert(slot_data.end(), view.slot_data.begin(), view.slot_data.end());
     locus_data.append(view.locus_data);
   }
