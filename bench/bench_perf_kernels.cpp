@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/fit.h"
@@ -74,16 +75,23 @@ BENCHMARK(BM_RadixSort)->ArgsProduct(kSortArgs);
 BENCHMARK(BM_SortAscending)->ArgsProduct(kSortArgs);
 
 void BM_SelectFamily(benchmark::State& state) {
-  // The positive, ascending sample the TBF/TTR analyses hand over.
-  auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
+  // The positive, ascending sample the TBF/TTR analyses hand over: the
+  // suffix past any zeros.
+  auto sample = sort_input(state);
   stats::sort_ascending(sample);
+  const std::span<const double> positive(
+      std::upper_bound(sample.begin(), sample.end(), 0.0), sample.end());
   for (auto _ : state) {
-    auto choice = stats::select_family(sample);
+    auto choice = stats::select_family(positive);
     benchmark::DoNotOptimize(choice);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SelectFamily)->Range(1 << 10, 1 << 20)->Unit(benchmark::kMillisecond);
+// From paper scale (2^9; the presets' samples hold under ~900 values) to
+// the 10^6-record log's.
+BENCHMARK(BM_SelectFamily)
+    ->ArgsProduct({{1 << 9, 1 << 10, 1 << 12, 1 << 15, 1 << 18, 1 << 20}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

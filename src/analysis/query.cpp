@@ -48,13 +48,14 @@ Result<std::string> query_summary(const data::LogIndex& index) {
   kv(out, "machine", index.spec().name);
   kv(out, "failures", index.size());
   kv(out, "window_hours", index.spec().window_hours());
-  auto tbf = analyze_tbf(index);
+  // No fragment prints a best-fit family, so none is fitted.
+  auto tbf = analyze_tbf(index, /*fit_family=*/false);
   if (tbf.ok()) {
     kv(out, "mtbf_hours", tbf.value().exposure_mtbf_hours);
   } else {
     kv(out, "mtbf_hours", "undefined (" + tbf.error().message() + ")");
   }
-  auto ttr = analyze_ttr(index);
+  auto ttr = analyze_ttr(index, /*fit_family=*/false);
   if (ttr.ok()) kv(out, "mttr_hours", ttr.value().mttr_hours);
   auto nodes = analyze_node_counts(index);
   if (nodes.ok()) {
@@ -123,7 +124,7 @@ Result<std::string> query_multi_gpu(const data::LogIndex& index) {
 }
 
 Result<std::string> query_tbf(const data::LogIndex& index) {
-  auto tbf = analyze_tbf(index);
+  auto tbf = analyze_tbf(index, /*fit_family=*/false);
   if (!tbf.ok()) return tbf.error();
   std::string out;
   kv(out, "mtbf_hours", tbf.value().mtbf_hours);
@@ -159,7 +160,7 @@ Result<std::string> query_clustering(const data::LogIndex& index) {
 }
 
 Result<std::string> query_ttr(const data::LogIndex& index) {
-  auto ttr = analyze_ttr(index);
+  auto ttr = analyze_ttr(index, /*fit_family=*/false);
   if (!ttr.ok()) return ttr.error();
   std::string out;
   kv(out, "mttr_hours", ttr.value().mttr_hours);

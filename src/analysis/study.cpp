@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <numeric>
+#include <optional>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -77,11 +81,29 @@ Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& o
        [&] { return fill(analyze_perf_error_prop(index), report.perf_error_prop); }},
   };
 
-  const auto errors = parallel_for(
-      std::size(tasks), options.jobs, [] { return 0; }, [&tasks](int, std::size_t t) {
-        obs::SpanScope span(task_span_name(tasks[t].name));
-        return tasks[t].run();
+  // Workers claim the longest tasks first, so on a large log the pool
+  // does not wait on one claimed late, and the calling thread runs the
+  // longest itself; the rest follow in registration order.  Results are
+  // indexed by task, so the order changes no output.
+  static constexpr std::string_view kLongestFirst[] = {
+      "ttr", "tbf", "seasonal", "software_loci", "ttr_by_category", "tbf_by_category"};
+  const auto rank = [&tasks](std::size_t t) {
+    return std::find(std::begin(kLongestFirst), std::end(kLongestFirst), tasks[t].name) -
+           std::begin(kLongestFirst);
+  };
+  std::vector<std::size_t> claim_order(std::size(tasks));
+  std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&rank](std::size_t a, std::size_t b) { return rank(a) < rank(b); });
+
+  auto claimed = parallel_for(
+      std::size(tasks), options.jobs, [] { return 0; }, [&](int, std::size_t c) {
+        const auto& task = tasks[claim_order[c]];
+        obs::SpanScope span(task_span_name(task.name));
+        return task.run();
       });
+  std::vector<std::optional<Error>> errors(std::size(tasks));
+  for (std::size_t c = 0; c < claimed.size(); ++c) errors[claim_order[c]] = std::move(claimed[c]);
   tasks_run.add(std::size(tasks));
   tasks_failed.add(static_cast<std::uint64_t>(
       std::count_if(errors.begin(), errors.end(), [](const auto& e) { return e.has_value(); })));

@@ -1,5 +1,6 @@
 #include "data/legacy_import.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -145,9 +146,11 @@ Result<ReadReport> import_legacy_v1(std::string_view text, ReadPolicy policy) {
   if (records.empty())
     return Error(ErrorKind::kValidation, "legacy log contains no parsable data lines");
 
-  auto log = FailureLog::create(spec, std::move(records), /*slack_hours=*/24.0 * 14);
-  if (!log.ok()) return log.error();
-  return ReadReport{std::move(log.value()), std::move(row_errors)};
+  // Every kept line was validated as it loaded: sort the records stably
+  // by time only if they need it, as create() would, and adopt them.
+  if (!std::ranges::is_sorted(records, {}, &FailureRecord::time))
+    std::ranges::stable_sort(records, {}, &FailureRecord::time);
+  return ReadReport{FailureLog::from_sorted(spec, std::move(records)), std::move(row_errors)};
 }
 
 Result<ReadReport> import_legacy_v1_file(const std::string& path, ReadPolicy policy) {

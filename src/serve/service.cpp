@@ -89,6 +89,12 @@ Result<void> FleetService::open_tenant(const std::string& name, const data::Mach
 
 Result<void> FleetService::open_tenant(const std::string& name, const data::MachineSpec& spec,
                                        const TenantConfig& config) {
+  return open_tenant(name, spec, config, std::nullopt);
+}
+
+Result<void> FleetService::open_tenant(const std::string& name, const data::MachineSpec& spec,
+                                       const TenantConfig& config,
+                                       std::optional<std::vector<Segment>> segments) {
   TenantConfig effective = config;
   bool metered = effective.per_tenant_metrics;
   {
@@ -102,7 +108,7 @@ Result<void> FleetService::open_tenant(const std::string& name, const data::Mach
       dropped_series().add(kSeriesPerTenant);
     }
   }
-  auto tenant = Tenant::open(name, spec, effective);
+  auto tenant = Tenant::open(name, spec, effective, std::move(segments));
   if (!tenant.ok()) return tenant.error().with_context("open tenant");
   // The callback outlives nothing: tenants are owned by (and die with)
   // this service, and QueryCache is internally synchronized.
@@ -152,13 +158,13 @@ Result<std::size_t> FleetService::restore_tenants() {
   for (const auto& name : names) {
     if (find(name) != nullptr) continue;
     // The newest segment carries the tenant's machine spec; directories
-    // with no segments are not tenants and are skipped.
-    auto segments = list_segments(root / name);
+    // with no segments are not tenants and are skipped.  The tenant
+    // re-mounts the segments opened here, so each is opened once.
+    auto segments = open_segments(root / name);
     if (!segments.ok()) return segments.error().with_context("restore tenant '" + name + "'");
     if (segments.value().empty()) continue;
-    auto segment = data::ColumnarSnapshot::open(segments.value().back().string());
-    if (!segment.ok()) return segment.error().with_context("restore tenant '" + name + "'");
-    auto opened = open_tenant(name, segment.value()->spec());
+    const data::MachineSpec spec = segments.value().back().snapshot->spec();
+    auto opened = open_tenant(name, spec, config_.tenant, std::move(segments).value());
     if (!opened.ok()) return opened.error().with_context("restore tenant '" + name + "'");
     ++restored;
   }

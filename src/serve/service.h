@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -131,6 +132,11 @@ class FleetService {
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:
+  /// open_tenant(), the tenant re-mounting `segments` when given (see
+  /// Tenant::open).
+  Result<void> open_tenant(const std::string& name, const data::MachineSpec& spec,
+                           const TenantConfig& config,
+                           std::optional<std::vector<Segment>> segments);
   Tenant* find(const std::string& name) const;
 
   ServiceConfig config_;

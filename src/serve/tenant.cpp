@@ -109,6 +109,18 @@ Result<std::vector<std::filesystem::path>> list_segments(const std::filesystem::
   return paths;
 }
 
+Result<std::vector<Segment>> open_segments(const std::filesystem::path& dir) {
+  auto paths = list_segments(dir);
+  if (!paths.ok()) return paths.error();
+  std::vector<Segment> segments;
+  for (std::filesystem::path& path : paths.value()) {
+    auto snapshot = data::ColumnarSnapshot::open(path.string());
+    if (!snapshot.ok()) return snapshot.error();
+    segments.push_back({std::move(path), std::move(snapshot).value()});
+  }
+  return segments;
+}
+
 Tenant::Tenant(std::string name, data::MachineSpec spec, const TenantConfig& config)
     : name_(std::move(name)), spec_(std::move(spec)), config_(config) {
   if (config_.per_tenant_metrics) {
@@ -125,6 +137,12 @@ Tenant::Tenant(std::string name, data::MachineSpec spec, const TenantConfig& con
 
 Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::MachineSpec& spec,
                                              const TenantConfig& config) {
+  return open(std::move(name), spec, config, std::nullopt);
+}
+
+Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::MachineSpec& spec,
+                                             const TenantConfig& config,
+                                             std::optional<std::vector<Segment>> segments) {
   // '/' and '\\' are rejected because the name doubles as the segment
   // directory name under data_dir.
   if (name.empty() || name.find_first_of(" \t\r\n\x1f/\\") != std::string::npos)
@@ -149,7 +167,7 @@ Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::Machi
   tenant->snapshot_ = data::LogSnapshot::build(data::LogIndex(spec, data::RecordColumns()), 0);
 
   if (!config.data_dir.empty()) {
-    auto restored = tenant->remount_segments();
+    auto restored = tenant->remount_segments(std::move(segments));
     if (!restored.ok())
       return restored.error().with_context("remount tenant '" + tenant->name_ + "'");
   }
@@ -161,7 +179,7 @@ Result<std::unique_ptr<Tenant>> Tenant::open(std::string name, const data::Machi
   return tenant;
 }
 
-Result<std::uint64_t> Tenant::remount_segments() {
+Result<std::uint64_t> Tenant::remount_segments(std::optional<std::vector<Segment>> segments) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(config_.data_dir) / name_;
   std::error_code ec;
@@ -170,9 +188,12 @@ Result<std::uint64_t> Tenant::remount_segments() {
     return Error(ErrorKind::kIo, "cannot create segment directory " + dir.string() + ": " +
                                      ec.message());
 
-  auto paths = list_segments(dir);
-  if (!paths.ok()) return paths.error();
-  if (paths.value().empty()) return 0;
+  if (!segments.has_value()) {
+    auto opened = open_segments(dir);
+    if (!opened.ok()) return opened.error();
+    segments = std::move(opened).value();
+  }
+  if (segments->empty()) return 0;
 
   // A load checks every record but against the window, and times ascend
   // in each segment, so its first and last times settle the window (with
@@ -180,18 +201,15 @@ Result<std::uint64_t> Tenant::remount_segments() {
   const TimePoint earliest = spec_.log_start.plus_hours(-config_.stream.slack_hours);
   const TimePoint latest = spec_.log_end.plus_hours(config_.stream.slack_hours);
   std::int64_t last = earliest.seconds_since_epoch();
-  std::vector<data::ColumnarSnapshotPtr> segments;
   std::vector<data::ColumnsView> views;
-  for (const fs::path& path : paths.value()) {
-    auto segment = data::ColumnarSnapshot::open(path.string());
-    if (!segment.ok()) return segment.error();
-    const data::MachineSpec& packed = segment.value()->spec();
+  for (const auto& [path, segment] : *segments) {
+    const data::MachineSpec& packed = segment->spec();
     if (packed.machine != spec_.machine || packed.node_count != spec_.node_count ||
         packed.gpus_per_node != spec_.gpus_per_node)
       return Error(ErrorKind::kValidation,
                    "segment " + path.string() + " was packed for " + describe(packed) +
                        ", not the tenant's " + describe(spec_));
-    const auto times = segment.value()->columns().times;
+    const auto times = segment->columns().times;
     if (!times.empty()) {
       const TimePoint front(times.front());
       const TimePoint back(times.back());
@@ -204,8 +222,7 @@ Result<std::uint64_t> Tenant::remount_segments() {
                                                  " starts before the previous epoch's last record");
       last = times.back();
     }
-    views.push_back(segment.value()->columns());
-    segments.push_back(std::move(segment).value());
+    views.push_back(segment->columns());
     segments_mounted().add();
   }
   snapshot_ = data::LogSnapshot::build(data::LogIndex(spec_, data::RecordColumns(views, {})),

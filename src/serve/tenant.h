@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "data/columnar.h"
 #include "data/snapshot.h"
 #include "obs/metrics.h"
 #include "stream/alerts.h"
@@ -72,6 +73,17 @@ std::optional<std::uint64_t> segment_epoch(const std::string& filename);
 /// epoch-<k+1>.tsnap; other names are ignored).  Errors: kIo (unlistable),
 /// kValidation naming the first missing epoch when they are not 1..N.
 Result<std::vector<std::filesystem::path>> list_segments(const std::filesystem::path& dir);
+
+/// One persisted segment, opened: its file and its loaded snapshot.
+struct Segment {
+  std::filesystem::path path;
+  data::ColumnarSnapshotPtr snapshot;
+};
+
+/// list_segments(dir) with each segment opened (and fully checked) once,
+/// in epoch order.  Errors: as list_segments, or the first segment that
+/// does not load.
+Result<std::vector<Segment>> open_segments(const std::filesystem::path& dir);
 
 /// One tenant's counters, consistent at a point in time.
 struct TenantStats {
@@ -132,13 +144,22 @@ class Tenant {
   }
 
  private:
+  friend class FleetService;
+
   Tenant(std::string name, data::MachineSpec spec, const TenantConfig& config);
+
+  /// open(), re-mounting `segments` when given: the open_segments of this
+  /// tenant's directory that a restart read the spec from.
+  static Result<std::unique_ptr<Tenant>> open(std::string name, const data::MachineSpec& spec,
+                                              const TenantConfig& config,
+                                              std::optional<std::vector<Segment>> segments);
 
   void consume_released();  ///< drains the stream; caller holds ingest_mutex_
 
   /// Re-mounts every epoch segment under data_dir (ascending epoch) into
-  /// the starting snapshot.  Returns the restored epoch (0 = none).
-  Result<std::uint64_t> remount_segments();
+  /// the starting snapshot: `segments` when given, else the directory's
+  /// own.  Returns the restored epoch (0 = none).
+  Result<std::uint64_t> remount_segments(std::optional<std::vector<Segment>> segments);
   /// Persists `suffix` (the records epoch `epoch` added) as a segment.
   Result<void> persist_segment(std::uint64_t epoch,
                                std::span<const data::FailureRecord> suffix) const;

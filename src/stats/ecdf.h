@@ -64,13 +64,16 @@ double ks_statistic(const Ecdf& a, const Ecdf& b);
 /// stop_at but not the full statistic, which is all a caller comparing
 /// candidates against the best distance so far needs.  The running
 /// maximum never falls, so a result below stop_at is always exact.
+/// Repeats sit side by side in a sorted sample, so `cdf` runs once per
+/// run of equal values; the maximum still visits every rank.
 template <typename Cdf>
 double ks_statistic_against_sorted(std::span<const double> sorted, Cdf&& cdf,
                                    double stop_at = std::numeric_limits<double>::infinity()) {
   const auto n = static_cast<double>(sorted.size());
   double worst = 0.0;
+  double model = 0.0;
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const double model = cdf(sorted[i]);
+    if (i == 0 || sorted[i] != sorted[i - 1]) model = cdf(sorted[i]);
     const double before = static_cast<double>(i) / n;
     const double after = static_cast<double>(i + 1) / n;
     worst = std::max({worst, std::abs(model - before), std::abs(model - after)});

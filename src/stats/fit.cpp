@@ -1,9 +1,12 @@
 #include "stats/fit.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <numeric>
+#include <variant>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -31,13 +34,19 @@ struct LogMoments {
   RunningStats stats;
 };
 
+// The loops below evaluate a transcendental only where a value differs
+// from the one before it in sample order, which catches every repeat of
+// a sorted sample (the TBF/TTR analyses fit sorted samples of whole-second
+// gaps and 4-decimal repair times).  Each sum, Welford add and maximum
+// still takes every observation in order, so every result keeps its bits.
+
 /// Errors: as check_positive, in `who`'s name.
 Result<LogMoments> log_moments(std::span<const double> sample, const char* who) {
   if (auto ok = check_positive(sample, who); !ok.ok()) return ok.error();
   LogMoments m;
   m.logs.resize(sample.size());
   for (std::size_t i = 0; i < sample.size(); ++i) {
-    m.logs[i] = std::log(sample[i]);
+    m.logs[i] = i > 0 && sample[i] == sample[i - 1] ? m.logs[i - 1] : std::log(sample[i]);
     m.stats.add(m.logs[i]);
   }
   return m;
@@ -72,11 +81,16 @@ Result<Weibull> weibull_from(std::span<const double> sample, const LogMoments& m
 
   const auto g_and_slope = [&](double k, double& g, double& slope) {
     double s0 = 0.0, s1 = 0.0, s2 = 0.0;
+    double w = 0.0, w_log = 0.0, w_log2 = 0.0;
     for (std::size_t i = 0; i < sample.size(); ++i) {
-      const double w = std::exp(k * (logs[i] - max_log));
+      if (i == 0 || logs[i] != logs[i - 1]) {
+        w = std::exp(k * (logs[i] - max_log));
+        w_log = w * logs[i];
+        w_log2 = w_log * logs[i];
+      }
       s0 += w;
-      s1 += w * logs[i];
-      s2 += w * logs[i] * logs[i];
+      s1 += w_log;
+      s2 += w_log2;
     }
     const double r1 = s1 / s0;
     const double r2 = s2 / s0;
@@ -106,8 +120,11 @@ Result<Weibull> weibull_from(std::span<const double> sample, const LogMoments& m
   if (!converged || !std::isfinite(k) || k <= 0.0)
     return Error(ErrorKind::kDomain, "fit_weibull: shape estimation did not converge");
 
-  double sum_pow = 0.0;
-  for (double x : sample) sum_pow += std::pow(x, k);
+  double sum_pow = 0.0, x_k = 0.0;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    if (i == 0 || sample[i] != sample[i - 1]) x_k = std::pow(sample[i], k);
+    sum_pow += x_k;
+  }
   const double scale = std::pow(sum_pow / static_cast<double>(sample.size()), 1.0 / k);
   return Weibull{k, scale};
 }
@@ -143,6 +160,18 @@ Result<Gamma> gamma_from(std::span<const double> sample, const LogMoments& m) {
   }
   return Gamma{k, raw.mean() / k};
 }
+
+/// The points select_family ranks the fitted families on before its full
+/// scans: an evenly strided subsample of the sorted sample.
+constexpr std::size_t kRankingPoints = 64;
+
+/// A fitted family's CDF, as select_family's scans call it.  The gamma's
+/// evaluates ln Gamma(shape) once per scan, not once per point.
+template <typename Distribution>
+auto cdf_of(const Distribution& d) {
+  return [&d](double x) { return d.cdf(x); };
+}
+GammaCdf cdf_of(const Gamma& d) { return GammaCdf(d); }
 
 }  // namespace
 
@@ -221,37 +250,59 @@ Result<FamilyChoice> select_family(std::span<const double> sample) {
   std::vector<double> storage;
   const auto sorted = ascending_view(sample, storage);
 
-  FamilyChoice best;
-  best.ks_distance = 2.0;  // above any possible KS distance
-  bool any = false;
-
-  // A scan stops once it reaches the best distance so far: that family
-  // already cannot win (it must be strictly closer; ties keep the earlier
-  // family), and only the winner's distance is reported.
-  const auto consider = [&](Family family, const auto& cdf) {
-    const double d = ks_statistic_against_sorted(sorted, cdf, best.ks_distance);
-    if (d < best.ks_distance) {
-      best.family = family;
-      best.ks_distance = d;
-    }
-    any = true;
-  };
-
-  if (const auto fit = fit_exponential(sample); fit.ok())
-    consider(Family::kExponential, [&](double x) { return fit.value().cdf(x); });
-  // One log pass serves the three fits that need it; a sample it rejects
-  // (a zero, a negative, a non-finite value) fits none of them.
+  // Every family that fits, in the fixed order (a Family's value is its
+  // alternative's index).  One log pass serves the three fits that need
+  // it; a sample it rejects (a zero, a negative, a non-finite value) fits
+  // none of them.
+  std::vector<std::variant<Exponential, Weibull, LogNormal, Gamma>> fits;
+  if (const auto fit = fit_exponential(sample); fit.ok()) fits.emplace_back(fit.value());
   if (const auto logs = log_moments(sample, "select_family"); logs.ok()) {
     if (const auto fit = weibull_from(sample, logs.value()); fit.ok())
-      consider(Family::kWeibull, [&](double x) { return fit.value().cdf(x); });
-    const LogNormal lognormal = lognormal_from(logs.value());
-    consider(Family::kLogNormal, [&](double x) { return lognormal.cdf(x); });
-    if (const auto fit = gamma_from(sample, logs.value()); fit.ok())
-      consider(Family::kGamma, GammaCdf(fit.value()));
+      fits.emplace_back(fit.value());
+    fits.emplace_back(lognormal_from(logs.value()));
+    if (const auto fit = gamma_from(sample, logs.value()); fit.ok()) fits.emplace_back(fit.value());
+  }
+  if (fits.empty())
+    return Error(ErrorKind::kDomain, "select_family: no family could be fitted");
+
+  const auto ks = [](const auto& fit, std::span<const double> points, double stop_at) {
+    return std::visit(
+        [&](const auto& d) { return ks_statistic_against_sorted(points, cdf_of(d), stop_at); },
+        fit);
+  };
+
+  // Scan the likely winner first: rank the fits by their distance on an
+  // evenly strided subsample, so the losers' full scans meet a small best
+  // distance early and stop.
+  std::vector<std::size_t> order(fits.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (sorted.size() > kRankingPoints) {
+    std::array<double, kRankingPoints> points;
+    for (std::size_t i = 0; i < kRankingPoints; ++i)
+      points[i] = sorted[i * sorted.size() / kRankingPoints];
+    std::array<double, 4> rough;
+    for (const std::size_t f : order)
+      rough[f] = ks(fits[f], points, std::numeric_limits<double>::infinity());
+    std::stable_sort(order.begin(), order.end(),
+                     [&rough](std::size_t a, std::size_t b) { return rough[a] < rough[b]; });
   }
 
-  if (!any)
-    return Error(ErrorKind::kDomain, "select_family: no family could be fitted");
+  // The winner is the closest family, ties going to the earlier one in
+  // the fixed order.  A scan stops once it cannot win: at the best
+  // distance so far for a family after the best (it must be strictly
+  // closer), just above it for one before (an equal distance wins).  So
+  // only losing scans stop early, and the winner's distance is exact.
+  // Until a family is accepted, best.family is the exponential, which no
+  // family precedes.
+  FamilyChoice best;
+  best.ks_distance = 2.0;  // above any possible KS distance
+  for (const std::size_t f : order) {
+    const auto family = static_cast<Family>(fits[f].index());
+    const bool before_best = family < best.family;
+    const double stop_at = before_best ? std::nextafter(best.ks_distance, 2.0) : best.ks_distance;
+    const double d = ks(fits[f], sorted, stop_at);
+    if (d < best.ks_distance || (before_best && d == best.ks_distance)) best = {family, d};
+  }
   return best;
 }
 

@@ -10,9 +10,12 @@
 //   * the calling thread is always one of the workers, so one worker runs
 //     inline and starts no thread.
 //
-// Workers claim indices in ascending order off one cursor.  Results come
-// back indexed by item, so callers assemble them in a fixed order
-// whatever the scheduling, and no exception ever leaves a worker thread.
+// Workers claim indices in ascending order off one cursor, and the
+// calling thread always runs index 0: a caller that orders its items
+// longest first runs the longest one itself instead of waiting on the
+// worker that claimed it.  Results come back indexed by item, so callers
+// assemble them in a fixed order whatever the scheduling, and no
+// exception ever leaves a worker thread.
 #pragma once
 
 #include <atomic>
@@ -21,6 +24,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.h"
@@ -48,10 +52,12 @@ template <typename MakeState, typename Body>
 std::vector<std::optional<Error>> parallel_for(std::size_t count, std::size_t jobs,
                                                const MakeState& make_state, const Body& body) {
   std::vector<std::optional<Error>> errors(count);
-  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> next{1};  // index 0 is the calling thread's
+  const std::thread::id caller = std::this_thread::get_id();
   detail::run_workers(worker_count(count, jobs), [&] {
     auto state = make_state();
-    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+    for (std::size_t i = std::this_thread::get_id() == caller ? 0 : next.fetch_add(1); i < count;
+         i = next.fetch_add(1)) {
       try {
         if (Result<void> result = body(state, i); !result.ok()) errors[i] = result.error();
       } catch (const std::exception& e) {

@@ -78,6 +78,60 @@ TEST(LegacyImport, StrictFailsOnFirstBadLine) {
   EXPECT_NE(report.error().message().find("line 3"), std::string::npos);
 }
 
+TEST(LegacyImport, ValidationKeepsRowErrorsAndRecordsUnderBothPolicies) {
+  // Out of time order; one repair inside the two weeks' slack past the
+  // window end (2020-02-22), one failure past it, one CPU record listing a
+  // GPU slot, and a GPU failure at the same minute as an earlier line.
+  const std::string good_lines =
+      "10/06/2018;08:00;r00n00;Software;0.50;-;gpu driver problem\n"
+      "09/06/2018;13:45;r02n11;GPU;1.25;G0+G3\n"
+      "06/03/2020;12:00;r01n01;CPU;0.25;-\n";
+  const std::string bad_lines =
+      "08/03/2020;12:00;r01n02;CPU;0.25;-\n"
+      "09/06/2018;13:45;r03n00;CPU;1.00;G1\n";
+  const std::string text = "#legacy-v1 Tsubame-3\n" + good_lines + bad_lines +
+                           "09/06/2018;13:45;r04n00;GPU;2.00;G1\n";
+
+  auto lenient = import_legacy_v1(text, ReadPolicy::kLenient);
+  ASSERT_TRUE(lenient.ok()) << lenient.error().to_string();
+  const auto& errors = lenient.value().row_errors;
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].line_number, 5u);
+  EXPECT_NE(errors[0].message.find("outside the log window"), std::string::npos)
+      << errors[0].message;
+  EXPECT_EQ(errors[1].line_number, 6u);
+  EXPECT_NE(errors[1].message.find("non-GPU-related category 'CPU'"), std::string::npos)
+      << errors[1].message;
+
+  // Sorted by time, stably: the two 13:45 failures keep their line order.
+  const auto records = lenient.value().log.records();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].node, 2 * 36 + 11);
+  EXPECT_EQ(records[1].node, 4 * 36);
+  EXPECT_EQ(records[2].category, Category::kSoftware);
+  EXPECT_EQ(records[3].time.to_civil(), (CivilDateTime{2020, 3, 6, 12, 0, 0}));
+
+  auto strict = import_legacy_v1(text, ReadPolicy::kStrict);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.error().kind(), ErrorKind::kValidation);
+  EXPECT_NE(strict.error().to_string().find("line 5"), std::string::npos)
+      << strict.error().to_string();
+  EXPECT_NE(strict.error().to_string().find("outside the log window"), std::string::npos)
+      << strict.error().to_string();
+
+  // Without the two refused lines, strict keeps exactly lenient's records.
+  auto clean = import_legacy_v1("#legacy-v1 Tsubame-3\n" + good_lines +
+                                    "09/06/2018;13:45;r04n00;GPU;2.00;G1\n",
+                                ReadPolicy::kStrict);
+  ASSERT_TRUE(clean.ok()) << clean.error().to_string();
+  EXPECT_TRUE(clean.value().row_errors.empty());
+  ASSERT_EQ(clean.value().log.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(clean.value().log.records()[i].time, records[i].time);
+    EXPECT_EQ(clean.value().log.records()[i].node, records[i].node);
+  }
+}
+
 TEST(LegacyNodeName, ParsingAndRanges) {
   const auto& spec = tsubame3_spec();  // 15 racks x 36 nodes
   EXPECT_EQ(parse_legacy_node_name("r00n00", spec).value(), 0);

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/query.h"
@@ -15,6 +16,7 @@
 #include "index_identity.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "report/study_text.h"
 #include "serve/cache.h"
 #include "serve/service.h"
@@ -602,6 +604,35 @@ TEST(FleetPersistence, RemountIndexesUnevenSegmentsLikeTheirConcatenatedLog) {
   const auto study = service.query("t3", "study");
   ASSERT_TRUE(study.ok()) << study.error().to_string();
   EXPECT_EQ(study.value().text, batch_study_text(whole));
+}
+
+TEST(FleetPersistence, RestartOpensEachSegmentOnce) {
+  // The restart reads the tenant's spec off the newest segment and
+  // re-mounts every segment: one columnar.open span per segment file.
+  const data::MachineSpec spec = data::tsubame3_spec();
+  const auto log = generated(data::Machine::kTsubame3);
+  const std::vector<data::FailureRecord> records(log.records().begin(), log.records().end());
+  TempDataDir dir("open_once");
+  write_segments(dir.path, "t3", spec, cut(records, {100, 200}));
+  auto config = replay_service_config();
+  config.tenant.data_dir = dir.path.string();
+
+  obs::reset_trace();
+  obs::set_enabled(true);
+  FleetService service(config);
+  const auto restored = service.restore_tenants();
+  obs::set_enabled(false);
+  const obs::TraceSnapshot trace = obs::collect_trace();
+  obs::reset_trace();
+  ASSERT_TRUE(restored.ok()) << restored.error().to_string();
+  ASSERT_EQ(restored.value(), 1u);
+  EXPECT_EQ(service.tenant_stats("t3").value().records, records.size());
+
+  ASSERT_EQ(trace.dropped_total(), 0u);
+  std::size_t opens = 0;
+  for (const auto& thread : trace.threads)
+    for (const auto& span : thread.spans) opens += std::string_view(span.name) == "columnar.open";
+  EXPECT_EQ(opens, 3u);
 }
 
 /// Opens a Tsubame-3 tenant over two hand-packed segments in the data

@@ -2,8 +2,8 @@
 // testkit/reference_fit.h, bit for bit: the same family, the same KS
 // distance, the same fitted parameters and the same error text, on
 // draws from each family around the sort cutoff and at fleet scale,
-// sorted and unsorted, on tie-heavy and degenerate samples, and on both
-// presets' TBF/TTR samples.
+// sorted and unsorted, on tie-heavy, nearly tied and degenerate samples,
+// and on both presets' and a fleet-scale log's TBF/TTR samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "data/log_index.h"
+#include "data/log_io.h"
 #include "sim/generator.h"
 #include "sim/tsubame_models.h"
 #include "stats/fit.h"
@@ -197,6 +198,23 @@ std::vector<double> positive(std::span<const double> values) {
   return out;
 }
 
+// --- draws whose families nearly tie ----------------------------------------
+
+TEST(FamilyPin, NearlyTiedExponentialDraws) {
+  // On exponential draws the Weibull and gamma shapes fit close to 1, so
+  // three families land within a few thousandths of each other, and a
+  // ranking on a small subsample can scan a loser before the winner.
+  for (const std::size_t n : {std::size_t{65}, std::size_t{1000}, std::size_t{20000}}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::to_string(n) + " draws, seed " + std::to_string(seed));
+      Rng rng(seed * 1000 + n);
+      std::vector<double> sample(n);
+      for (double& x : sample) x = rng.exponential(12.0);
+      expect_pinned_both_orders(sample);
+    }
+  }
+}
+
 TEST(FamilyPin, PresetTbfAndTtrSamples) {
   for (const auto* model : {&sim::tsubame2_model(), &sim::tsubame3_model()}) {
     const auto log = sim::generate_log(*model, kGoldenSeed).value();
@@ -209,6 +227,23 @@ TEST(FamilyPin, PresetTbfAndTtrSamples) {
       ASSERT_GE(sample.size(), 8u);
       expect_pinned_both_orders(sample);
     }
+  }
+}
+
+TEST(FamilyPin, FleetScaleTbfAndTtrSamples) {
+  // A 10^5-failure Tsubame-3 log as a CSV file holds it: whole-second
+  // gaps and 4-decimal repair times, so both samples repeat heavily.
+  sim::MachineModel model = sim::tsubame3_model();
+  model.total_failures = kFleetGoldenFailures;
+  const auto generated = sim::generate_log(model, kGoldenSeed).value();
+  const auto log = data::read_log_csv(data::write_log_csv(generated)).value().log;
+  const data::LogIndex index(log);
+  const auto hours = index.hours();
+  std::vector<double> gaps;
+  for (std::size_t i = 1; i < hours.size(); ++i) gaps.push_back(hours[i] - hours[i - 1]);
+  for (const auto& sample : {positive(gaps), positive(index.ttr())}) {
+    ASSERT_GE(sample.size(), kFleetGoldenFailures / 2);
+    expect_pinned_both_orders(sample);
   }
 }
 
