@@ -108,9 +108,11 @@ double measure_dormant_overhead(bench::PerfJson& perf) {
     study_ns = std::min(study_ns, watch.elapsed_ns());
   }
 
-  // 2. Instrumented sites a study hits: spans recorded plus counter
-  //    updates (study.runs + index.builds + index.records + one
-  //    tasks_run per analysis) in one traced run.
+  // 2. Instrumented sites a study hits in one traced run: the spans
+  //    recorded plus one update per counter, since the study updates each
+  //    counter registered here once.  A counter's value sums what its
+  //    updates add (index.records adds the record count in one update),
+  //    so it does not count them.
   obs::reset_trace();
   obs::reset_metrics();
   obs::set_enabled(true);
@@ -118,8 +120,7 @@ double measure_dormant_overhead(bench::PerfJson& perf) {
   obs::set_enabled(false);
   const auto trace = obs::collect_trace();
   const auto metrics = obs::collect_metrics();
-  std::uint64_t sites = trace.span_count();
-  for (const auto& counter : metrics.counters) sites += counter.value;
+  const std::uint64_t sites = trace.span_count() + metrics.counters.size();
 
   // 3. Dormant per-site cost.
   static obs::Counter dormant_counter = obs::counter("bench.dormant_site");

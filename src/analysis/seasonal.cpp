@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <string>
 
 #include "stats/correlation.h"
@@ -33,42 +34,52 @@ std::array<double, 12> month_exposure_days(TimePoint start, TimePoint end) {
 
 using MonthlyTtrSamples = std::array<std::vector<double>, 12>;
 
+/// The median of ascending `months` pooled, from one buffer they merge
+/// into; 0 when all are empty.  It equals the median of the pooled sample
+/// sorted again bit for bit: equal nonzero doubles have equal bits, and
+/// quantile_sorted returns +0.0 whatever the order of +-0.
+double pooled_median(std::span<const std::vector<double>> months) {
+  std::size_t total = 0;
+  for (const auto& month : months) total += month.size();
+  if (total == 0) return 0.0;
+  std::vector<double> merged;
+  merged.reserve(total);
+  for (const auto& month : months) {
+    const auto middle = merged.insert(merged.end(), month.begin(), month.end());
+    std::inplace_merge(merged.begin(), middle, merged.end());
+  }
+  return stats::quantile_sorted(merged, 0.5).value();
+}
+
 /// The Figures 11-12 profiles from per-month TTR samples (index 0 =
-/// January), each in record order.
-SeasonalAnalysis seasonal_from(const data::MachineSpec& spec,
-                               const MonthlyTtrSamples& ttr_by_month) {
+/// January), each in record order.  Sorts each month's sample in place.
+SeasonalAnalysis seasonal_from(const data::MachineSpec& spec, MonthlyTtrSamples& ttr_by_month) {
   SeasonalAnalysis result;
   result.exposure_days = month_exposure_days(spec.log_start, spec.log_end);
   std::vector<double> densities, medians;  // months with >= 1 failure
-  std::vector<double> first_half, second_half;
   for (int month = 1; month <= 12; ++month) {
     const auto idx = static_cast<std::size_t>(month - 1);
+    std::vector<double>& ttr = ttr_by_month[idx];
     auto& slot = result.monthly[idx];
     slot.month = month;
-    slot.failures = ttr_by_month[idx].size();
+    slot.failures = ttr.size();
     result.failure_counts[idx] = slot.failures;
     if (result.exposure_days[idx] > 0.0) {
       result.failures_per_day[idx] =
           static_cast<double>(slot.failures) / result.exposure_days[idx];
     }
-    if (!ttr_by_month[idx].empty()) {
-      slot.box = stats::box_stats(ttr_by_month[idx]).value();
+    if (!ttr.empty()) {
+      // box_stats reads an ascending sample in place.  A month already in
+      // order stays as it is, as box_stats' own sorted view would leave it.
+      if (!std::is_sorted(ttr.begin(), ttr.end())) stats::sort_ascending(ttr);
+      slot.box = stats::box_stats(ttr).value();
       densities.push_back(result.failures_per_day[idx]);
       medians.push_back(slot.box->median);
     }
-    auto& half = month <= 6 ? first_half : second_half;
-    half.insert(half.end(), ttr_by_month[idx].begin(), ttr_by_month[idx].end());
   }
-
-  // The halves are this function's own copies, so they sort in place.
-  if (!first_half.empty()) {
-    stats::sort_ascending(first_half);
-    result.first_half_median_ttr = stats::quantile_sorted(first_half, 0.5).value();
-  }
-  if (!second_half.empty()) {
-    stats::sort_ascending(second_half);
-    result.second_half_median_ttr = stats::quantile_sorted(second_half, 0.5).value();
-  }
+  const std::span<const std::vector<double>> months(ttr_by_month);
+  result.first_half_median_ttr = pooled_median(months.first(6));
+  result.second_half_median_ttr = pooled_median(months.last(6));
 
   if (densities.size() >= 3) {
     if (auto r = stats::pearson(densities, medians); r.ok())

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/strings.h"
 
@@ -28,18 +30,25 @@ Result<SoftwareLoci> analyze_software_loci(const data::LogIndex& index, std::siz
   if (software.empty())
     return Error(ErrorKind::kDomain, "analyze_software_loci: no software-class failures in log");
 
+  // A log repeats a few labels many times, so count the raw labels (views
+  // into the index's locus arena) first, then normalize and classify each
+  // distinct one once.
+  const data::ColumnsView& columns = index.columns();
+  std::unordered_map<std::string_view, std::size_t> raw_counts;
+  for (std::uint32_t position : software) ++raw_counts[columns.root_locus_of(position)];
+
   std::map<std::string, std::size_t> counts;
   std::size_t gpu_driver = 0;
   std::size_t unknown = 0;
-  for (std::uint32_t position : software) {
-    std::string locus = to_lower(trim(index.columns().root_locus_of(position)));
+  for (const auto& [raw, count] : raw_counts) {
+    std::string locus = to_lower(trim(raw));
     if (locus.empty() || locus == "unknown") {
       locus = "unknown";
-      ++unknown;
+      unknown += count;
     } else if (is_gpu_driver_locus(locus)) {
-      ++gpu_driver;
+      gpu_driver += count;
     }
-    ++counts[locus];
+    counts[locus] += count;
   }
 
   SoftwareLoci result;

@@ -50,10 +50,10 @@ Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& o
   // One task per analysis, in registration order.  Each task writes only
   // its own report slot, so parallel runs do not race on the report.  A
   // required analysis that fails fails the study; any other lands in
-  // StudyReport::skipped.  A scalars-only study fits no family and ranks
-  // no loci: its software_loci task returns at once.
+  // StudyReport::skipped.  No output prints a best-fit family, so the
+  // study fits none; a scalars-only study also ranks no loci: its
+  // software_loci task returns at once.
   StudyReport report;
-  const bool fit_family = !options.scalars_only;
   const struct {
     const char* name;
     bool required;
@@ -68,12 +68,12 @@ Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& o
       {"node_counts", true, [&] { return fill(analyze_node_counts(index), report.node_counts); }},
       {"gpu_slots", false, [&] { return fill(analyze_gpu_slots(index), report.gpu_slots); }},
       {"multi_gpu", false, [&] { return fill(analyze_multi_gpu(index), report.multi_gpu); }},
-      {"tbf", false, [&] { return fill(analyze_tbf(index, fit_family), report.tbf); }},
+      {"tbf", false, [&] { return fill(analyze_tbf(index, /*fit_family=*/false), report.tbf); }},
       {"tbf_by_category", false,
        [&] { return fill(analyze_tbf_by_category(index), report.tbf_by_category); }},
       {"multi_gpu_clustering", false,
        [&] { return fill(analyze_multi_gpu_clustering(index), report.multi_gpu_clustering); }},
-      {"ttr", true, [&] { return fill(analyze_ttr(index, fit_family), report.ttr); }},
+      {"ttr", true, [&] { return fill(analyze_ttr(index, /*fit_family=*/false), report.ttr); }},
       {"ttr_by_category", false,
        [&] { return fill(analyze_ttr_by_category(index), report.ttr_by_category); }},
       {"seasonal", true, [&] { return fill(analyze_seasonal(index), report.seasonal); }},
@@ -81,12 +81,14 @@ Result<StudyReport> run_study(const data::LogIndex& index, const StudyOptions& o
        [&] { return fill(analyze_perf_error_prop(index), report.perf_error_prop); }},
   };
 
-  // Workers claim the longest tasks first, so on a large log the pool
-  // does not wait on one claimed late, and the calling thread runs the
-  // longest itself; the rest follow in registration order.  Results are
-  // indexed by task, so the order changes no output.
+  // Workers claim the longest tasks first (serial task times on a
+  // 10^6-record log), so on a large log the pool does not wait on one
+  // claimed late, and the calling thread runs the longest itself; the
+  // rest, about 1 ms each there, follow in registration order.  Results
+  // are indexed by task, so the order changes no output.
   static constexpr std::string_view kLongestFirst[] = {
-      "ttr", "tbf", "seasonal", "software_loci", "ttr_by_category", "tbf_by_category"};
+      "ttr", "tbf", "ttr_by_category", "seasonal", "tbf_by_category", "software_loci",
+      "node_counts"};
   const auto rank = [&tasks](std::size_t t) {
     return std::find(std::begin(kLongestFirst), std::end(kLongestFirst), tasks[t].name) -
            std::begin(kLongestFirst);

@@ -35,10 +35,10 @@ struct StudyOptions {
   /// for every value.
   std::size_t jobs = 1;
   /// Compute only what the scalar summaries of a report read (the Monte
-  /// Carlo sweep's study_metrics): leave out the TBF and TTR family fits
-  /// (tbf->best_family and ttr.best_family stay empty) and the
-  /// software-loci ranking (software_loci stays empty).  Every other
-  /// field is the same as in the full study.
+  /// Carlo sweep's study_metrics): leave out the software-loci ranking
+  /// (software_loci stays empty).  Every other field is the same as in
+  /// the full study.  Neither study fits a TBF or TTR family (no output
+  /// prints one), so tbf->best_family and ttr.best_family stay empty.
   bool scalars_only = false;
 };
 

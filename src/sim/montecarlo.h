@@ -20,8 +20,8 @@
 //     allocation between its replicates as its per-worker state
 //     (generate_log's buffer overload + FailureLog::take_records).  The
 //     default stage runs the scalars-only study (StudyOptions::
-//     scalars_only): it skips the family fits and the loci ranking, which
-//     study_metrics never reads, and keeps only the scalar metrics.
+//     scalars_only): it skips the loci ranking, which study_metrics
+//     never reads, and keeps only the scalar metrics.
 //
 //   * Cross-replicate aggregates.  Per metric: mean, sample stddev, and
 //     a percentile-bootstrap CI of the mean, for the metrics

@@ -164,7 +164,8 @@ bool slot_attributed(const FailureRecord& record) {
 // --- shared analysis cores (naive) ---------------------------------------
 
 /// TBF over an event-hour sample (mirrors tbf_from_hours).
-Result<analysis::TbfResult> tbf_core(const data::MachineSpec& spec, std::vector<double> hours) {
+Result<analysis::TbfResult> tbf_core(const data::MachineSpec& spec, std::vector<double> hours,
+                                     bool fit_family = true) {
   if (hours.size() < 2)
     return Error(ErrorKind::kDomain,
                  "TBF needs at least 2 failures, have " + std::to_string(hours.size()));
@@ -177,6 +178,7 @@ Result<analysis::TbfResult> tbf_core(const data::MachineSpec& spec, std::vector<
   result.exposure_mtbf_hours = spec.window_hours() / static_cast<double>(sorted.size());
   result.summary = naive_summary(result.tbf_hours);
   result.p75_hours = result.summary.p75;
+  if (!fit_family) return result;
 
   std::vector<double> positive;
   for (double gap : insertion_sorted(result.tbf_hours))
@@ -189,13 +191,14 @@ Result<analysis::TbfResult> tbf_core(const data::MachineSpec& spec, std::vector<
 }
 
 /// TTR over a repair-time sample in record order (mirrors ttr_from_values).
-Result<analysis::TtrResult> ttr_core(std::vector<double> values) {
+Result<analysis::TtrResult> ttr_core(std::vector<double> values, bool fit_family = true) {
   if (values.empty())
     return Error(ErrorKind::kDomain, "TTR analysis needs at least one failure");
   analysis::TtrResult result;
   result.ttr_hours = std::move(values);
   result.mttr_hours = naive_mean(result.ttr_hours);
   result.summary = naive_summary(result.ttr_hours);
+  if (!fit_family) return result;
 
   std::vector<double> positive;
   for (double value : insertion_sorted(result.ttr_hours))
@@ -416,9 +419,10 @@ Result<analysis::MultiGpuInvolvement> ref_multi_gpu(const FailureLog& log) {
   return result;
 }
 
-Result<analysis::TbfResult> ref_tbf(const FailureLog& log) {
+Result<analysis::TbfResult> ref_tbf(const FailureLog& log, bool fit_family) {
   return tbf_core(log.spec(),
-                  hours_of_stream(log, select(log, [](const FailureRecord&) { return true; })));
+                  hours_of_stream(log, select(log, [](const FailureRecord&) { return true; })),
+                  fit_family);
 }
 
 Result<analysis::TbfResult> ref_tbf_category(const FailureLog& log, Category category) {
@@ -469,8 +473,9 @@ Result<analysis::TemporalClustering> ref_multi_gpu_clustering(const FailureLog& 
   return result;
 }
 
-Result<analysis::TtrResult> ref_ttr(const FailureLog& log) {
-  return ttr_core(ttr_of_stream(select(log, [](const FailureRecord&) { return true; })));
+Result<analysis::TtrResult> ref_ttr(const FailureLog& log, bool fit_family) {
+  return ttr_core(ttr_of_stream(select(log, [](const FailureRecord&) { return true; })),
+                  fit_family);
 }
 
 Result<analysis::TtrResult> ref_ttr_category(const FailureLog& log, Category category) {
@@ -631,7 +636,7 @@ Result<analysis::StudyReport> ref_run_study(const FailureLog& log) {
     report.node_counts = std::move(node_counts).value();
   }
   {
-    auto ttr = ref_ttr(log);
+    auto ttr = ref_ttr(log, /*fit_family=*/false);
     if (!ttr.ok()) return ttr.error().with_context("run_study: ttr");
     report.ttr = std::move(ttr).value();
   }
@@ -658,7 +663,7 @@ Result<analysis::StudyReport> ref_run_study(const FailureLog& log) {
   optional_slot("software_loci", ref_software_loci(log), report.software_loci);
   optional_slot("gpu_slots", ref_gpu_slots(log), report.gpu_slots);
   optional_slot("multi_gpu", ref_multi_gpu(log), report.multi_gpu);
-  optional_slot("tbf", ref_tbf(log), report.tbf);
+  optional_slot("tbf", ref_tbf(log, /*fit_family=*/false), report.tbf);
   optional_slot("tbf_by_category", ref_tbf_by_category(log), report.tbf_by_category);
   optional_slot("multi_gpu_clustering", ref_multi_gpu_clustering(log),
                 report.multi_gpu_clustering);

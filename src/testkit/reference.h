@@ -43,11 +43,11 @@ Result<analysis::SoftwareLoci> ref_software_loci(const data::FailureLog& log,
 Result<analysis::NodeCounts> ref_node_counts(const data::FailureLog& log);
 Result<analysis::GpuSlotDistribution> ref_gpu_slots(const data::FailureLog& log);
 Result<analysis::MultiGpuInvolvement> ref_multi_gpu(const data::FailureLog& log);
-Result<analysis::TbfResult> ref_tbf(const data::FailureLog& log);
+Result<analysis::TbfResult> ref_tbf(const data::FailureLog& log, bool fit_family = true);
 Result<std::vector<analysis::CategoryTbf>> ref_tbf_by_category(const data::FailureLog& log,
                                                                std::size_t min_failures = 3);
 Result<analysis::TemporalClustering> ref_multi_gpu_clustering(const data::FailureLog& log);
-Result<analysis::TtrResult> ref_ttr(const data::FailureLog& log);
+Result<analysis::TtrResult> ref_ttr(const data::FailureLog& log, bool fit_family = true);
 Result<std::vector<analysis::CategoryTtr>> ref_ttr_by_category(const data::FailureLog& log,
                                                                std::size_t min_failures = 2);
 Result<analysis::SeasonalAnalysis> ref_seasonal(const data::FailureLog& log);
@@ -68,7 +68,8 @@ Result<std::vector<analysis::CategoryBurstiness>> ref_category_burstiness(
 
 /// Sequential reference re-computation of run_study: every slot filled
 /// from the ref_* implementations above, skipped entries in the same
-/// registration order with the same error kinds and messages.
+/// registration order with the same error kinds and messages.  Like
+/// run_study, it fits no family: its TBF and TTR carry no best_family.
 Result<analysis::StudyReport> ref_run_study(const data::FailureLog& log);
 
 }  // namespace tsufail::testkit

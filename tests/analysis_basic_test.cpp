@@ -89,6 +89,37 @@ TEST(SoftwareLoci, CountsAndDriverDetection) {
   EXPECT_DOUBLE_EQ(loci.value().percent_of("gpu driver problem"), 40.0);
 }
 
+TEST(SoftwareLoci, FoldsLabelsThatDifferInCaseAndWhitespace) {
+  const auto log = t3_log({
+      rec(1, Category::kSoftware, "2018-02-01", 1, {}, "Zfs scrub"),
+      rec(2, Category::kSoftware, "2018-02-02", 1, {}, "Lustre hang"),
+      rec(3, Category::kSoftware, "2018-02-03", 1, {}, " Unknown "),
+      rec(4, Category::kSoftware, "2018-02-04", 1, {}, "  LUSTRE HANG"),
+      rec(5, Category::kSoftware, "2018-02-05", 1, {}, "cuda error"),
+      rec(6, Category::kSoftware, "2018-02-06", 1, {}, ""),
+      rec(7, Category::kSoftware, "2018-02-07", 1, {}, "lustre hang\t"),
+      rec(8, Category::kSoftware, "2018-02-08", 1, {}, " CUDA Error"),
+      rec(9, Category::kSoftware, "2018-02-09", 1, {}, "apt lock"),
+  });
+  auto loci = analyze_software_loci(data::LogIndex(log));
+  ASSERT_TRUE(loci.ok());
+  const SoftwareLoci& l = loci.value();
+  EXPECT_EQ(l.software_failures, 9u);
+  EXPECT_EQ(l.distinct_loci, 5u);  // lustre hang, unknown, cuda error, apt lock, zfs scrub
+  EXPECT_DOUBLE_EQ(l.unknown_percent, 100.0 * 2 / 9);
+  EXPECT_DOUBLE_EQ(l.gpu_driver_percent, 100.0 * 2 / 9);
+  // Descending by count; ties in normalized-name order, whatever order or
+  // spelling the records came in.
+  const std::vector<std::pair<std::string, std::size_t>> expected = {
+      {"lustre hang", 3}, {"cuda error", 2}, {"unknown", 2}, {"apt lock", 1}, {"zfs scrub", 1}};
+  ASSERT_EQ(l.top.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(l.top[i].locus, expected[i].first) << "rank " << i;
+    EXPECT_EQ(l.top[i].count, expected[i].second) << "rank " << i;
+  }
+  EXPECT_DOUBLE_EQ(l.percent_of("lustre hang"), 100.0 * 3 / 9);
+}
+
 TEST(SoftwareLoci, TopNTruncation) {
   std::vector<data::FailureRecord> records;
   for (int i = 0; i < 10; ++i) {

@@ -80,23 +80,38 @@ TEST(RunStudy, AllFailuresOnOneNode) {
 }
 
 TEST(RunStudy, SimultaneousFailures) {
-  // All failures at the same instant: TBF gaps are all zero and the
-  // family fit must simply be absent, not crash.
-  auto study = run_study(t2_log({rec(1, Category::kGpu, "2012-06-01 12:00:00", 1.0, {0}),
-                                 rec(2, Category::kGpu, "2012-06-01 12:00:00", 2.0, {1}),
-                                 rec(3, Category::kGpu, "2012-06-01 12:00:00", 3.0, {2})}));
+  // All failures at the same instant: TBF gaps are all zero.  The study
+  // fits no family; analyze_tbf, which does, must leave it absent, not
+  // crash.
+  const auto log = t2_log({rec(1, Category::kGpu, "2012-06-01 12:00:00", 1.0, {0}),
+                           rec(2, Category::kGpu, "2012-06-01 12:00:00", 2.0, {1}),
+                           rec(3, Category::kGpu, "2012-06-01 12:00:00", 3.0, {2})});
+  auto study = run_study(log);
   ASSERT_TRUE(study.ok());
   ASSERT_TRUE(study.value().tbf.has_value());
   EXPECT_DOUBLE_EQ(study.value().tbf->mtbf_hours, 0.0);
   EXPECT_FALSE(study.value().tbf->best_family.has_value());
+
+  auto tbf = analyze_tbf(data::LogIndex(log));
+  ASSERT_TRUE(tbf.ok());
+  EXPECT_DOUBLE_EQ(tbf.value().mtbf_hours, 0.0);
+  EXPECT_FALSE(tbf.value().best_family.has_value());
 }
 
 TEST(RunStudy, ZeroTtrEverywhere) {
-  auto study = run_study(t2_log({rec(1, Category::kGpu, "2012-06-01", 0.0, {0}),
-                                 rec(2, Category::kCpu, "2012-07-01", 0.0)}));
+  // No positive TTR to fit: the study fits no family anyway, and
+  // analyze_ttr, which does, must leave it absent.
+  const auto log = t2_log({rec(1, Category::kGpu, "2012-06-01", 0.0, {0}),
+                           rec(2, Category::kCpu, "2012-07-01", 0.0)});
+  auto study = run_study(log);
   ASSERT_TRUE(study.ok());
   EXPECT_DOUBLE_EQ(study.value().ttr.mttr_hours, 0.0);
   EXPECT_FALSE(study.value().ttr.best_family.has_value());
+
+  auto ttr = analyze_ttr(data::LogIndex(log));
+  ASSERT_TRUE(ttr.ok());
+  EXPECT_DOUBLE_EQ(ttr.value().mttr_hours, 0.0);
+  EXPECT_FALSE(ttr.value().best_family.has_value());
 }
 
 TEST(RunStudy, TinyGeneratedFleetStillRuns) {
@@ -121,6 +136,10 @@ TEST(RunStudy, FullCalibratedLogPopulatesEverything) {
   EXPECT_TRUE(s.multi_gpu_clustering.has_value());
   EXPECT_FALSE(s.ttr_by_category.empty());
   EXPECT_TRUE(s.skipped.empty());  // nothing was undefined for a full log
+  // No output prints a best-fit family, so the study fits none, even
+  // where analyze_tbf and analyze_ttr would.
+  EXPECT_FALSE(s.tbf->best_family.has_value());
+  EXPECT_FALSE(s.ttr.best_family.has_value());
 }
 
 std::vector<std::string> skipped_names(const StudyReport& report) {

@@ -227,6 +227,41 @@ TEST(Seasonal, MonthlyProfiles) {
   EXPECT_DOUBLE_EQ(seasonal.value().second_half_median_ttr, 40.0);
 }
 
+TEST(Seasonal, HalfMediansPoolSeveralMonths) {
+  // Each half spans three months whose TTRs are out of order in time and
+  // interleave across months.  Pooled and sorted:
+  //   Jan-Jun: 1 (Jan), 2 (May), 3 (Mar), 6 (May), 8 (Mar), 9 (Jan)
+  //   Jul-Dec: 10 (Oct), 12 (Aug), 15 (Dec), 20 (Dec), 25 (Aug), 30 (Oct),
+  //            40 (Aug), 50 (Dec)
+  // Both counts are even, so each median lies between two values from
+  // different months: (3 + 6) / 2 and (20 + 25) / 2.
+  const auto log = t2_log({rec(1, Category::kGpu, "2012-01-10", 9.0),
+                           rec(2, Category::kGpu, "2012-01-20", 1.0),
+                           rec(3, Category::kGpu, "2012-03-05", 8.0),
+                           rec(4, Category::kGpu, "2012-03-15", 3.0),
+                           rec(5, Category::kGpu, "2012-05-05", 6.0),
+                           rec(6, Category::kGpu, "2012-05-15", 2.0),
+                           rec(7, Category::kGpu, "2012-08-03", 40.0),
+                           rec(8, Category::kGpu, "2012-08-13", 12.0),
+                           rec(9, Category::kGpu, "2012-08-23", 25.0),
+                           rec(10, Category::kGpu, "2012-10-03", 30.0),
+                           rec(11, Category::kGpu, "2012-10-13", 10.0),
+                           rec(12, Category::kGpu, "2012-12-03", 50.0),
+                           rec(13, Category::kGpu, "2012-12-13", 20.0),
+                           rec(14, Category::kGpu, "2012-12-23", 15.0)});
+  auto seasonal = analyze_seasonal(data::LogIndex(log));
+  ASSERT_TRUE(seasonal.ok());
+  EXPECT_DOUBLE_EQ(seasonal.value().first_half_median_ttr, 4.5);
+  EXPECT_DOUBLE_EQ(seasonal.value().second_half_median_ttr, 22.5);
+  // The months' own boxes read the same samples, each sorted.
+  ASSERT_TRUE(seasonal.value().monthly[7].box.has_value());
+  EXPECT_DOUBLE_EQ(seasonal.value().monthly[7].box->median, 25.0);  // 12, 25, 40
+  EXPECT_DOUBLE_EQ(seasonal.value().monthly[7].box->sample_min, 12.0);
+  ASSERT_TRUE(seasonal.value().monthly[11].box.has_value());
+  EXPECT_DOUBLE_EQ(seasonal.value().monthly[11].box->median, 20.0);  // 15, 20, 50
+  EXPECT_DOUBLE_EQ(seasonal.value().monthly[11].box->sample_max, 50.0);
+}
+
 TEST(Seasonal, CorrelationAbsentWithFewMonths) {
   const auto log = t2_log({rec(1, Category::kGpu, "2012-02-10", 10.0),
                            rec(2, Category::kGpu, "2012-03-10", 20.0)});
